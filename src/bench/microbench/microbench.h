@@ -59,20 +59,19 @@ namespace quasii::bench {
 /// (`src/persist/`), recovered into a fresh instance, and re-queried — the
 /// durability acceptance bar is `replay_cracks == 0` (the restored slice
 /// hierarchy is already converged) with a matching result checksum.
-/// Schema v7 adds `bytes_scanned` to every stats object, the `memory` block
-/// on QUASII results (scan working set: `resident_column_bytes` vs
-/// `raw_column_bytes`, packed-leaf coverage), the `simd_tier` option, and
-/// the `ab` block on the uniform-workload QUASII results: interleaved A/B
-/// reruns of the converged read stream comparing the scalar vs native SIMD
-/// tier (raw columns) and raw vs packed columns (native tier), with
-/// checksum/counter equality verdicts — the measurement behind the explicit
-/// SIMD kernel layer's acceptance bar. Schema v9 (v8 is skipped so the
-/// microbench and bench driver schemas stay aligned) adds the "parallel"
-/// entry to the `ab` block — cold-start first-query cost at 1 vs 8
-/// intra-query exec threads over fresh indexes, with checksum/counter
-/// equality plus a `content_match` verdict that the parallel run produced
-/// the bit-identical physical crack structure — and records the
-/// `exec_threads` / `grain` morsel-execution options.
+/// Schema v7 adds `bytes_scanned` to every stats object, the `simd_tier`
+/// option, and the `ab` block on the uniform-workload QUASII results:
+/// interleaved A/B reruns of the converged read stream comparing the scalar
+/// vs native SIMD tier, with checksum/counter equality verdicts — the
+/// measurement behind the explicit SIMD kernel layer's acceptance bar.
+/// Schema v9 (v8 is skipped so the microbench and bench driver schemas stay
+/// aligned) adds the "parallel" entry to the `ab` block — cold-start
+/// first-query cost at 1 vs 8 intra-query exec threads over fresh indexes,
+/// with checksum/counter equality plus a `content_match` verdict that the
+/// parallel run produced the bit-identical physical crack structure — and
+/// records the `exec_threads` / `grain` morsel-execution options. Schema
+/// v10 drops the packed-column `memory` block, the "packed" A/B entry and
+/// the `packing_enabled` option: leaf scans read the raw columns only.
 struct MicrobenchOptions {
   int min_exp = 17;
   int max_exp = 20;
@@ -177,9 +176,9 @@ struct RecoveryPoint {
 /// mode verifies that results (stream checksum) and work counters are
 /// bit-identical across modes — the kernels must differ in speed only.
 struct AbResult {
-  std::string name;    // "simd", "packed", or "parallel"
-  std::string mode_a;  // e.g. "scalar" / "raw" / "threads=1"
-  std::string mode_b;  // e.g. "avx2" / "packed" / "threads=8"
+  std::string name;    // "simd" or "parallel"
+  std::string mode_a;  // e.g. "scalar" / "threads=1"
+  std::string mode_b;  // e.g. "avx2" / "threads=8"
   double a_median_ms = 0;
   double b_median_ms = 0;
   double speedup = 0;  // a_median / b_median: how much faster B runs
@@ -190,7 +189,7 @@ struct AbResult {
   bool counters_match = false;
   /// Physical-structure verdict: a digest of the index's serialized
   /// structure (crack columns, slice boundaries) agrees across modes. The
-  /// simd/packed comparisons run on one already-converged index, so there
+  /// simd comparison runs on one already-converged index, so there
   /// it holds by construction; the "parallel" comparison cracks two fresh
   /// indexes and must reproduce the *same physical layout* either way.
   bool content_match = true;
@@ -282,8 +281,8 @@ inline RecoveryPoint MeasureRecovery(const SpatialIndex<3>& converged,
 }
 
 /// Runs one interleaved A/B comparison on a converged QUASII index.
-/// `setup_a` / `setup_b` flip the execution mode (SIMD tier, packed-scan
-/// toggle) before each pass; the caller restores its preferred mode after.
+/// `setup_a` / `setup_b` flip the execution mode (SIMD tier) before each
+/// pass; the caller restores its preferred mode after.
 /// The index must already be converged for `ops` — the verification passes
 /// require `cracks == 0` in both modes, so any reorganization fails the
 /// `counters_match` verdict.
@@ -559,7 +558,6 @@ inline void WriteMicroRun(
     JsonWriter* w, const MicroRun& run,
     const std::vector<ScalingPoint>* scaling = nullptr,
     const RecoveryPoint* recovery = nullptr,
-    const SpatialIndex<3>::ColumnMemory* memory = nullptr,
     const std::vector<AbResult>* ab = nullptr) {
   w->BeginObject();
   w->Key("index").String(run.name);
@@ -613,14 +611,6 @@ inline void WriteMicroRun(
     w->Key("checksum_match").Bool(recovery->checksum_match);
     w->EndObject();
   }
-  if (memory != nullptr) {
-    w->Key("memory").BeginObject();
-    w->Key("resident_column_bytes").Uint(memory->resident_bytes);
-    w->Key("raw_column_bytes").Uint(memory->raw_bytes);
-    w->Key("packed_leaves").Uint(memory->packed_leaves);
-    w->Key("packed_rows").Uint(memory->packed_rows);
-    w->EndObject();
-  }
   if (ab != nullptr && !ab->empty()) {
     w->Key("ab").BeginObject();
     for (const AbResult& r : *ab) {
@@ -652,14 +642,13 @@ inline std::string RunMicrobench(const MicrobenchOptions& options) {
 
   JsonWriter w;
   w.BeginObject();
-  w.Key("schema").String("quasii-microbench-v9");
+  w.Key("schema").String("quasii-microbench-v10");
   w.Key("options").BeginObject();
   w.Key("min_exp").Int(options.min_exp);
   w.Key("max_exp").Int(options.max_exp);
   w.Key("queries").Int(options.queries);
   w.Key("seed").Uint(options.seed);
   w.Key("simd_tier").String(simd::TierName(simd::ActiveTier()));
-  w.Key("packing_enabled").Bool(QuasiiIndex<3>::PackingEnabled());
   w.Key("exec_threads").Int(IntraQueryThreads());
   w.Key("grain").Uint(static_cast<std::uint64_t>(MorselGrain()));
   w.EndObject();
@@ -714,13 +703,7 @@ inline std::string RunMicrobench(const MicrobenchOptions& options) {
         std::vector<ScalingPoint> scaling;
         RecoveryPoint recovery;
         bool have_recovery = false;
-        SpatialIndex<3>::ColumnMemory memory;
-        bool have_memory = false;
         std::vector<AbResult> ab;
-        if (index->name() == "QUASII") {
-          memory = index->column_memory();
-          have_memory = memory.raw_bytes > 0;
-        }
         if (workload == "uniform" && index->name() == "QUASII") {
           scaling = MeasureScaling(index.get(), ops);
           QuasiiIndex<3> fresh(data);
@@ -732,29 +715,16 @@ inline std::string RunMicrobench(const MicrobenchOptions& options) {
                                      snapshot_path);
           have_recovery = true;
           // Interleaved A/B reruns of the (now converged) read stream:
-          // scalar vs native SIMD tier over the raw columns, then raw vs
-          // packed columns at the native tier. Results must be bit-identical
-          // in every mode; only the pass time may differ.
+          // scalar vs native SIMD tier. Results must be bit-identical in
+          // both modes; only the pass time may differ.
           auto* q = dynamic_cast<QuasiiIndex<3>*>(index.get());
           const simd::Tier native = simd::ActiveTier();
           ab.push_back(MeasureAb(
               q, ops, run.post_workload.checksum, "simd", "scalar",
-              [q] {
-                simd::ForceTier(simd::Tier::kScalar);
-                q->set_packed_scan_enabled(false);
-              },
-              simd::TierName(native),
-              [q, native] {
-                simd::ForceTier(native);
-                q->set_packed_scan_enabled(false);
-              }));
-          ab.push_back(MeasureAb(
-              q, ops, run.post_workload.checksum, "packed", "raw",
-              [q] { q->set_packed_scan_enabled(false); },
-              "packed", [q] { q->set_packed_scan_enabled(true); }));
+              [] { simd::ForceTier(simd::Tier::kScalar); },
+              simd::TierName(native), [native] { simd::ForceTier(native); }));
           simd::ForceTier(native);
-          q->set_packed_scan_enabled(true);
-          // Third comparison, and the only one that re-cracks: cold-start
+          // Second comparison, and the only one that re-cracks: cold-start
           // first-query cost at 1 vs 8 intra-query exec threads, over
           // fresh indexes each round. Parallel cracking must reproduce the
           // serial run bit-for-bit (results, counters, physical layout).
@@ -763,7 +733,6 @@ inline std::string RunMicrobench(const MicrobenchOptions& options) {
         }
         WriteMicroRun(&w, run, scaling.empty() ? nullptr : &scaling,
                       have_recovery ? &recovery : nullptr,
-                      have_memory ? &memory : nullptr,
                       ab.empty() ? nullptr : &ab);
       }
       w.EndArray();

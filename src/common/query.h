@@ -63,9 +63,10 @@ struct ConjunctiveTerm {
 }
 
 /// Whether every coordinate is a finite number — the validation gate the
-/// `Try*` factories apply to untrusted (wire/parsed) descriptions. NaN
-/// poisons every comparison-based traversal and infinities are reserved
-/// for the sentinel empty box, so neither belongs in a deserialized query.
+/// `Try*` factories apply to untrusted (wire/parsed) descriptions and
+/// `SpatialIndex::Insert` applies to every new object. NaN poisons every
+/// comparison-based traversal and infinities are reserved for the sentinel
+/// empty box, so neither belongs in a deserialized query or a stored box.
 template <int D>
 bool IsFinite(const Point<D>& p) {
   for (int d = 0; d < D; ++d) {

@@ -14,17 +14,14 @@
 #if defined(__x86_64__) || defined(__i386__)
 #define QUASII_SIMD_X86 1
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#define QUASII_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 // Explicit SIMD kernels for the leaf-scan hot path.
 //
 // Every kernel exists in a portable scalar form plus (where the target
-// supports it) a vector form: AVX2 on x86-64 (compiled via function-level
-// `target` attributes so the rest of the binary stays baseline), NEON on
-// aarch64 (baseline there, no dispatch needed). Which form runs is decided
+// supports it) a vector form: AVX2 on x86-64, compiled via function-level
+// `target` attributes so the rest of the binary stays baseline. Other
+// targets run the scalar reference tier. Which form runs is decided
 // once at startup from cpuid — `__builtin_cpu_supports("avx2")` — and cached;
 // `QUASII_FORCE_SCALAR=1` in the environment pins the scalar tier, and
 // `ForceTier()` lets tests and the microbench A/B harness flip tiers at
@@ -37,19 +34,15 @@
 //   MaskLeGe    mask[i] &= (le_col[i] <= le_bound) & (ge_col[i] >= ge_bound)
 //   MaskCount   sum of 0/1 mask bytes
 //   CompactIds  order-preserving gather of ids[i] where mask[i] != 0
-//   MaskPackedLe/Ge  the same interval tests over bit-packed columns
-//                    (see packed_column.h for the layout contract)
 
 namespace quasii::simd {
 
-enum class Tier : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Tier : int { kScalar = 0, kAvx2 = 1 };
 
 inline const char* TierName(Tier t) {
   switch (t) {
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kNeon:
-      return "neon";
     default:
       return "scalar";
   }
@@ -64,8 +57,6 @@ inline Tier DetectTier() {
 #if defined(QUASII_SIMD_X86)
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kScalar;
-#elif defined(QUASII_SIMD_NEON)
-  return Tier::kNeon;
 #else
   return Tier::kScalar;
 #endif
@@ -236,36 +227,6 @@ __attribute__((target("avx2"))) inline std::size_t CompactIdsAvx2(
 #endif  // QUASII_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// NEON tier (aarch64). NEON is baseline on aarch64, so no target attributes
-// or cpuid are needed; count and compaction stay scalar (no movemask — the
-// branchless scalar compaction is already strong there).
-
-#if defined(QUASII_SIMD_NEON)
-
-inline void MaskLeGeNeon(const Scalar* le_col, Scalar le_bound,
-                         const Scalar* ge_col, Scalar ge_bound,
-                         std::uint8_t* mask, std::size_t n) {
-  static_assert(sizeof(Scalar) == 4, "NEON kernels assume float columns");
-  const float32x4_t le_b = vdupq_n_f32(le_bound);
-  const float32x4_t ge_b = vdupq_n_f32(ge_bound);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint32x4_t c0 = vandq_u32(vcleq_f32(vld1q_f32(le_col + i), le_b),
-                                    vcgeq_f32(vld1q_f32(ge_col + i), ge_b));
-    const uint32x4_t c1 =
-        vandq_u32(vcleq_f32(vld1q_f32(le_col + i + 4), le_b),
-                  vcgeq_f32(vld1q_f32(ge_col + i + 4), ge_b));
-    // Narrow 2x4x32-bit lane masks to 8 bytes of 0/1 and AND into the mask.
-    const uint16x8_t n16 = vcombine_u16(vmovn_u32(c0), vmovn_u32(c1));
-    const uint8x8_t hit = vand_u8(vmovn_u16(n16), vdup_n_u8(1));
-    vst1_u8(mask + i, vand_u8(vld1_u8(mask + i), hit));
-  }
-  MaskLeGeScalar(le_col + i, le_bound, ge_col + i, ge_bound, mask + i, n - i);
-}
-
-#endif  // QUASII_SIMD_NEON
-
-// ---------------------------------------------------------------------------
 // Dispatching entry points. One relaxed atomic load and a predictable branch
 // per kernel call — noise against the O(n) body.
 
@@ -276,11 +237,6 @@ inline void MaskLeGe(const Scalar* le_col, Scalar le_bound,
 #if defined(QUASII_SIMD_X86)
     case Tier::kAvx2:
       MaskLeGeAvx2(le_col, le_bound, ge_col, ge_bound, mask, n);
-      return;
-#endif
-#if defined(QUASII_SIMD_NEON)
-    case Tier::kNeon:
-      MaskLeGeNeon(le_col, le_bound, ge_col, ge_bound, mask, n);
       return;
 #endif
     default:

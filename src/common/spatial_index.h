@@ -101,11 +101,11 @@ class SpatialIndex {
   }
 
   /// Adds object `id` with MBB `box`. Fails (returns false, no state
-  /// change) when `id` is currently live or `box` is empty; an id erased
-  /// earlier may be re-inserted, with any box. Takes the exclusive side of
-  /// the index lock.
+  /// change) when `id` is currently live or `box` is empty or has a NaN or
+  /// infinite coordinate; an id erased earlier may be re-inserted, with any
+  /// valid box. Takes the exclusive side of the index lock.
   bool Insert(ObjectId id, const Box<D>& box) {
-    if (box.IsEmpty()) return false;
+    if (!IsFinite(box) || box.IsEmpty()) return false;
     std::unique_lock<std::shared_mutex> lock(mutex_);
     if (!store_.Insert(id, box)) return false;
     OnInsert(id, box);
@@ -164,18 +164,15 @@ class SpatialIndex {
   /// allowed to bypass the `Insert`/`Erase` protocol. Single-threaded.
   ObjectStore<D>& MutableStoreForRecovery() { return store_; }
 
-  /// Per-row column footprint of the index's scan structures. `raw_bytes` is
-  /// the footprint with no compression; `resident_bytes` substitutes the
-  /// packed representation for every compressed (frozen) leaf. Indexes
-  /// without per-row columns report zeros. Gauge semantics (a point-in-time
-  /// measurement, not a counter), hence an accessor instead of a
-  /// `QueryStats` field — sharded stats slots are summed on merge, which
-  /// would multiply a gauge by the slot count. Not thread-safe: read
-  /// between batches like the persistence surface.
+  /// Per-row column footprint of the index's scan structures:
+  /// `resident_bytes` is the bytes its per-row columns occupy; indexes
+  /// without per-row columns report zero. A gauge, not a `QueryStats`
+  /// counter, because summing sharded slots would multiply it. Not
+  /// thread-safe: read between batches like the persistence surface.
   struct ColumnMemory {
     std::uint64_t resident_bytes = 0;
-    std::uint64_t raw_bytes = 0;
-    std::uint64_t packed_leaves = 0;
+    /// Always 0; kept only because `qbench/` reads it, goes in the next
+    /// benchmark change.
     std::uint64_t packed_rows = 0;
   };
   virtual ColumnMemory column_memory() const { return {}; }

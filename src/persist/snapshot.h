@@ -31,11 +31,8 @@ namespace quasii::persist {
 /// with larger LSNs. The structure blob is the index's own
 /// `SerializeStructure` serialization (QUASII's crack columns + slice
 /// tree, R-Tree's packed levels); indexes without one are restored by
-/// `RebuildFromStore`. Derived acceleration state is deliberately NOT
-/// serialized: QUASII's bit-packed frozen-leaf columns are rebuilt by
-/// `DeserializeStructure` from the restored slice tree (same leaves, same
-/// frames), so the format is independent of packing policy and the
-/// restored index still replays converged workloads with zero cracks.
+/// `RebuildFromStore`. A restored QUASII index resumes with the same
+/// slices and so replays converged workloads with zero cracks.
 ///
 /// Writes are atomic: the file is assembled under `path + ".tmp"`, synced,
 /// and renamed over `path` — a crash mid-snapshot leaves the previous valid

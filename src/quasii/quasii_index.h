@@ -6,9 +6,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -16,7 +14,6 @@
 
 #include "common/bytes.h"
 #include "common/crack_array.h"
-#include "common/packed_column.h"
 #include "common/dataset.h"
 #include "common/query.h"
 #include "common/query_stats.h"
@@ -112,12 +109,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
     /// below its threshold by cracking along `level` and is accepted as-is.
     bool frozen = false;
     std::vector<Slice> children;
-    /// Bit-packed bound columns of a final leaf (within threshold or
-    /// `frozen`): such a slice is never reorganized again, so its columns
-    /// are re-encoded once at freeze time and leaf scans read the packed
-    /// form instead of the raw floats. Null until frozen (or when packing
-    /// is disabled); shared so slice moves/copies stay cheap.
-    std::shared_ptr<const PackedLeaf<D>> packed;
 
     std::size_t size() const { return end - begin; }
   };
@@ -139,41 +130,16 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
   bool initialized() const { return initialized_; }
 
-  /// Scan working set: `raw_bytes` counts every per-row column (keys, lo/hi
-  /// bounds, id, live byte); `resident_bytes` replaces, for each packed
-  /// (frozen) leaf, its key and bound columns with the packed bound columns
-  /// — a final leaf is never cracked again, so its keys and raw bounds are
-  /// dead weight a scan-serving replica would not keep hot.
+  /// Per-row column bytes: keys, lo/hi bounds, id and live byte.
   typename SpatialIndex<D>::ColumnMemory column_memory() const override {
-    typename SpatialIndex<D>::ColumnMemory m;
-    constexpr std::uint64_t kRawRow = static_cast<std::uint64_t>(D) *
-                                          (3 * sizeof(Scalar)) +
-                                      sizeof(ObjectId) + 1;
-    constexpr std::uint64_t kPackedAway =
-        static_cast<std::uint64_t>(D) * (3 * sizeof(Scalar));
-    m.raw_bytes = static_cast<std::uint64_t>(array_.size()) * kRawRow;
-    m.resident_bytes =
-        m.raw_bytes - packed_rows_ * kPackedAway + packed_bytes_;
-    m.packed_leaves = packed_leaves_;
-    m.packed_rows = packed_rows_;
-    return m;
+    constexpr std::uint64_t kRow =
+        static_cast<std::uint64_t>(D) * (3 * sizeof(Scalar)) +
+        sizeof(ObjectId) + 1;
+    return {static_cast<std::uint64_t>(array_.size()) * kRow, 0};
   }
 
-  /// A/B toggle for the microbench: when false, leaf scans read the raw
-  /// columns even where a packed leaf exists (freezing itself is unaffected).
-  /// Not thread-safe — flip between batches, never mid-query.
-  void set_packed_scan_enabled(bool on) { packed_scan_enabled_ = on; }
-  bool packed_scan_enabled() const { return packed_scan_enabled_; }
-
-  /// Freeze-time packing kill switch: `QUASII_NO_PACK=1` in the environment
-  /// disables column compression entirely (resident == raw). Read once.
-  static bool PackingEnabled() {
-    static const bool enabled = [] {
-      const char* v = std::getenv("QUASII_NO_PACK");
-      return !(v != nullptr && v[0] == '1' && v[1] == '\0');
-    }();
-    return enabled;
-  }
+  /// Kept only because `qbench/` reads it; goes in the next benchmark change.
+  static constexpr bool PackingEnabled() { return false; }
 
   /// Snapshot structure blob: the crack-array columns plus the slice
   /// hierarchy, so a recovered index resumes exactly as converged as it
@@ -199,17 +165,12 @@ class QuasiiIndex final : public SpatialIndex<D> {
     if (!array_.DecodeFrom(&r)) return false;
     for (int d = 0; d < D; ++d) half_extent_[d] = r.F();
     root_.clear();
-    ResetPacking();
     if (!DecodeSlices(&r, /*level=*/0, array_.size(), &root_) || !r.ok() ||
         r.remaining() != 0) {
       RebuildFromStore();  // leave no half-decoded structure behind
       return false;
     }
     ComputeThresholds(LiveRows());
-    // The snapshot carries only the raw columns and the slice tree; packed
-    // leaf columns are derived state and are re-frozen here, so a restored
-    // index scans compressed immediately and still replays with zero cracks.
-    RepackLoaded(&root_);
     initialized_ = true;
     return true;
   }
@@ -218,7 +179,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
     initialized_ = false;
     array_.Clear();
     root_.clear();
-    ResetPacking();
     half_extent_ = Point<D>{};
   }
 
@@ -258,10 +218,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
     // The pending tail is structure-less by definition; slices must tile
     // the structured prefix exactly.
-    if (!CheckSlices(root_, 0, array_.pending_begin(), 0, why)) return false;
-    // Every packed leaf must agree with its raw columns value-for-value (in
-    // mapped space — the packed form never materializes floats).
-    return CheckPacked(root_, why);
+    return CheckSlices(root_, 0, array_.pending_begin(), 0, why);
   }
 
   /// A query is converged — safe to execute concurrently under the shared
@@ -376,13 +333,12 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// VALUE during the descent — `Slice` pointers dangle the moment a later
   /// refinement rebuilds a slice list, but the row range of a processed
   /// leaf never moves within one query (subsequent refinements reorganize
-  /// only other, disjoint ranges), so (begin, end, covered) plus a shared
-  /// handle on the packed columns is all a scan needs.
+  /// only other, disjoint ranges), so (begin, end, covered) is all a scan
+  /// needs.
   struct LeafScanJob {
     std::size_t begin = 0;
     std::size_t end = 0;
     unsigned covered = 0;
-    std::shared_ptr<const PackedLeaf<D>> packed;
   };
 
   /// Box-execution context (see `SpatialIndex::ExecuteBox` for the shared
@@ -469,7 +425,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// and the query-extension amounts.
   void Initialize() {
     array_.Clear();
-    ResetPacking();
     half_extent_ = Point<D>{};
     this->store_.ForEachLive([this](ObjectId id, const Box<D>& b) {
       array_.Append(id, b);
@@ -717,85 +672,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     SplitToThreshold(std::move(s), &out);
     if (have_right) out.push_back(std::move(right));
     if (have_dead) out.push_back(std::move(dead));
-    // Freeze hook: pieces that just reached their final leaf form (within
-    // threshold or key-frozen at level D-1) are immutable from here on —
-    // pack their bound columns now, under the exclusive lock the refinement
-    // already holds.
-    for (Slice& piece : out) PackLeafSlice(&piece);
     return out;
-  }
-
-  /// Packs the bound columns of a *final* leaf slice — one that no future
-  /// query can reorganize: level D-1 and within threshold (or key-frozen).
-  /// Only ever called on the exclusive-lock paths (refinement, lazy child
-  /// creation, snapshot restore); the converged shared-lock read path never
-  /// mutates slices. Tiny leaves are not worth the metadata; parked-dead
-  /// slices (`lo == hi == +inf`) are never scanned at all.
-  void PackLeafSlice(Slice* s) {
-    if (s->level != D - 1 || s->packed != nullptr || !PackingEnabled()) return;
-    if (s->size() < kMinPackRows) return;
-    if (!(s->frozen || s->size() <= threshold_[static_cast<std::size_t>(D - 1)])) {
-      return;
-    }
-    constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
-    if (s->lo == kInf && s->hi == kInf) return;  // parked dead
-    std::array<const Scalar*, static_cast<std::size_t>(D)> los;
-    std::array<const Scalar*, static_cast<std::size_t>(D)> his;
-    for (int d = 0; d < D; ++d) {
-      const std::size_t dd = static_cast<std::size_t>(d);
-      los[dd] = array_.lo_col(d).data() + s->begin;
-      his[dd] = array_.hi_col(d).data() + s->begin;
-    }
-    s->packed = MakePackedLeaf<D>(los, his, s->size());
-    ++packed_leaves_;
-    packed_rows_ += s->size();
-    packed_bytes_ += s->packed->bytes();
-  }
-
-  /// Re-freezes every final leaf of a just-restored slice tree (packed
-  /// columns are derived state and are not serialized).
-  void RepackLoaded(std::vector<Slice>* slices) {
-    for (Slice& s : *slices) {
-      if (s.level == D - 1) {
-        PackLeafSlice(&s);
-      } else {
-        RepackLoaded(&s.children);
-      }
-    }
-  }
-
-  void ResetPacking() {
-    packed_leaves_ = 0;
-    packed_rows_ = 0;
-    packed_bytes_ = 0;
-  }
-
-  /// Validates every packed leaf against its raw columns, in mapped space.
-  bool CheckPacked(const std::vector<Slice>& slices, std::string* why) const {
-    for (const Slice& s : slices) {
-      if (s.packed != nullptr) {
-        if (s.level != D - 1 || s.packed->rows != s.size()) {
-          if (why) *why = "quasii: packed leaf shape mismatch";
-          return false;
-        }
-        for (int d = 0; d < D; ++d) {
-          const std::size_t dd = static_cast<std::size_t>(d);
-          const PackedColumn& lo_pk = s.packed->lo_cols[dd];
-          const PackedColumn& hi_pk = s.packed->hi_cols[dd];
-          for (std::size_t i = 0; i < s.size(); ++i) {
-            if (lo_pk.GetMapped(i) !=
-                    MapOrdered(array_.lo_col(d)[s.begin + i]) ||
-                hi_pk.GetMapped(i) !=
-                    MapOrdered(array_.hi_col(d)[s.begin + i])) {
-              if (why) *why = "quasii: packed leaf disagrees with raw columns";
-              return false;
-            }
-          }
-        }
-      }
-      if (!CheckPacked(s.children, why)) return false;
-    }
-    return true;
   }
 
   /// Halves a slice at its median key until every piece is at most the level
@@ -975,14 +852,11 @@ class QuasiiIndex final : public SpatialIndex<D> {
     if (d == D - 1) {
       this->Stats().objects_tested += s->size();
       if (ctx.jobs != nullptr) {
-        ctx.jobs->push_back(LeafScanJob{
-            s->begin, s->end, covered,
-            packed_scan_enabled_ ? s->packed : nullptr});
+        ctx.jobs->push_back(LeafScanJob{s->begin, s->end, covered});
         return;
       }
       this->Stats().bytes_scanned += array_.StreamScan(
-          s->begin, s->end, *ctx.q, ctx.predicate, covered, ctx.emit,
-          packed_scan_enabled_ ? s->packed.get() : nullptr);
+          s->begin, s->end, *ctx.q, ctx.predicate, covered, ctx.emit);
       return;
     }
     EnsureChild(s);
@@ -1030,16 +904,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
               CountSink cs;
               MatchEmitter me(/*count_only=*/true, &cs);
               out.bytes = array_.StreamScan(job.begin, job.end, *ctx.q,
-                                            ctx.predicate, job.covered, &me,
-                                            job.packed.get());
+                                            ctx.predicate, job.covered, &me);
               me.Flush();
               out.count = cs.count();
             } else {
               VectorSink vs(&out.ids);
               MatchEmitter me(/*count_only=*/false, &vs);
               out.bytes = array_.StreamScan(job.begin, job.end, *ctx.q,
-                                            ctx.predicate, job.covered, &me,
-                                            job.packed.get());
+                                            ctx.predicate, job.covered, &me);
             }
           }
         });
@@ -1060,7 +932,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// level-(d+1) slice covering the whole range) if none exists yet. Only
   /// reorganizing (exclusive-lock) executions ever create one —
   /// `ConvergedFor` declines any query whose descent reaches a childless
-  /// non-leaf — so the freeze hook below stays off the shared path.
+  /// non-leaf.
   void EnsureChild(Slice* s) {
     if (!s->children.empty()) return;
     Slice child;
@@ -1070,8 +942,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
     child.lo = -std::numeric_limits<Scalar>::infinity();
     child.hi = std::numeric_limits<Scalar>::infinity();
     s->children.push_back(std::move(child));
-    // A child born at the leaf level and already within threshold is final.
-    PackLeafSlice(&s->children.back());
   }
 
   /// The value intervals of one level's live slices — the crack targets the
@@ -1224,8 +1094,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
       const Box<D> probe = array_.box(r);
       st->bytes_scanned += other->array_.StreamScan(
           sb.begin, sb.end, probe, RangePredicate::kIntersects,
-          /*covered_dims=*/0u, &me,
-          other->packed_scan_enabled_ ? sb.packed.get() : nullptr);
+          /*covered_dims=*/0u, &me);
     }
   }
 
@@ -1297,19 +1166,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   static constexpr std::size_t kParallelSplitMin = std::size_t{1} << 14;
   /// Probe work (|a| · |b| row products) batched into one leaf-join task.
   static constexpr std::uint64_t kJoinBatchWork = std::uint64_t{1} << 18;
-  /// Leaves smaller than this are not packed: the per-column metadata and
-  /// pad words would eat the savings, and such leaves scan in nanoseconds
-  /// anyway.
-  static constexpr std::size_t kMinPackRows = 64;
 
   Params params_;
   bool initialized_ = false;
-  bool packed_scan_enabled_ = true;
-  /// Packed-leaf aggregates behind `column_memory()` (gauges, maintained at
-  /// freeze/reset time — never on the shared read path).
-  std::uint64_t packed_leaves_ = 0;
-  std::uint64_t packed_rows_ = 0;
-  std::uint64_t packed_bytes_ = 0;
   /// Shared structure-of-arrays cracking core (keys, ids, bounds, live).
   CrackArray<D> array_;
   Point<D> half_extent_{};

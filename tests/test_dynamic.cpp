@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 #include "common/dataset.h"
 #include "common/object_store.h"
 #include "common/query.h"
+#include "common/request.h"
 #include "common/rng.h"
 #include "common/spatial_index.h"
 #include "geometry/box.h"
@@ -322,6 +324,51 @@ void TestMutationContract() {
   CHECK(data[0] == b);
 }
 
+/// A box with a NaN or infinite coordinate is rejected by every roster
+/// index — before and after the first query initializes lazy structures —
+/// and leaves the live count and the content checksum untouched.
+void TestNonFiniteInsertRejected() {
+  Box3 universe;
+  for (int d = 0; d < 3; ++d) {
+    universe.lo[d] = 0;
+    universe.hi[d] = 100;
+  }
+  Rng rng(83);
+  const Dataset3 data = RandomDataset<3>(&rng, universe, 400);
+  constexpr Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+  constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+  const Box3 valid = RandomBox<3>(&rng, universe, 0.05);
+  std::vector<Box3> bad;
+  for (const Scalar v : {kNaN, kInf, -kInf}) {
+    Box3 lo_bad = valid;
+    lo_bad.lo[1] = v;
+    bad.push_back(lo_bad);
+    Box3 hi_bad = valid;
+    hi_bad.hi[2] = v;
+    bad.push_back(hi_bad);
+  }
+  bad.push_back(Box3::Infinite());
+  auto roster = MakeRoster<3>(data, universe);
+  for (auto& index : roster) {
+    index->Build();
+    for (int round = 0; round < 2; ++round) {
+      const std::size_t live = index->store().live_count();
+      const std::uint64_t sum = quasii::IndexContentChecksum(*index);
+      for (const Box3& b : bad) {
+        CHECK(!index->Insert(static_cast<ObjectId>(data.size()), b));
+      }
+      CHECK_EQ(index->store().live_count(), live);
+      CHECK_EQ(quasii::IndexContentChecksum(*index), sum);
+      CHECK(!index->store().alive(static_cast<ObjectId>(data.size())));
+      // The first query initializes lazy structures (QUASII's crack array),
+      // so the second round probes the post-initialization insert path.
+      RunRange<3>(index.get(), valid, RangePredicate::kIntersects);
+    }
+    CHECK(index->Insert(static_cast<ObjectId>(data.size()), valid));
+    CHECK(index->CheckInvariants());
+  }
+}
+
 /// The cached live MBB (the kNN termination bound) under mutation: erasing
 /// a boundary-touching object must shrink it to the remaining population,
 /// and a subsequent insert must re-expand it — in 2D and 3D.
@@ -517,6 +564,7 @@ int main() {
   RUN_TEST(TestInterleavedOps3D);
   RUN_TEST(TestInterleavedOps2D);
   RUN_TEST(TestMutationContract);
+  RUN_TEST(TestNonFiniteInsertRejected);
   RUN_TEST(TestObjectStoreBoundsMaintenance);
   RUN_TEST(TestQuasiiPendingDrains);
   RUN_TEST(TestQuasiiTombstonesAndCompaction);

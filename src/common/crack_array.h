@@ -282,9 +282,12 @@ std::size_t ChunkedCrackPartition(const Key* keys, std::size_t begin,
 ///    time (QUASII promotes it to a root slice that subsequent queries crack
 ///    lazily, exactly like initial data) and seals with `SealPending`;
 ///  - `EraseId` tombstones a row in place (`live` byte cleared, O(1) via the
-///    id → row map). Leaf scans fold the live column into their candidate
-///    mask branchlessly, and `PartitionLiveFirst` lets crack steps sweep the
-///    dead rows of a range aside in passing.
+///    id → row map). The map is built lazily: a read-only session never
+///    pays for it, because crack swaps maintain it only once the first
+///    `EraseId` has built it in one pass over the live rows. Leaf scans fold
+///    the live column into their candidate mask branchlessly, and
+///    `PartitionLiveFirst` lets crack steps sweep the dead rows of a range
+///    aside in passing.
 template <int D>
 class CrackArray {
  public:
@@ -297,14 +300,34 @@ class CrackArray {
   /// (Re)builds the columns from `data` in dataset order (ids are dataset
   /// positions, everything live and structured).
   void Reset(const Dataset<D>& data) {
+    Load(data.size(), [&data](auto&& append) {
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        append(static_cast<ObjectId>(i), data[i]);
+      }
+    });
+  }
+
+  /// The one bulk loader: empties the array, sizes every column for `rows`
+  /// rows up front (so the load neither reallocates nor re-faults pages
+  /// the way row-by-row growth does), then calls `fill(append)`, where
+  /// `append(id, box)` adds one live row, and marks every row structured.
+  template <typename Fill>
+  void Load(std::size_t rows, Fill&& fill) {
     Clear();
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      Append(static_cast<ObjectId>(i), data[i]);
+    for (int d = 0; d < D; ++d) {
+      const std::size_t dd = static_cast<std::size_t>(d);
+      keys_[dd].reserve(rows);
+      los_[dd].reserve(rows);
+      his_[dd].reserve(rows);
     }
+    ids_.reserve(rows);
+    live_.reserve(rows);
+    fill([this](ObjectId id, const Box<D>& b) { Append(id, b); });
     SealPending();
   }
 
-  /// Empties the array (no rows, no tombstones, no pending tail).
+  /// Empties the array (no rows, no tombstones, no pending tail) and drops
+  /// the id → row map, memory included.
   void Clear() {
     for (int d = 0; d < D; ++d) {
       const std::size_t dd = static_cast<std::size_t>(d);
@@ -314,7 +337,8 @@ class CrackArray {
     }
     ids_.clear();
     live_.clear();
-    row_of_.clear();
+    std::vector<std::size_t>().swap(row_of_);
+    has_row_map_ = false;
     tombstones_ = 0;
     pending_begin_ = 0;
   }
@@ -331,6 +355,7 @@ class CrackArray {
     }
     ids_.push_back(id);
     live_.push_back(1);
+    if (!has_row_map_) return;
     if (id >= row_of_.size()) {
       row_of_.resize(static_cast<std::size_t>(id) + 1, kNoRow);
     }
@@ -340,8 +365,10 @@ class CrackArray {
   /// Tombstones the live row of `id` in place. Returns false when the id
   /// has no live row. The dead row keeps its position (slice offsets stay
   /// valid) but disappears from every scan; a later `Append` of the same id
-  /// creates a fresh row and the dead one stays dead forever.
+  /// creates a fresh row and the dead one stays dead forever. O(1), except
+  /// that the first call after a `Clear` builds the id → row map in O(n).
   bool EraseId(ObjectId id) {
+    if (!has_row_map_) BuildRowMap();
     if (id >= row_of_.size() || row_of_[id] == kNoRow) return false;
     live_[row_of_[id]] = 0;
     row_of_[id] = kNoRow;
@@ -357,6 +384,13 @@ class CrackArray {
 
   std::size_t tombstones() const { return tombstones_; }
   bool live(std::size_t i) const { return live_[i] != 0; }
+
+  /// Whether the id → row map exists (built by the first `EraseId` or by
+  /// `DecodeFrom`, dropped by `Clear`), and the bytes it holds.
+  bool has_row_map() const { return has_row_map_; }
+  std::size_t row_map_bytes() const {
+    return row_of_.size() * sizeof(std::size_t);
+  }
 
   /// Any tombstoned row in `[begin, end)`? One `memchr` over the dense
   /// live bytes — the guard that keeps a tombstone elsewhere in the array
@@ -599,8 +633,10 @@ class CrackArray {
   }
 
   /// Rebuilds the array from an `EncodeTo` blob: columns are read back and
-  /// the derived state (id → row map, tombstone count) is reconstructed.
-  /// False on truncated input or an id owning two live rows.
+  /// the derived state (id → row map, tombstone count) is reconstructed —
+  /// the map eagerly, because building it is what proves every id owns at
+  /// most one live row. False on truncated input or an id owning two live
+  /// rows.
   bool DecodeFrom(ByteReader* r) {
     Clear();
     const std::uint64_t n64 = r->U64();
@@ -626,24 +662,15 @@ class CrackArray {
     if (n > 0 && !r->Bytes(live_.data(), n)) return false;
     if (!r->ok()) return false;
     pending_begin_ = static_cast<std::size_t>(pending);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!live_[i]) {
-        ++tombstones_;
-        continue;
-      }
-      const ObjectId id = ids_[i];
-      if (id >= row_of_.size()) {
-        row_of_.resize(static_cast<std::size_t>(id) + 1, kNoRow);
-      }
-      if (row_of_[id] != kNoRow) return false;  // two live rows for one id
-      row_of_[id] = i;
-    }
-    return true;
+    for (std::size_t i = 0; i < n; ++i) tombstones_ += live_[i] == 0;
+    return BuildRowMap();
   }
 
   /// Column-agreement validator: every column has one entry per row, the
-  /// id → row map holds exactly the live rows, and the tombstone count
-  /// matches the live column. False fills `why` with the first violation.
+  /// id → row map (when it exists) maps exactly the live rows and nothing
+  /// else, a map that does not exist holds no entries at all, and the
+  /// tombstone count matches the live column. False fills `why` with the
+  /// first violation.
   bool CheckColumns(std::string* why) const {
     const std::size_t n = ids_.size();
     for (int d = 0; d < D; ++d) {
@@ -658,6 +685,10 @@ class CrackArray {
       if (why) *why = "crack array: live column or pending boundary invalid";
       return false;
     }
+    if (!has_row_map_ && !row_of_.empty()) {
+      if (why) *why = "crack array: id map entries without a built map";
+      return false;
+    }
     std::size_t dead = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!live_[i]) {
@@ -665,13 +696,22 @@ class CrackArray {
         continue;
       }
       const ObjectId id = ids_[i];
-      if (id >= row_of_.size() || row_of_[id] != i) {
+      if (has_row_map_ && (id >= row_of_.size() || row_of_[id] != i)) {
         if (why) *why = "crack array: live row not in the id map";
         return false;
       }
     }
     if (dead != tombstones_) {
       if (why) *why = "crack array: tombstone count disagrees";
+      return false;
+    }
+    if (!has_row_map_) return true;
+    // Every live row owns its entry (checked above); any further entry
+    // would be a stale mapping to a moved or dead row.
+    std::size_t mapped = 0;
+    for (const std::size_t row : row_of_) mapped += row != kNoRow;
+    if (mapped != n - dead) {
+      if (why) *why = "crack array: id map holds entries for no live row";
       return false;
     }
     return true;
@@ -702,11 +742,29 @@ class CrackArray {
     }
     std::swap(ids_[i], ids_[j]);
     std::swap(live_[i], live_[j]);
+    if (!has_row_map_) return;
     // Only live rows own their id's map entry: a dead row's id may have
     // been re-appended as a fresh live row elsewhere, and that mapping
     // must not be clobbered by moving the stale corpse around.
     if (live_[i]) row_of_[ids_[i]] = i;
     if (live_[j]) row_of_[ids_[j]] = j;
+  }
+
+  /// Builds the id → row map in one pass over the live rows, sized once
+  /// for the largest id any row holds. False when two live rows share an
+  /// id (the map is then left built but must not be trusted; only
+  /// `DecodeFrom` can meet that, and it rejects the blob).
+  bool BuildRowMap() {
+    const auto max_id = std::max_element(ids_.begin(), ids_.end());
+    row_of_.assign(max_id == ids_.end() ? 0 : std::size_t{*max_id} + 1,
+                   kNoRow);
+    has_row_map_ = true;
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      if (!live_[i]) continue;
+      if (row_of_[ids_[i]] != kNoRow) return false;
+      row_of_[ids_[i]] = i;
+    }
+    return true;
   }
 
   std::array<std::vector<Scalar>, D> keys_;
@@ -715,9 +773,11 @@ class CrackArray {
   std::vector<ObjectId> ids_;
   /// Liveness byte per row (1 = live, 0 = tombstone), co-permuted.
   std::vector<std::uint8_t> live_;
-  /// id → live row (`kNoRow` when the id has no live row), maintained
-  /// through every swap so `EraseId` is O(1).
+  /// id → live row (`kNoRow` when the id has no live row). Empty until the
+  /// first `EraseId` builds it; from then on every append and swap
+  /// maintains it, so later erases are O(1).
   std::vector<std::size_t> row_of_;
+  bool has_row_map_ = false;
   std::size_t tombstones_ = 0;
   /// Rows `[pending_begin_, size())` are the unsorted appended tail.
   std::size_t pending_begin_ = 0;

@@ -165,10 +165,11 @@ class SpatialIndex {
   ObjectStore<D>& MutableStoreForRecovery() { return store_; }
 
   /// Per-row column footprint of the index's scan structures:
-  /// `resident_bytes` is the bytes its per-row columns occupy; indexes
-  /// without per-row columns report zero. A gauge, not a `QueryStats`
-  /// counter, because summing sharded slots would multiply it. Not
-  /// thread-safe: read between batches like the persistence surface.
+  /// `resident_bytes` is the bytes its per-row columns (and any per-id
+  /// lookup map it currently holds) occupy; indexes without per-row
+  /// columns report zero. A gauge, not a `QueryStats` counter, because
+  /// summing sharded slots would multiply it. Not thread-safe: read between
+  /// batches like the persistence surface.
   struct ColumnMemory {
     std::uint64_t resident_bytes = 0;
     /// Always 0; kept only because `qbench/` reads it, goes in the next

@@ -72,10 +72,12 @@ namespace quasii {
 ///    unrefined), which subsequent queries crack down lazily exactly like
 ///    initial data — an insert itself never cracks anything;
 ///  - erases tombstone the object's row in place (O(1) via the id → row
-///    map); leaf scans skip tombstones branchlessly through the live mask,
-///    refinement sweeps the dead rows of a cracked slice aside in passing,
-///    and once tombstones exceed a quarter of the array the whole structure
-///    is rebuilt from the live set;
+///    map, which the first erase after a (re)initialization builds in one
+///    O(n) pass, so read-only sessions never maintain it); leaf scans skip
+///    tombstones branchlessly through the live mask, refinement sweeps the
+///    dead rows of a cracked slice aside in passing, and once tombstones
+///    exceed a quarter of the array the whole structure is rebuilt from the
+///    live set;
 ///  - both mutations re-derive the per-level size thresholds from the live
 ///    count, so the slice hierarchy's geometric progression keeps tracking
 ///    the population as it grows and shrinks.
@@ -130,12 +132,15 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
   bool initialized() const { return initialized_; }
 
-  /// Per-row column bytes: keys, lo/hi bounds, id and live byte.
+  /// Per-row column bytes (keys, lo/hi bounds, id and live byte), plus the
+  /// id → row map's 8 B per slot once an erase has built it.
   typename SpatialIndex<D>::ColumnMemory column_memory() const override {
     constexpr std::uint64_t kRow =
         static_cast<std::uint64_t>(D) * (3 * sizeof(Scalar)) +
         sizeof(ObjectId) + 1;
-    return {static_cast<std::uint64_t>(array_.size()) * kRow, 0};
+    return {static_cast<std::uint64_t>(array_.size()) * kRow +
+                static_cast<std::uint64_t>(array_.row_map_bytes()),
+            0};
   }
 
   /// Kept only because `qbench/` reads it; goes in the next benchmark change.
@@ -421,18 +426,18 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
   /// First-query (and compaction) work: build the structure-of-arrays
-  /// columns from the live object set and derive the per-level thresholds
-  /// and the query-extension amounts.
+  /// columns from the live object set (pre-sized for the live count) and
+  /// derive the per-level thresholds and the query-extension amounts.
   void Initialize() {
-    array_.Clear();
     half_extent_ = Point<D>{};
-    this->store_.ForEachLive([this](ObjectId id, const Box<D>& b) {
-      array_.Append(id, b);
-      for (int d = 0; d < D; ++d) {
-        half_extent_[d] = std::max(half_extent_[d], b.Extent(d) / 2);
-      }
+    array_.Load(this->store_.live_count(), [this](auto&& append) {
+      this->store_.ForEachLive([&](ObjectId id, const Box<D>& b) {
+        append(id, b);
+        for (int d = 0; d < D; ++d) {
+          half_extent_[d] = std::max(half_extent_[d], b.Extent(d) / 2);
+        }
+      });
     });
-    array_.SealPending();
     ComputeThresholds(array_.size());
     root_.clear();
     Slice root;

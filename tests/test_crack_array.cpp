@@ -5,11 +5,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/crack_array.h"
 #include "common/dataset.h"
 #include "common/rng.h"
+#include "common/task_scheduler.h"
 #include "datagen/neuro.h"
 #include "datagen/queries.h"
 #include "datagen/synthetic.h"
@@ -322,6 +326,191 @@ void TestAppendEraseAndPendingTail() {
   CHECK(!a.EraseId(7));
 }
 
+/// Test-side id → row lookup, recomputed from the id column (so it is
+/// independent of the array's own map).
+std::vector<std::size_t> LiveRowOf(const CrackArray<3>& a, std::size_t slots) {
+  std::vector<std::size_t> row(slots, CrackArray<3>::kNoRow);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.live(i)) row[a.id(i)] = i;
+  }
+  return row;
+}
+
+void CheckArrayColumns(const CrackArray<3>& a) {
+  std::string why;
+  if (!a.CheckColumns(&why)) {
+    std::fprintf(stderr, "CheckColumns: %s\n", why.c_str());
+    CHECK(false);
+  }
+}
+
+/// Cracks the whole array and some sub-ranges, long enough that the
+/// chunked parallel partition runs.
+void CrackMany(CrackArray<3>* a, Rng* rng, const Box3& universe, int steps) {
+  for (int step = 0; step < steps; ++step) {
+    const int d = static_cast<int>(rng->UniformInt(0, 2));
+    const std::size_t n = a->pending_begin();
+    std::size_t begin = 0;
+    if (step % 3 != 0) {
+      begin = static_cast<std::size_t>(
+          rng->UniformInt(0, static_cast<std::int64_t>(n / 2)));
+    }
+    if (step % 2 == 0) {
+      a->MedianSplit(begin, n, d);
+    } else {
+      a->CrackOnAxis(begin, n, d,
+                     rng->UniformScalar(universe.lo[d], universe.hi[d]));
+    }
+  }
+}
+
+/// Erases every id `≡ residue (mod 7)` below `slots` that is still live,
+/// checking each erase kills exactly the row holding that id.
+void EraseResidue(CrackArray<3>* a, std::size_t slots, ObjectId residue) {
+  const std::vector<std::size_t> row = LiveRowOf(*a, slots);
+  for (ObjectId id = residue; id < slots; id += 7) {
+    if (row[id] == CrackArray<3>::kNoRow) continue;
+    const std::size_t dead_before = a->tombstones();
+    CHECK(a->live(row[id]));
+    CHECK(a->EraseId(id));
+    CHECK(!a->live(row[id]));
+    CHECK_EQ(a->id(row[id]), id);
+    CHECK_EQ(a->tombstones(), dead_before + 1);
+    CHECK(!a->EraseId(id));
+  }
+}
+
+/// The id → row map is built by the first erase, after arbitrary cracking
+/// (including chunked partitions) has permuted the rows without it, and is
+/// maintained exactly from then on. Runs at 4 intra-query threads so the
+/// chunked partitions' parallel fixup swaps write map entries concurrently.
+void TestLazyRowMapAfterHeavyCracking() {
+  const int prev_threads = quasii::IntraQueryThreads();
+  quasii::SetIntraQueryThreads(4);
+  Rng rng(43);
+  const Box3 universe = TestUniverse();
+  const std::size_t n = std::size_t{1} << 17;
+  const Dataset3 data =
+      quasii::datagen::MakeRandomBoxes<3>(n, universe, 9.0f, &rng);
+  CrackArray<3> a(data);
+  CHECK(!a.has_row_map());
+  CHECK_EQ(a.row_map_bytes(), 0u);
+
+  // Heavy cracking with no map: swaps must not create one.
+  CrackMany(&a, &rng, universe, 40);
+  CHECK(!a.has_row_map());
+  CheckArrayColumns(a);
+  CheckColumnsConsistent(a, data);
+
+  // First erase builds the map; every 7th id then dies, row-exactly.
+  EraseResidue(&a, n, 0);
+  CHECK(a.has_row_map());
+  CHECK_EQ(a.row_map_bytes(), n * sizeof(std::size_t));
+  CheckArrayColumns(a);
+
+  // More cracking now maintains the map (dead rows move too), then more
+  // erases must still hit exactly their rows.
+  CrackMany(&a, &rng, universe, 40);
+  CheckArrayColumns(a);
+  EraseResidue(&a, n, 3);
+  CheckArrayColumns(a);
+  CHECK_EQ(a.tombstones(), (n + 6) / 7 + (n + 3) / 7);
+
+  // Re-append an erased id once the map exists: the fresh row dies, the
+  // corpse (moved around by later cracks) stays as it was.
+  const Box3 fresh = data[1];
+  a.Append(0, fresh);
+  a.SealPending();
+  CrackMany(&a, &rng, universe, 10);
+  CheckArrayColumns(a);
+  const std::size_t dead_before = a.tombstones();
+  CHECK(a.EraseId(0));
+  CHECK(!a.EraseId(0));
+  CHECK_EQ(a.tombstones(), dead_before + 1);
+  std::size_t corpses = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.id(i) != 0) continue;
+    ++corpses;
+    CHECK(!a.live(i));
+  }
+  CHECK_EQ(corpses, 2u);
+  CheckArrayColumns(a);
+
+  // After Reset the map is gone (memory included) and erases still work.
+  a.Reset(data);
+  CHECK(!a.has_row_map());
+  CHECK_EQ(a.row_map_bytes(), 0u);
+  CrackMany(&a, &rng, universe, 5);
+  CHECK(a.EraseId(5));
+  CHECK(!a.EraseId(5));
+  CheckArrayColumns(a);
+
+  // After Clear, ids appended without a map are found by the first erase.
+  a.Clear();
+  CHECK(!a.has_row_map());
+  CheckArrayColumns(a);
+  CHECK(!a.EraseId(0));  // builds an empty map over no rows
+  a.Clear();
+  for (ObjectId id = 0; id < 100; ++id) a.Append(id, data[id]);
+  CHECK(!a.has_row_map());
+  CHECK(a.EraseId(42));
+  CHECK(!a.live(42));
+  CHECK_EQ(a.tombstones(), 1u);
+  CheckArrayColumns(a);
+  quasii::SetIntraQueryThreads(prev_threads);
+}
+
+/// Re-appending an erased id where the map must be built over a corpse:
+/// `DecodeFrom` restores a dead and a live row for one id, and the erase
+/// after it must kill the live one.
+void TestRowMapOverCorpseAfterDecode() {
+  Rng rng(47);
+  const Box3 universe = TestUniverse();
+  const Dataset3 data =
+      quasii::datagen::MakeRandomBoxes<3>(3000, universe, 9.0f, &rng);
+  CrackArray<3> a(data);
+  CHECK(a.EraseId(11));
+  a.Append(11, data[12]);
+  a.SealPending();
+  CrackMany(&a, &rng, universe, 10);
+
+  std::string blob;
+  quasii::ByteWriter w(&blob);
+  a.EncodeTo(&w);
+  CrackArray<3> b;
+  quasii::ByteReader r(blob);
+  CHECK(b.DecodeFrom(&r));
+  CHECK(b.has_row_map());
+  CheckArrayColumns(b);
+  CHECK_EQ(b.tombstones(), 1u);
+  CHECK(b.EraseId(11));
+  CHECK(!b.EraseId(11));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    if (b.id(i) == 11) CHECK(!b.live(i));
+  }
+  CheckArrayColumns(b);
+}
+
+/// A blob whose two live rows share one id is refused, and the map its
+/// decode left half-built fails the validator.
+void TestDecodeRejectsDuplicateLiveIds() {
+  Rng rng(53);
+  const Dataset3 data =
+      quasii::datagen::MakeRandomBoxes<3>(2, TestUniverse(), 9.0f, &rng);
+  CrackArray<3> two;
+  two.Append(9, data[0]);
+  two.Append(10, data[1]);
+  std::string blob;
+  quasii::ByteWriter w(&blob);
+  two.EncodeTo(&w);
+  // The second id's low byte: the last 4 id bytes precede 2 live bytes.
+  blob[blob.size() - 2 - 4] = 9;
+  CrackArray<3> dup;
+  quasii::ByteReader r(blob);
+  CHECK(!dup.DecodeFrom(&r));
+  CHECK(!dup.CheckColumns(nullptr));
+}
+
 /// StreamScan must skip tombstones on every path: masked scans, covered
 /// dimensions, and count-only execution.
 void TestStreamScanSkipsTombstones() {
@@ -388,5 +577,8 @@ int main() {
   RUN_TEST(TestSoaQuasiiEquivalence);
   RUN_TEST(TestAppendEraseAndPendingTail);
   RUN_TEST(TestStreamScanSkipsTombstones);
+  RUN_TEST(TestLazyRowMapAfterHeavyCracking);
+  RUN_TEST(TestRowMapOverCorpseAfterDecode);
+  RUN_TEST(TestDecodeRejectsDuplicateLiveIds);
   return 0;
 }

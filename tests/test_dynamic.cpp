@@ -558,6 +558,97 @@ void TestQuasiiThresholdMaintenance() {
   CHECK_EQ(index.LevelThreshold(0), before);
 }
 
+void CheckQuasiiInvariants(const QuasiiIndex<3>& index, const char* where) {
+  std::string why;
+  if (!index.CheckInvariants(&why)) {
+    std::fprintf(stderr, "%s: CheckInvariants: %s\n", where, why.c_str());
+    CHECK(false);
+  }
+}
+
+/// Erases that start only after a long cracking session: the id → row map
+/// is built over rows hundreds of cracks have permuted, then maintained
+/// through inserts, erases and further cracks, each checked against Scan.
+void TestQuasiiErasesAfterCrackingSession() {
+  Box3 universe = UnitCube(0, 100);
+  Rng rng(8);
+  const Dataset3 data = RandomDataset<3>(&rng, universe, 6000);
+  QuasiiIndex<3> index(data, SmallQuasiiParams());
+  ScanIndex<3> scan(data);
+
+  const auto check_range = [&](const Box3& q) {
+    const std::vector<ObjectId> want =
+        RunRange<3>(&scan, q, RangePredicate::kIntersects);
+    CHECK(RunRange<3>(&index, q, RangePredicate::kIntersects) == want);
+  };
+  for (int i = 0; i < 300; ++i) {
+    check_range(RandomBox<3>(&rng, universe, 0.2));
+    CheckQuasiiInvariants(index, "cracking session");
+  }
+  CHECK(!index.array().has_row_map());
+
+  std::vector<ObjectId> live(data.size());
+  for (ObjectId i = 0; i < data.size(); ++i) live[i] = i;
+  std::vector<ObjectId> erased;
+  ObjectId next_id = static_cast<ObjectId>(data.size());
+  for (int step = 0; step < 400; ++step) {
+    const double u = rng.Uniform(0, 1);
+    if (u < 0.3 && !live.empty()) {
+      const std::size_t victim = static_cast<std::size_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(live.size()) - 1));
+      const ObjectId id = live[victim];
+      live[victim] = live.back();
+      live.pop_back();
+      CHECK(scan.Erase(id));
+      CHECK(index.Erase(id));
+      CHECK(!index.Erase(id));
+      erased.push_back(id);
+    } else if (u < 0.5) {
+      // Half the inserts reuse an erased id (a fresh row beside its
+      // corpse), half take a new one.
+      ObjectId id = next_id;
+      if (step % 2 == 0 && !erased.empty()) {
+        id = erased.back();
+        erased.pop_back();
+      } else {
+        ++next_id;
+      }
+      const Box3 box = RandomBox<3>(&rng, universe, 0.05);
+      CHECK(scan.Insert(id, box));
+      CHECK(index.Insert(id, box));
+      live.push_back(id);
+    } else {
+      check_range(RandomBox<3>(&rng, universe, 0.2));
+    }
+    CheckQuasiiInvariants(index, "interleaved ops");
+  }
+  CHECK(index.array().has_row_map());
+  check_range(universe);
+}
+
+/// `column_memory` counts the id → row map only while it exists: a
+/// read-only session never builds it, the first erase does.
+void TestQuasiiColumnMemoryTracksRowMap() {
+  Box3 universe = UnitCube(0, 100);
+  Rng rng(9);
+  const Dataset3 data = RandomDataset<3>(&rng, universe, 3000);
+  QuasiiIndex<3> index(data, SmallQuasiiParams());
+  const std::uint64_t row_bytes = 3 * 3 * sizeof(Scalar) + sizeof(ObjectId) + 1;
+
+  std::vector<ObjectId> got;
+  for (int i = 0; i < 50; ++i) {
+    got.clear();
+    RangeQueryInto(index, RandomBox<3>(&rng, universe, 0.2), &got);
+  }
+  CHECK(!index.array().has_row_map());
+  CHECK_EQ(index.column_memory().resident_bytes, data.size() * row_bytes);
+
+  CHECK(index.Erase(17));
+  CHECK(index.array().has_row_map());
+  CHECK_EQ(index.column_memory().resident_bytes,
+           data.size() * row_bytes + data.size() * sizeof(std::size_t));
+}
+
 }  // namespace
 
 int main() {
@@ -570,5 +661,7 @@ int main() {
   RUN_TEST(TestQuasiiTombstonesAndCompaction);
   RUN_TEST(TestQuasiiReinsertNoDuplicates);
   RUN_TEST(TestQuasiiThresholdMaintenance);
+  RUN_TEST(TestQuasiiErasesAfterCrackingSession);
+  RUN_TEST(TestQuasiiColumnMemoryTracksRowMap);
   return 0;
 }

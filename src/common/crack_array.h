@@ -67,23 +67,23 @@ inline ScanScratch& ScanScratchTLS() {
 
 }  // namespace internal
 
-/// Partition of `keys[begin, end)` so that every element with
-/// `pred(key) == true` precedes every element with `pred(key) == false`,
-/// calling `swap_rows(i, j)` for each exchanged pair so companion columns
-/// stay aligned with the key column. `swap_rows` MUST swap the key column
-/// itself as well. Returns the split position.
+/// Partition of rows `[begin, end)` so that every row with
+/// `pred(key(i)) == true` precedes every row with `pred(key(i)) == false`,
+/// calling `swap_rows(i, j)` for each exchanged pair. `swap_rows` MUST
+/// move every column `key(i)` reads. Returns the split position.
 ///
 /// This is the one tuned reorganization primitive every incremental index
 /// (QUASII slices, SFCracker pieces) is built on: the comparison loop
-/// touches only the dense key column, and full rows are exchanged only for
-/// the elements that actually change sides — the cache behaviour database
-/// cracking depends on [Idreos et al., 18]. Large ranges use a
-/// BlockQuicksort-style scheme [Edelkamp & Weiß]: misplaced-element offsets
-/// are gathered per block with branchless conditional increments, then
-/// exchanged pairwise — a median-positioned crack predicate is a coin flip
-/// per element, and data-dependent branches there mispredict half the time.
-template <typename Key, typename Pred, typename SwapRows>
-std::size_t CrackPartition(const Key* keys, std::size_t begin, std::size_t end,
+/// touches only the dense columns the key is read from, and full rows are
+/// exchanged only for the elements that actually change sides — the cache
+/// behaviour database cracking depends on [Idreos et al., 18]. Large ranges
+/// use a BlockQuicksort-style scheme [Edelkamp & Weiß]: misplaced-element
+/// offsets are gathered per block with branchless conditional increments,
+/// then exchanged pairwise — a median-positioned crack predicate is a coin
+/// flip per element, and data-dependent branches there mispredict half the
+/// time.
+template <typename KeyAt, typename Pred, typename SwapRows>
+std::size_t CrackPartition(KeyAt key, std::size_t begin, std::size_t end,
                            Pred pred, SwapRows swap_rows) {
   constexpr std::size_t kBlock = 128;
   std::size_t lo = begin;
@@ -103,14 +103,14 @@ std::size_t CrackPartition(const Key* keys, std::size_t begin, std::size_t end,
       il = 0;
       for (std::size_t i = 0; i < kBlock; ++i) {
         offs_l[nl] = static_cast<unsigned char>(i);
-        nl += !pred(keys[lo + i]);
+        nl += !pred(key(lo + i));
       }
     }
     if (nr == 0) {
       ir = 0;
       for (std::size_t i = 0; i < kBlock; ++i) {
         offs_r[nr] = static_cast<unsigned char>(i + 1);
-        nr += pred(keys[hi - 1 - i]);
+        nr += pred(key(hi - 1 - i));
       }
     }
     const std::size_t m = nl < nr ? nl : nr;
@@ -130,10 +130,10 @@ std::size_t CrackPartition(const Key* keys, std::size_t begin, std::size_t end,
   // Scalar tail: the remaining window (including at most one partially
   // fixed block, which re-scans harmlessly) is small.
   while (true) {
-    while (lo < hi && pred(keys[lo])) ++lo;
-    while (lo < hi && !pred(keys[hi - 1])) --hi;
+    while (lo < hi && pred(key(lo))) ++lo;
+    while (lo < hi && !pred(key(hi - 1))) --hi;
     if (lo >= hi) break;
-    // keys[lo] fails the predicate, keys[hi - 1] passes it: exchange.
+    // Row `lo` fails the predicate, row `hi - 1` passes it: exchange.
     swap_rows(lo, hi - 1);
     ++lo;
     --hi;
@@ -171,7 +171,7 @@ inline std::size_t RunPosition(const std::vector<PartitionRun>& runs,
 
 }  // namespace internal
 
-/// Parallelizable partition of `keys[begin, end)` with the same contract as
+/// Parallelizable partition of rows `[begin, end)` with the same contract as
 /// `CrackPartition`, as a classic two-phase parallel partition:
 ///
 ///  1. **Block partition** — the range is cut into contiguous chunks whose
@@ -194,8 +194,8 @@ inline std::size_t RunPosition(const std::vector<PartitionRun>& runs,
 /// single `CrackPartition` pass would produce; callers select between the
 /// two by range length alone so every execution mode agrees on which
 /// algorithm ran.
-template <typename Key, typename Pred, typename SwapRows>
-std::size_t ChunkedCrackPartition(const Key* keys, std::size_t begin,
+template <typename KeyAt, typename Pred, typename SwapRows>
+std::size_t ChunkedCrackPartition(KeyAt key, std::size_t begin,
                                   std::size_t end, Pred pred,
                                   SwapRows swap_rows, TaskScheduler* exec) {
   const std::size_t len = end - begin;
@@ -203,7 +203,7 @@ std::size_t ChunkedCrackPartition(const Key* keys, std::size_t begin,
       std::max(MorselGrain(), (len + internal::kMaxPartitionChunks - 1) /
                                   internal::kMaxPartitionChunks);
   const std::size_t nchunks = (len + chunk - 1) / chunk;
-  if (nchunks < 2) return CrackPartition(keys, begin, end, pred, swap_rows);
+  if (nchunks < 2) return CrackPartition(key, begin, end, pred, swap_rows);
 
   // Phase 1: chunk-local partitions (parallel over chunks, disjoint rows).
   std::vector<std::size_t> split(nchunks);
@@ -211,7 +211,7 @@ std::size_t ChunkedCrackPartition(const Key* keys, std::size_t begin,
     for (std::size_t k = cb; k < ce; ++k) {
       const std::size_t b = begin + k * chunk;
       const std::size_t e = std::min(b + chunk, end);
-      split[k] = CrackPartition(keys, b, e, pred, swap_rows);
+      split[k] = CrackPartition(key, b, e, pred, swap_rows);
     }
   });
 
@@ -262,15 +262,15 @@ std::size_t ChunkedCrackPartition(const Key* keys, std::size_t begin,
 }
 
 /// Structure-of-arrays storage for an incrementally reorganized spatial
-/// collection: per-dimension centre-key columns (the crack keys), per-
-/// dimension MBB bound columns (`lo`/`hi`, the exact-filter data), the id
-/// column, and a liveness byte per row (erase tombstones), all permuted in
-/// lockstep.
+/// collection: per-dimension MBB bound columns (`lo`/`hi`), the id column,
+/// and a liveness byte per row (erase tombstones), all permuted in lockstep.
+/// The crack key of a row in dimension `d` is its MBB centre, derived from
+/// the two bound columns wherever it is read (`key`) rather than stored.
 ///
 /// The layout serves the two hot loops of an incremental index:
-///  - cracking comparators read a dense 4-byte key instead of loading a
-///    whole `Entry<D>` struct and recomputing `(lo + hi) / 2`, and rows are
-///    exchanged only for elements that actually change sides;
+///  - cracking comparators read the key from the two dense bound columns of
+///    one dimension instead of loading a whole `Entry<D>` struct, and rows
+///    are exchanged only for elements that actually change sides;
 ///  - leaf scans test the dense bound columns dimension-by-dimension in
 ///    branchless, auto-vectorizable passes — `lo[d] <= q.hi[d] &&
 ///    hi[d] >= q.lo[d]` per dimension is exactly `Box::Intersects`, so
@@ -316,7 +316,6 @@ class CrackArray {
     Clear();
     for (int d = 0; d < D; ++d) {
       const std::size_t dd = static_cast<std::size_t>(d);
-      keys_[dd].reserve(rows);
       los_[dd].reserve(rows);
       his_[dd].reserve(rows);
     }
@@ -331,7 +330,6 @@ class CrackArray {
   void Clear() {
     for (int d = 0; d < D; ++d) {
       const std::size_t dd = static_cast<std::size_t>(d);
-      keys_[dd].clear();
       los_[dd].clear();
       his_[dd].clear();
     }
@@ -349,7 +347,6 @@ class CrackArray {
     const std::size_t row = ids_.size();
     for (int d = 0; d < D; ++d) {
       const std::size_t dd = static_cast<std::size_t>(d);
-      keys_[dd].push_back(CenterKey(b, d));
       los_[dd].push_back(b.lo[d]);
       his_[dd].push_back(b.hi[d]);
     }
@@ -400,20 +397,20 @@ class CrackArray {
            std::memchr(live_.data() + begin, 0, end - begin) != nullptr;
   }
 
-  /// The centre key every key column stores: identical arithmetic everywhere
-  /// so precomputed and recomputed keys agree bit-for-bit.
+  /// The crack key of an MBB: its centre. `key` and `CenterKey` share this
+  /// one arithmetic, so row keys and box keys agree bit-for-bit.
+  static Scalar Center(Scalar lo, Scalar hi) { return (lo + hi) / 2; }
   static Scalar CenterKey(const Box<D>& b, int d) {
-    return (b.lo[d] + b.hi[d]) / 2;
+    return Center(b.lo[d], b.hi[d]);
   }
 
   std::size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
 
+  /// The crack key of row `i` in dimension `d`, derived from its bounds.
   Scalar key(int d, std::size_t i) const {
-    return keys_[static_cast<std::size_t>(d)][i];
-  }
-  const std::vector<Scalar>& keys(int d) const {
-    return keys_[static_cast<std::size_t>(d)];
+    const std::size_t dd = static_cast<std::size_t>(d);
+    return Center(los_[dd][i], his_[dd][i]);
   }
   const std::vector<Scalar>& lo_col(int d) const {
     return los_[static_cast<std::size_t>(d)];
@@ -529,10 +526,11 @@ class CrackArray {
   }
 
   /// One crack step: partitions `[begin, end)` so keys in dimension `d`
-  /// below `v` precede the rest, co-moving ids, bounds, and the sibling key
-  /// columns. Returns the split position.
+  /// below `v` precede the rest, co-moving every column. Returns the split
+  /// position.
   std::size_t CrackOnAxis(std::size_t begin, std::size_t end, int d, Scalar v) {
-    return Partition(begin, end, d, [v](Scalar k) { return k < v; });
+    return Partition(CenterKeys(d), begin, end,
+                     [v](Scalar k) { return k < v; });
   }
 
   /// Sweeps the tombstoned rows of `[begin, end)` behind the live ones (the
@@ -541,13 +539,9 @@ class CrackArray {
   /// live prefix and parks the dead suffix where no scan visits it, so a
   /// refinement compacts erased objects out of the hot range in passing.
   std::size_t PartitionLiveFirst(std::size_t begin, std::size_t end) {
-    const auto pred = [](std::uint8_t v) { return v != 0; };
-    const auto swap = [this](std::size_t i, std::size_t j) { SwapRows(i, j); };
-    if (end - begin >= internal::kChunkedPartitionMin) {
-      return ChunkedCrackPartition(live_.data(), begin, end, pred, swap,
-                                   &IntraQueryScheduler());
-    }
-    return CrackPartition(live_.data(), begin, end, pred, swap);
+    const std::uint8_t* live = live_.data();
+    return Partition([live](std::size_t i) { return live[i]; }, begin, end,
+                     [](std::uint8_t v) { return v != 0; });
   }
 
   struct SplitResult {
@@ -570,14 +564,13 @@ class CrackArray {
   /// instead, and a range of all-identical keys is reported `frozen`.
   SplitResult MedianSplit(std::size_t begin, std::size_t end, int d) {
     static constexpr std::size_t kMedianSample = 256;
-    const std::vector<Scalar>& col = keys_[static_cast<std::size_t>(d)];
     const std::size_t len = end - begin;
     if (len < 2) {
       // Nothing to halve; report the range unsplittable.
       SplitResult r;
       r.pos = end;
       if (len == 1) {
-        r.bound = std::nextafter(col[begin],
+        r.bound = std::nextafter(key(d, begin),
                                  std::numeric_limits<Scalar>::infinity());
       }
       r.frozen = true;
@@ -585,14 +578,10 @@ class CrackArray {
     }
     std::vector<Scalar>& scratch = MedianScratchTLS();
     scratch.clear();
-    if (len <= 2 * kMedianSample) {
-      scratch.assign(col.begin() + static_cast<std::ptrdiff_t>(begin),
-                     col.begin() + static_cast<std::ptrdiff_t>(end));
-    } else {
-      const std::size_t stride = len / kMedianSample;
-      for (std::size_t i = begin; i < end; i += stride) {
-        scratch.push_back(col[i]);
-      }
+    const std::size_t stride =
+        len <= 2 * kMedianSample ? 1 : len / kMedianSample;
+    for (std::size_t i = begin; i < end; i += stride) {
+      scratch.push_back(key(d, i));
     }
     const auto nth =
         scratch.begin() + static_cast<std::ptrdiff_t>(scratch.size() / 2);
@@ -604,8 +593,8 @@ class CrackArray {
     r.bound = pivot;
     if (r.pos == begin) {
       // The pivot is the minimum key: split above its duplicate run.
-      r.pos =
-          Partition(begin, end, d, [pivot](Scalar k) { return k <= pivot; });
+      r.pos = Partition(CenterKeys(d), begin, end,
+                        [pivot](Scalar k) { return k <= pivot; });
       r.bound =
           std::nextafter(pivot, std::numeric_limits<Scalar>::infinity());
       r.frozen = r.pos == end;  // every key equals the pivot
@@ -613,18 +602,18 @@ class CrackArray {
     return r;
   }
 
-  /// Serializes the full column set — keys, bounds, ids, liveness, and the
-  /// pending boundary — for snapshot structure blobs. Columns are written
-  /// verbatim (not re-derived from a store) because dead rows must survive:
-  /// a tombstoned id may have been re-inserted with a different box, so its
-  /// stale row's keys exist nowhere else.
+  /// Serializes the full column set — bounds, ids, liveness, and the
+  /// pending boundary — for snapshot structure blobs (keys are derived from
+  /// the bounds, so they are not written). Columns are written verbatim
+  /// (not re-derived from a store) because dead rows must survive: a
+  /// tombstoned id may have been re-inserted with a different box, so its
+  /// stale row's bounds exist nowhere else.
   void EncodeTo(ByteWriter* w) const {
     const std::size_t n = ids_.size();
     w->U64(n);
     w->U64(pending_begin_);
     for (int d = 0; d < D; ++d) {
       const std::size_t dd = static_cast<std::size_t>(d);
-      for (std::size_t i = 0; i < n; ++i) w->F(keys_[dd][i]);
       for (std::size_t i = 0; i < n; ++i) w->F(los_[dd][i]);
       for (std::size_t i = 0; i < n; ++i) w->F(his_[dd][i]);
     }
@@ -642,17 +631,15 @@ class CrackArray {
     const std::uint64_t n64 = r->U64();
     const std::uint64_t pending = r->U64();
     if (!r->ok() || pending > n64) return false;
-    // A row is at least (3 * D) Scalars + id + live byte; reject counts the
+    // A row is (2 * D) Scalars + id + live byte; reject counts the
     // remaining input cannot possibly hold before allocating.
-    const std::size_t row_bytes = 3 * D * sizeof(Scalar) + 4 + 1;
+    const std::size_t row_bytes = 2 * D * sizeof(Scalar) + 4 + 1;
     if (n64 > r->remaining() / row_bytes) return false;
     const std::size_t n = static_cast<std::size_t>(n64);
     for (int d = 0; d < D; ++d) {
       const std::size_t dd = static_cast<std::size_t>(d);
-      keys_[dd].resize(n);
       los_[dd].resize(n);
       his_[dd].resize(n);
-      for (std::size_t i = 0; i < n; ++i) keys_[dd][i] = r->F();
       for (std::size_t i = 0; i < n; ++i) los_[dd][i] = r->F();
       for (std::size_t i = 0; i < n; ++i) his_[dd][i] = r->F();
     }
@@ -675,8 +662,7 @@ class CrackArray {
     const std::size_t n = ids_.size();
     for (int d = 0; d < D; ++d) {
       const std::size_t dd = static_cast<std::size_t>(d);
-      if (keys_[dd].size() != n || los_[dd].size() != n ||
-          his_[dd].size() != n) {
+      if (los_[dd].size() != n || his_[dd].size() != n) {
         if (why) *why = "crack array: column lengths disagree";
         return false;
       }
@@ -722,21 +708,27 @@ class CrackArray {
   /// long ranges always take the chunked partition, short ones always the
   /// single pass, so a serial and an 8-thread execution of the same query
   /// stream walk through identical physical layouts.
-  template <typename Pred>
-  std::size_t Partition(std::size_t begin, std::size_t end, int d, Pred pred) {
-    const Scalar* keys = keys_[static_cast<std::size_t>(d)].data();
+  template <typename KeyAt, typename Pred>
+  std::size_t Partition(KeyAt key, std::size_t begin, std::size_t end,
+                        Pred pred) {
     const auto swap = [this](std::size_t i, std::size_t j) { SwapRows(i, j); };
     if (end - begin >= internal::kChunkedPartitionMin) {
-      return ChunkedCrackPartition(keys, begin, end, pred, swap,
+      return ChunkedCrackPartition(key, begin, end, pred, swap,
                                    &IntraQueryScheduler());
     }
-    return CrackPartition(keys, begin, end, pred, swap);
+    return CrackPartition(key, begin, end, pred, swap);
+  }
+
+  /// The row → crack-key accessor of dimension `d`, for `Partition`.
+  auto CenterKeys(int d) const {
+    const Scalar* los = los_[static_cast<std::size_t>(d)].data();
+    const Scalar* his = his_[static_cast<std::size_t>(d)].data();
+    return [los, his](std::size_t i) { return Center(los[i], his[i]); };
   }
 
   void SwapRows(std::size_t i, std::size_t j) {
     for (int d = 0; d < D; ++d) {
       const std::size_t dd = static_cast<std::size_t>(d);
-      std::swap(keys_[dd][i], keys_[dd][j]);
       std::swap(los_[dd][i], los_[dd][j]);
       std::swap(his_[dd][i], his_[dd][j]);
     }
@@ -767,7 +759,6 @@ class CrackArray {
     return true;
   }
 
-  std::array<std::vector<Scalar>, D> keys_;
   std::array<std::vector<Scalar>, D> los_;
   std::array<std::vector<Scalar>, D> his_;
   std::vector<ObjectId> ids_;

@@ -40,7 +40,8 @@ namespace quasii::persist {
 /// trivially true.
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x504E5351u;  // "QSNP"
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// Bumped on every payload or structure-blob layout change.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 template <int D>
 PersistError WriteSnapshot(const SpatialIndex<D>& index,

@@ -47,10 +47,11 @@ namespace quasii {
 /// are filtered against the original query box.
 ///
 /// Storage is the shared structure-of-arrays `CrackArray` core: cracks and
-/// median splits compare precomputed 4-byte keys instead of loading whole
-/// entry structs, and leaf scans are `CrackArray::StreamScan` — branchless
-/// vectorizable passes over the per-dimension bound columns that stream the
-/// survivors straight into the query's `Sink`.
+/// median splits compare centre keys derived from one dimension's dense
+/// `lo`/`hi` columns instead of loading whole entry structs, and leaf scans
+/// are `CrackArray::StreamScan` — branchless vectorizable passes over the
+/// same bound columns that stream the survivors straight into the query's
+/// `Sink`.
 ///
 /// Every query type of the engine drives cracking:
 ///  - point queries are zero-extent ranges and refine the slices around the
@@ -132,11 +133,11 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
   bool initialized() const { return initialized_; }
 
-  /// Per-row column bytes (keys, lo/hi bounds, id and live byte), plus the
+  /// Per-row column bytes (lo/hi bounds, id and live byte), plus the
   /// id → row map's 8 B per slot once an erase has built it.
   typename SpatialIndex<D>::ColumnMemory column_memory() const override {
     constexpr std::uint64_t kRow =
-        static_cast<std::uint64_t>(D) * (3 * sizeof(Scalar)) +
+        static_cast<std::uint64_t>(D) * (2 * sizeof(Scalar)) +
         sizeof(ObjectId) + 1;
     return {static_cast<std::uint64_t>(array_.size()) * kRow +
                 static_cast<std::uint64_t>(array_.row_map_bytes()),
@@ -206,8 +207,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
       }
       const Box<D>& b = this->store_.box(id);
       for (int d = 0; d < D; ++d) {
-        if (array_.key(d, i) != CrackArray<D>::CenterKey(b, d) ||
-            array_.lo_col(d)[i] != b.lo[d] || array_.hi_col(d)[i] != b.hi[d]) {
+        if (array_.lo_col(d)[i] != b.lo[d] || array_.hi_col(d)[i] != b.hi[d]) {
           if (why) *why = "quasii: row columns disagree with the store box";
           return false;
         }

@@ -218,8 +218,9 @@ class SfcrackerIndex final : public SpatialIndex<D> {
     if (next != boundaries_.end()) piece_hi = next->second;
     if (next != boundaries_.begin()) piece_lo = std::prev(next)->second;
 
+    const zorder::ZCode* codes = codes_.data();
     const std::size_t pos = CrackPartition(
-        codes_.data(), piece_lo, piece_hi,
+        [codes](std::size_t i) { return codes[i]; }, piece_lo, piece_hi,
         [v](zorder::ZCode c) { return c < v; },
         [this](std::size_t i, std::size_t j) {
           std::swap(codes_[i], codes_[j]);

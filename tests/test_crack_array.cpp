@@ -1,7 +1,8 @@
 // CrackArray tests: the structure-of-arrays cracking core must keep its id,
-// key, and box columns consistent under arbitrary crack / median-split
-// sequences, handle duplicate-key-heavy data via the frozen path, and carry
-// the SoA QuasiiIndex to Scan-identical results on every dataset family.
+// box, and live columns (and the keys derived from the boxes) consistent
+// under arbitrary crack / median-split sequences, handle duplicate-key-heavy
+// data via the frozen path, and carry the SoA QuasiiIndex to Scan-identical
+// results on every dataset family.
 
 #include <algorithm>
 #include <cstdint>
@@ -187,8 +188,9 @@ void TestCrackPartitionPrimitive() {
   // The shared primitive on a plain int column with a companion payload.
   std::vector<int> keys = {5, 1, 9, 3, 7, 3, 0, 8, 2, 6};
   std::vector<int> payload = keys;  // co-moves; must stay equal to keys
+  const auto key = [&keys](std::size_t i) { return keys[i]; };
   const std::size_t pos = quasii::CrackPartition(
-      keys.data(), 0, keys.size(), [](int k) { return k < 5; },
+      key, 0, keys.size(), [](int k) { return k < 5; },
       [&](std::size_t i, std::size_t j) {
         std::swap(keys[i], keys[j]);
         std::swap(payload[i], payload[j]);
@@ -204,17 +206,13 @@ void TestCrackPartitionPrimitive() {
   }
 
   // Degenerate ranges: empty, all-pass, all-fail.
-  std::vector<int> one = {4};
+  const auto one = [](std::size_t) { return 4; };
+  const auto pass = [](int) { return true; };
+  const auto fail = [](int) { return false; };
   auto noswap = [](std::size_t, std::size_t) { CHECK(false); };
-  CHECK_EQ(quasii::CrackPartition(one.data(), 0, 0,
-                                  [](int) { return true; }, noswap),
-           0u);
-  CHECK_EQ(quasii::CrackPartition(one.data(), 0, 1,
-                                  [](int k) { return k < 10; }, noswap),
-           1u);
-  CHECK_EQ(quasii::CrackPartition(one.data(), 0, 1,
-                                  [](int k) { return k < 0; }, noswap),
-           0u);
+  CHECK_EQ(quasii::CrackPartition(one, 0, 0, pass, noswap), 0u);
+  CHECK_EQ(quasii::CrackPartition(one, 0, 1, pass, noswap), 1u);
+  CHECK_EQ(quasii::CrackPartition(one, 0, 1, fail, noswap), 0u);
 }
 
 /// The SoA QuasiiIndex must agree with Scan on every dataset family the
@@ -491,6 +489,45 @@ void TestRowMapOverCorpseAfterDecode() {
   CheckArrayColumns(b);
 }
 
+/// `EncodeTo` → `DecodeFrom` restores every column exactly and consumes the
+/// blob to its last byte; the same blob one byte short fails the row-count
+/// pre-check.
+void TestEncodeDecodeRoundTripAndSizeBound() {
+  Rng rng(59);
+  const Box3 universe = TestUniverse();
+  const std::size_t n = 4000;
+  const Dataset3 data =
+      quasii::datagen::MakeRandomBoxes<3>(n, universe, 9.0f, &rng);
+  CrackArray<3> a(data);
+  CrackMany(&a, &rng, universe, 20);
+  EraseResidue(&a, n, 2);
+  CrackMany(&a, &rng, universe, 10);
+  a.Append(2, data[3]);  // a fresh row for an erased id, left pending
+  a.Append(static_cast<ObjectId>(n), data[4]);
+
+  std::string blob;
+  quasii::ByteWriter w(&blob);
+  a.EncodeTo(&w);
+  CrackArray<3> b;
+  quasii::ByteReader r(blob);
+  CHECK(b.DecodeFrom(&r));
+  CHECK_EQ(r.remaining(), 0u);
+  CheckArrayColumns(b);
+  CHECK_EQ(b.size(), a.size());
+  CHECK_EQ(b.pending_begin(), a.pending_begin());
+  CHECK_EQ(b.tombstones(), a.tombstones());
+  CHECK(b.ids() == a.ids());
+  for (int d = 0; d < 3; ++d) {
+    CHECK(b.lo_col(d) == a.lo_col(d));
+    CHECK(b.hi_col(d) == a.hi_col(d));
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) CHECK_EQ(b.live(i), a.live(i));
+
+  CrackArray<3> c;
+  quasii::ByteReader short_r(blob.data(), blob.size() - 1);
+  CHECK(!c.DecodeFrom(&short_r));
+}
+
 /// A blob whose two live rows share one id is refused, and the map its
 /// decode left half-built fails the validator.
 void TestDecodeRejectsDuplicateLiveIds() {
@@ -580,5 +617,6 @@ int main() {
   RUN_TEST(TestLazyRowMapAfterHeavyCracking);
   RUN_TEST(TestRowMapOverCorpseAfterDecode);
   RUN_TEST(TestDecodeRejectsDuplicateLiveIds);
+  RUN_TEST(TestEncodeDecodeRoundTripAndSizeBound);
   return 0;
 }

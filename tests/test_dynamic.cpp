@@ -633,7 +633,7 @@ void TestQuasiiColumnMemoryTracksRowMap() {
   Rng rng(9);
   const Dataset3 data = RandomDataset<3>(&rng, universe, 3000);
   QuasiiIndex<3> index(data, SmallQuasiiParams());
-  const std::uint64_t row_bytes = 3 * 3 * sizeof(Scalar) + sizeof(ObjectId) + 1;
+  const std::uint64_t row_bytes = 2 * 3 * sizeof(Scalar) + sizeof(ObjectId) + 1;
 
   std::vector<ObjectId> got;
   for (int i = 0; i < 50; ++i) {

@@ -195,8 +195,10 @@ struct ColdRun {
   std::uint64_t cracks = 0;
   std::uint64_t objects_tested = 0;
   std::uint64_t objects_moved = 0;
-  std::vector<Scalar> keys0;
+  /// The lo and hi column of every dimension.
+  std::vector<std::vector<Scalar>> bounds;
   std::vector<ObjectId> ids;
+  std::vector<std::uint8_t> live;
 };
 
 ColdRun RunCold(const Dataset3& data, const std::vector<Box3>& queries,
@@ -215,8 +217,15 @@ ColdRun RunCold(const Dataset3& data, const std::vector<Box3>& queries,
   run.cracks = index.stats().cracks;
   run.objects_tested = index.stats().objects_tested;
   run.objects_moved = index.stats().objects_moved;
-  run.keys0 = index.array().keys(0);
-  run.ids = index.array().ids();
+  const auto& array = index.array();
+  for (int d = 0; d < 3; ++d) {
+    run.bounds.push_back(array.lo_col(d));
+    run.bounds.push_back(array.hi_col(d));
+  }
+  run.ids = array.ids();
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    run.live.push_back(array.live(i) ? 1 : 0);
+  }
   return run;
 }
 
@@ -248,8 +257,9 @@ void TestColdStartSerialParallelIdentical() {
   CHECK_EQ(serial.objects_tested, parallel.objects_tested);
   CHECK_EQ(serial.objects_moved, parallel.objects_moved);
   // Bit-identical layout: the strongest form of the determinism contract.
-  CHECK(serial.keys0 == parallel.keys0);
+  CHECK(serial.bounds == parallel.bounds);
   CHECK(serial.ids == parallel.ids);
+  CHECK(serial.live == parallel.live);
 }
 
 void TestParallelJoinMatchesSerial() {

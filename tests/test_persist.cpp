@@ -602,10 +602,11 @@ void TestSnapshotCorruptionClassesRefused() {
     recover_expecting(PersistError::kBadMagic);
   }
 
-  // Unknown format version.
-  {
+  // Unknown format version, and version 1 (written before the crack keys
+  // left QUASII's structure blob): refused, never misparsed.
+  for (const int version : {0x7F, 1}) {
     std::string bad = good;
-    bad[4] = static_cast<char>(0x7F);
+    bad[4] = static_cast<char>(version);
     DumpFile(snap, bad);
     recover_expecting(PersistError::kBadFormatVersion);
   }

@@ -544,6 +544,25 @@ class CrackArray {
                      [](std::uint8_t v) { return v != 0; });
   }
 
+  /// Exchanges rows `i` and `j` — every column, and the id → row map
+  /// entries once the map is built. The building block of every partition
+  /// here, public for owners that place rows by a key of their own.
+  void SwapRows(std::size_t i, std::size_t j) {
+    for (int d = 0; d < D; ++d) {
+      const std::size_t dd = static_cast<std::size_t>(d);
+      std::swap(los_[dd][i], los_[dd][j]);
+      std::swap(his_[dd][i], his_[dd][j]);
+    }
+    std::swap(ids_[i], ids_[j]);
+    std::swap(live_[i], live_[j]);
+    if (!has_row_map_) return;
+    // Only live rows own their id's map entry: a dead row's id may have
+    // been re-appended as a fresh live row elsewhere, and that mapping
+    // must not be clobbered by moving the stale corpse around.
+    if (live_[i]) row_of_[ids_[i]] = i;
+    if (live_[j]) row_of_[ids_[j]] = j;
+  }
+
   struct SplitResult {
     /// Split position; `pos == end` means the range could not be split.
     std::size_t pos = 0;
@@ -724,22 +743,6 @@ class CrackArray {
     const Scalar* los = los_[static_cast<std::size_t>(d)].data();
     const Scalar* his = his_[static_cast<std::size_t>(d)].data();
     return [los, his](std::size_t i) { return Center(los[i], his[i]); };
-  }
-
-  void SwapRows(std::size_t i, std::size_t j) {
-    for (int d = 0; d < D; ++d) {
-      const std::size_t dd = static_cast<std::size_t>(d);
-      std::swap(los_[dd][i], los_[dd][j]);
-      std::swap(his_[dd][i], his_[dd][j]);
-    }
-    std::swap(ids_[i], ids_[j]);
-    std::swap(live_[i], live_[j]);
-    if (!has_row_map_) return;
-    // Only live rows own their id's map entry: a dead row's id may have
-    // been re-appended as a fresh live row elsewhere, and that mapping
-    // must not be clobbered by moving the stale corpse around.
-    if (live_[i]) row_of_[ids_[i]] = i;
-    if (live_[j]) row_of_[ids_[j]] = j;
   }
 
   /// Builds the id → row map in one pass over the live rows, sized once

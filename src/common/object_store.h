@@ -5,10 +5,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/query.h"
 #include "geometry/box.h"
 
 namespace quasii {
@@ -43,10 +46,17 @@ namespace quasii {
 template <int D>
 class ObjectStore {
  public:
+  /// Wraps `data` as the initial population. Every box must be finite: a
+  /// NaN or infinite coordinate would poison every comparison-based
+  /// traversal, so it is trusted-caller misuse and aborts naming the
+  /// offending id, the way `QueryApiAbort` treats misuse of the query API.
   explicit ObjectStore(const std::vector<Box<D>>& data)
       : view_(&data), live_count_(data.size()) {
     bounds_ = Box<D>::Empty();
-    for (const Box<D>& b : data) bounds_.ExpandToInclude(b);
+    for (std::size_t id = 0; id < data.size(); ++id) {
+      if (!IsFinite(data[id])) AbortNonFinite(id);
+      bounds_.ExpandToInclude(data[id]);
+    }
   }
 
   /// Upper bound (exclusive) of ids ever stored.
@@ -172,6 +182,14 @@ class ObjectStore {
   }
 
  private:
+  [[noreturn]] static void AbortNonFinite(std::size_t id) {
+    std::fprintf(stderr,
+                 "quasii object store: object %zu has a NaN or infinite "
+                 "coordinate\n",
+                 id);
+    std::abort();
+  }
+
   /// Copy-on-write switch: copies the viewed dataset into the owned table.
   void Materialize() {
     if (!view_) return;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/query.h"
 #include "common/spatial_index.h"
 #include "geometry/box.h"
 #include "persist/crc32c.h"
@@ -29,10 +30,13 @@ namespace quasii::persist {
 /// `lsn` is `ObjectStore::version()` at capture time, which ties the
 /// snapshot to its place in the WAL: recovery replays exactly the records
 /// with larger LSNs. The structure blob is the index's own
-/// `SerializeStructure` serialization (QUASII's crack columns + slice
-/// tree, R-Tree's packed levels); indexes without one are restored by
-/// `RebuildFromStore`. A restored QUASII index resumes with the same
-/// slices and so replays converged workloads with zero cracks.
+/// `SerializeStructure` serialization (QUASII's crack columns + extent
+/// class table with one slice tree per class, R-Tree's packed levels);
+/// indexes without one are restored by `RebuildFromStore`. A restored
+/// QUASII index resumes with the same extent classes and slices and so
+/// replays converged workloads with zero cracks. A live slot whose box has
+/// a NaN or infinite coordinate is refused as corrupt: it is a box
+/// `SpatialIndex::Insert` would refuse.
 ///
 /// Writes are atomic: the file is assembled under `path + ".tmp"`, synced,
 /// and renamed over `path` — a crash mid-snapshot leaves the previous valid
@@ -41,7 +45,7 @@ namespace quasii::persist {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x504E5351u;  // "QSNP"
 /// Bumped on every payload or structure-blob layout change.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 template <int D>
 PersistError WriteSnapshot(const SpatialIndex<D>& index,
@@ -181,7 +185,14 @@ SnapshotContents<D> ReadSnapshot(const std::string& path) {
     return out;
   }
   std::uint64_t live = 0;
-  for (const std::uint8_t a : out.alive) live += a != 0;
+  for (std::size_t i = 0; i < out.alive.size(); ++i) {
+    if (out.alive[i] == 0) continue;
+    ++live;
+    if (!IsFinite(out.boxes[i])) {
+      out.error = PersistError::kSnapshotCorrupt;
+      return out;
+    }
+  }
   if (live != out.live_count) {
     out.error = PersistError::kSnapshotCorrupt;
     return out;

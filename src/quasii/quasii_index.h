@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -41,10 +42,20 @@ namespace quasii {
 /// `rho = (n / tau)^(1/D)` times more, so `D` refinements take a slice from
 /// `n` down to `tau`.
 ///
-/// Extended objects use the query-extension strategy [40], exactly like
+/// Extended objects use the query-extension strategy [40], like
 /// `SfcrackerIndex`: an entry is keyed by its MBB centre, queries are
-/// extended by half the maximum object extent per dimension, and candidates
-/// are filtered against the original query box.
+/// extended by a half extent per dimension, and candidates are filtered
+/// against the original query box. The half extent is not one global
+/// maximum but one per *extent class*: the rows are grouped into K classes
+/// by the power-of-two ceiling of their largest side, and each class has
+/// its own row ranges, root slice list, per-level thresholds (`n` above is
+/// the class's own live count) and per-dimension half extents. A query
+/// descends every class with its box widened by that class's half extent
+/// only, so the 1% of large objects in the paper's dataset no longer widen
+/// every query for the 99% of small ones. K and the class bounds come from
+/// the data (`DeriveClasses`, no knob); data of one size gets K = 1, which
+/// is the single-hierarchy layout. All classes share one `CrackArray`, one
+/// lock and one snapshot blob.
 ///
 /// Storage is the shared structure-of-arrays `CrackArray` core: cracks and
 /// median splits compare centre keys derived from one dimension's dense
@@ -67,21 +78,24 @@ namespace quasii {
 ///
 /// Mutations are handled incrementally, in the spirit of the paper's
 /// query-driven refinement:
-///  - inserts land in the crack array's unsorted pending tail; the next
-///    query promotes the tail to a root-level slice with open value bounds
-///    (consecutive promotions merge while the previous one is still
-///    unrefined), which subsequent queries crack down lazily exactly like
-///    initial data — an insert itself never cracks anything;
+///  - inserts land in the crack array's unsorted pending tail and join the
+///    smallest extent class whose bound covers their largest side (widening
+///    that class's half extent if they exceed it); the next query splits
+///    the tail by class and promotes each class's piece to a root-level
+///    slice of that class with open value bounds (consecutive promotions
+///    merge while the previous one is still unrefined), which subsequent
+///    queries crack down lazily exactly like initial data — an insert
+///    itself never cracks anything;
 ///  - erases tombstone the object's row in place (O(1) via the id → row
 ///    map, which the first erase after a (re)initialization builds in one
 ///    O(n) pass, so read-only sessions never maintain it); leaf scans skip
 ///    tombstones branchlessly through the live mask, refinement sweeps the
 ///    dead rows of a cracked slice aside in passing, and once tombstones
 ///    exceed a quarter of the array the whole structure is rebuilt from the
-///    live set;
-///  - both mutations re-derive the per-level size thresholds from the live
-///    count, so the slice hierarchy's geometric progression keeps tracking
-///    the population as it grows and shrinks.
+///    live set (which derives the extent classes afresh);
+///  - both mutations re-derive the touched class's per-level size
+///    thresholds from its live count, so each slice hierarchy's geometric
+///    progression keeps tracking its population as it grows and shrinks.
 ///
 /// Concurrency (the `SpatialIndex` contract): warm-up queries serialize on
 /// the exclusive lock while they crack; once `ConvergedFor` observes that a
@@ -116,6 +130,27 @@ class QuasiiIndex final : public SpatialIndex<D> {
     std::size_t size() const { return end - begin; }
   };
 
+  using Thresholds = std::array<std::size_t, D>;
+
+  /// One extent class: the rows whose largest side is at most `bound` and
+  /// above the previous class's bound.
+  struct ExtentClass {
+    /// Largest object side the class admits: a power of two, or +inf for
+    /// the last class (which takes everything larger).
+    Scalar bound = std::numeric_limits<Scalar>::infinity();
+    /// Query extension per dimension: every live row of the class has
+    /// `Extent(d) / 2 <= half_extent[d]` (the invariant that keeps answers
+    /// correct).
+    Point<D> half_extent{};
+    /// Live rows of the class, pending tail included.
+    std::size_t live = 0;
+    /// Per-level size thresholds derived from `live`.
+    Thresholds threshold{};
+    /// Level-0 slices, in array position order. Together, the root slices
+    /// of all classes tile the structured prefix of the array.
+    std::vector<Slice> root;
+  };
+
   explicit QuasiiIndex(const Dataset<D>& data, const Params& params = Params{})
       : SpatialIndex<D>(data), params_(params) {}
 
@@ -126,11 +161,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   void Build() override {}
 
   /// Structural accessors for tests and analyses.
-  const std::vector<Slice>& root_slices() const { return root_; }
+  std::size_t class_count() const { return classes_.size(); }
+  const ExtentClass& extent_class(std::size_t c) const { return classes_[c]; }
   const CrackArray<D>& array() const { return array_; }
-  std::size_t LevelThreshold(int level) const {
-    return threshold_[static_cast<std::size_t>(level)];
-  }
   bool initialized() const { return initialized_; }
 
   /// Per-row column bytes (lo/hi bounds, id and live byte), plus the
@@ -147,18 +180,27 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// Kept only because `qbench/` reads it; goes in the next benchmark change.
   static constexpr bool PackingEnabled() { return false; }
 
-  /// Snapshot structure blob: the crack-array columns plus the slice
-  /// hierarchy, so a recovered index resumes exactly as converged as it
-  /// was — a replayed query workload cracks nothing.
+  /// Snapshot structure blob: the crack-array columns plus the class table
+  /// (K, then per class its bound, half extents and slice hierarchy), so a
+  /// recovered index resumes exactly as converged as it was — a replayed
+  /// query workload cracks nothing.
   bool SerializeStructure(ByteWriter& w) const override {
     w.U8(initialized_ ? 1 : 0);
     if (!initialized_) return true;
     array_.EncodeTo(&w);
-    for (int d = 0; d < D; ++d) w.F(half_extent_[d]);
-    EncodeSlices(root_, &w);
+    w.U64(classes_.size());
+    for (const ExtentClass& c : classes_) {
+      w.F(c.bound);
+      for (int d = 0; d < D; ++d) w.F(c.half_extent[d]);
+      EncodeSlices(c.root, &w);
+    }
     return true;
   }
 
+  /// Refuses (false, index reset) a blob that is truncated or whose class
+  /// table `CheckClassTable` rejects — a CRC only proves the bytes were
+  /// written, and a live row outside its class's half extent would
+  /// silently drop answers.
   bool DeserializeStructure(std::string_view bytes) override {
     ByteReader r(bytes);
     const bool init = r.U8() != 0;
@@ -168,15 +210,16 @@ class QuasiiIndex final : public SpatialIndex<D> {
       RebuildFromStore();
       return r.remaining() == 0;
     }
-    if (!array_.DecodeFrom(&r)) return false;
-    for (int d = 0; d < D; ++d) half_extent_[d] = r.F();
-    root_.clear();
-    if (!DecodeSlices(&r, /*level=*/0, array_.size(), &root_) || !r.ok() ||
-        r.remaining() != 0) {
+    std::vector<std::size_t> live;
+    if (!DecodeClasses(&r) || !r.ok() || r.remaining() != 0 ||
+        !CheckClassTable(&live, nullptr)) {
       RebuildFromStore();  // leave no half-decoded structure behind
       return false;
     }
-    ComputeThresholds(LiveRows());
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      classes_[c].live = live[c];
+      classes_[c].threshold = ThresholdsFor(live[c], params_.leaf_threshold);
+    }
     initialized_ = true;
     return true;
   }
@@ -184,14 +227,15 @@ class QuasiiIndex final : public SpatialIndex<D> {
   void RebuildFromStore() override {
     initialized_ = false;
     array_.Clear();
-    root_.clear();
-    half_extent_ = Point<D>{};
+    classes_.clear();
   }
 
   /// Extends the store check with crack-array column agreement, the
   /// live-row ↔ store bijection (every live row's id is alive and its
-  /// columns match the store's box bit-for-bit), slice-range tiling, and
-  /// key containment in every slice's value interval.
+  /// columns match the store's box bit-for-bit), the class table
+  /// (`CheckClassTable`), each class's live count and thresholds,
+  /// slice-range tiling, and key containment in every slice's value
+  /// interval.
   bool CheckInvariants(std::string* why = nullptr) const override {
     if (!SpatialIndex<D>::CheckInvariants(why)) return false;
     if (!initialized_) return true;
@@ -217,25 +261,36 @@ class QuasiiIndex final : public SpatialIndex<D> {
       if (why) *why = "quasii: live rows != store live count";
       return false;
     }
-    if (threshold_ != ThresholdsFor(LiveRows(), params_.leaf_threshold)) {
-      if (why) *why = "quasii: thresholds not derived from the live count";
-      return false;
+    std::vector<std::size_t> class_live;
+    if (!CheckClassTable(&class_live, why)) return false;
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      const ExtentClass& cls = classes_[c];
+      if (cls.live != class_live[c]) {
+        if (why) *why = "quasii: class live count disagrees with its rows";
+        return false;
+      }
+      if (cls.threshold != ThresholdsFor(cls.live, params_.leaf_threshold)) {
+        if (why) *why = "quasii: thresholds not derived from the live count";
+        return false;
+      }
+      for (const Slice& s : cls.root) {
+        if (!CheckSlice(s, 0, why)) return false;
+      }
     }
-    // The pending tail is structure-less by definition; slices must tile
-    // the structured prefix exactly.
-    return CheckSlices(root_, 0, array_.pending_begin(), 0, why);
+    return true;
   }
 
   /// A query is converged — safe to execute concurrently under the shared
   /// lock — when nothing about its execution can reorganize: the array is
   /// initialized, has no pending tail to promote and no compaction due,
-  /// and a read-only replay of the descent touches only slices that are
-  /// within their level threshold or frozen, and (above the leaf level)
-  /// already have children to descend into. kNN stays conservative: its
-  /// expanding ring probes regions the triggering query never names. A
-  /// join touches the whole structure and cracks wherever the partner has
-  /// slice bounds, so it replays an unbounded descent: only full
-  /// convergence guarantees a join is a pure read of this side.
+  /// and in every extent class a read-only replay of the descent (with the
+  /// box widened by that class's half extent, `ExtendedBox`) touches only
+  /// slices that are within their level threshold or frozen, and (above
+  /// the leaf level) already have children to descend into. kNN stays
+  /// conservative: its expanding ring probes regions the triggering query
+  /// never names. A join touches the whole structure and cracks wherever
+  /// the partner has slice bounds, so it replays an unbounded descent: only
+  /// full convergence guarantees a join is a pure read of this side.
   bool ConvergedFor(const Query<D>& query) const override {
     if (!initialized_) return false;
     if (query.type() == QueryType::kKNearest) return false;
@@ -245,59 +300,57 @@ class QuasiiIndex final : public SpatialIndex<D> {
       return false;  // the next ExecuteBox will compact
     }
     if (array_.empty()) return true;
-    if (query.type() == QueryType::kJoin) {
-      return SlicesConverged(root_, Box<D>::Infinite());
-    }
-    const Box<D> box = DescentBox(query);
+    const bool join = query.type() == QueryType::kJoin;
+    const Box<D> box = join ? Box<D>::Infinite() : DescentBox(query);
     if (box.IsEmpty()) return true;
-    Box<D> ext;
-    for (int d = 0; d < D; ++d) {
-      ext.lo[d] = box.lo[d] - half_extent_[d];
-      ext.hi[d] = std::nextafter(box.hi[d] + half_extent_[d],
-                                 std::numeric_limits<Scalar>::infinity());
+    for (const ExtentClass& c : classes_) {
+      const Box<D> ext = join ? box : ExtendedBox(box, c.half_extent);
+      if (!SlicesConverged(c.root, ext, c.threshold)) return false;
     }
-    return SlicesConverged(root_, ext);
+    return true;
   }
 
  protected:
   /// Inserts never reorganize: the new row joins the pending tail and the
-  /// next query drains it through the normal refinement machinery.
+  /// next query drains it through the normal refinement machinery. The
+  /// row's class is the smallest one whose bound covers its largest side;
+  /// only that class's half extent can widen, and only when the row
+  /// exceeds it.
   void OnInsert(ObjectId id, const Box<D>& box) override {
     if (!initialized_) return;  // Initialize() reads the store wholesale
     array_.Append(id, box);
+    ExtentClass& c = classes_[ClassOf(box)];
     for (int d = 0; d < D; ++d) {
-      half_extent_[d] = std::max(half_extent_[d], box.Extent(d) / 2);
+      c.half_extent[d] = std::max(c.half_extent[d], box.Extent(d) / 2);
     }
-    ComputeThresholds(LiveRows());
+    ++c.live;
+    c.threshold = ThresholdsFor(c.live, params_.leaf_threshold);
   }
 
   /// Erases tombstone in place; scans skip the row branchlessly until a
-  /// refinement sweeps it aside or a compaction reclaims it.
+  /// refinement sweeps it aside or a compaction reclaims it. The store
+  /// still holds the erased box, which names the row's class.
   void OnErase(ObjectId id) override {
     if (!initialized_) return;
     array_.EraseId(id);
-    ComputeThresholds(LiveRows());
+    ExtentClass& c = classes_[ClassOf(this->store_.box(id))];
+    --c.live;
+    c.threshold = ThresholdsFor(c.live, params_.leaf_threshold);
   }
 
   void ExecuteBox(const Box<D>& q, RangePredicate predicate, bool count_only,
                   Sink& sink) override {
     PrepareArray();
     if (array_.empty()) return;
-    // Half-open extended query: `[lo, hi)` per dimension covers every centre
-    // key of an object whose MBB can intersect `q` (centre-based assignment
-    // plus half the maximum extent on both sides). Containment predicates
-    // imply intersection, so the same descent generates their candidates.
-    Box<D> ext;
-    for (int d = 0; d < D; ++d) {
-      ext.lo[d] = q.lo[d] - half_extent_[d];
-      ext.hi[d] = std::nextafter(q.hi[d] + half_extent_[d],
-                                 std::numeric_limits<Scalar>::infinity());
-    }
     MatchEmitter emit(count_only, &sink);
     TaskScheduler& exec = IntraQueryScheduler();
     std::vector<LeafScanJob> jobs;
-    const BoxExec ctx{&q, predicate, &emit, exec.parallel() ? &jobs : nullptr};
-    Visit(&root_, ctx, ext, 0u);
+    BoxExec ctx{&q, predicate, &emit, exec.parallel() ? &jobs : nullptr};
+    for (ExtentClass& c : classes_) {
+      if (c.root.empty()) continue;
+      ctx.threshold = &c.threshold;
+      Visit(&c.root, ctx, ExtendedBox(q, c.half_extent), 0u);
+    }
     if (!jobs.empty()) RunLeafScans(jobs, ctx, &exec);
     emit.Flush();
   }
@@ -318,9 +371,12 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// are walked — the join itself is the workload that converges both
   /// structures, and a repeated join runs crack-free over the slices the
   /// first one carved. Any other partner falls back to the base class's
-  /// index-nested-loop (whose probes still crack this side). Self-joins
-  /// descend the one hierarchy against itself; pair canonicalization
-  /// (unordered-once, no diagonal) lives in the emitter's flush.
+  /// index-nested-loop (whose probes still crack this side). The descent
+  /// runs once per pair of extent classes (one from each side), with the
+  /// pair's summed half extents. Self-joins descend the one set of
+  /// hierarchies against itself, visiting each unordered class pair once
+  /// (`c <= c'`); pair canonicalization (unordered-once, no diagonal)
+  /// lives in the emitter's flush.
   void ExecuteJoin(SpatialIndex<D>& other_base, JoinEmitter& emit) override {
     auto* other = dynamic_cast<QuasiiIndex<D>*>(&other_base);
     if (other == nullptr) {
@@ -330,7 +386,18 @@ class QuasiiIndex final : public SpatialIndex<D> {
     PrepareArray();
     if (other != this) other->PrepareArray();
     if (array_.empty() || other->array_.empty()) return;
-    JoinVisit(other, &root_, &other->root_, emit);
+    for (std::size_t a = 0; a < classes_.size(); ++a) {
+      ExtentClass& mine = classes_[a];
+      for (std::size_t b = other == this ? a : 0; b < other->classes_.size();
+           ++b) {
+        ExtentClass& theirs = other->classes_[b];
+        JoinClassPair pair{{}, &mine.threshold, &theirs.threshold};
+        for (int d = 0; d < D; ++d) {
+          pair.h[d] = mine.half_extent[d] + theirs.half_extent[d];
+        }
+        JoinVisit(other, pair, &mine.root, &theirs.root, emit);
+      }
+    }
   }
 
  private:
@@ -350,12 +417,23 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// contract); threaded through the recursive slice descent. When `jobs`
   /// is non-null (intra-query workers available), leaf scans are recorded
   /// there in visit order instead of executing inline, and run after the
-  /// descent completes.
+  /// descent completes. `threshold` is the level thresholds of the extent
+  /// class being descended.
   struct BoxExec {
     const Box<D>* q;
     RangePredicate predicate;
     MatchEmitter* emit;
     std::vector<LeafScanJob>* jobs = nullptr;
+    const Thresholds* threshold = nullptr;
+  };
+
+  /// What a join descent over one pair of extent classes needs besides the
+  /// two slice lists: the pair's summed half extents and each side's level
+  /// thresholds.
+  struct JoinClassPair {
+    Point<D> h;
+    const Thresholds* mine;
+    const Thresholds* theirs;
   };
 
   /// Adapts a partner-slice `StreamScan` into join pairs: every id the scan
@@ -404,50 +482,308 @@ class QuasiiIndex final : public SpatialIndex<D> {
     AbsorbPending();
   }
 
-  /// Read-only replay of `Visit`'s routing decisions: false as soon as some
-  /// touched slice would be refined or would materialize a first child.
-  bool SlicesConverged(const std::vector<Slice>& slices,
-                       const Box<D>& ext) const {
+  /// Read-only replay of `Visit`'s routing decisions over one class's
+  /// slices: false as soon as some touched slice would be refined or would
+  /// materialize a first child.
+  bool SlicesConverged(const std::vector<Slice>& slices, const Box<D>& ext,
+                       const Thresholds& threshold) const {
     for (const Slice& s : slices) {
       const int d = s.level;
       if (s.size() == 0 || s.lo >= ext.hi[d] || s.hi <= ext.lo[d]) continue;
-      if (s.size() > threshold_[static_cast<std::size_t>(d)] && !s.frozen) {
+      if (s.size() > threshold[static_cast<std::size_t>(d)] && !s.frozen) {
         return false;
       }
       if (d == D - 1) continue;
       if (s.children.empty()) return false;
-      if (!SlicesConverged(s.children, ext)) return false;
+      if (!SlicesConverged(s.children, ext, threshold)) return false;
     }
     return true;
+  }
+
+  /// The half-open descent box of `q` for a class with half extents `h`:
+  /// `[lo, hi)` per dimension covers every centre key of a class member
+  /// whose MBB can intersect `q` (centre-based assignment plus the class's
+  /// half extent on both sides). Containment predicates imply
+  /// intersection, so the same descent generates their candidates.
+  static Box<D> ExtendedBox(const Box<D>& q, const Point<D>& h) {
+    Box<D> ext;
+    for (int d = 0; d < D; ++d) {
+      ext.lo[d] = q.lo[d] - h[d];
+      ext.hi[d] = std::nextafter(q.hi[d] + h[d],
+                                 std::numeric_limits<Scalar>::infinity());
+    }
+    return ext;
   }
 
   std::size_t LiveRows() const {
     return array_.size() - array_.tombstones();
   }
 
+  static Scalar MaxSide(const Box<D>& b) {
+    Scalar side = 0;
+    for (int d = 0; d < D; ++d) side = std::max(side, b.Extent(d));
+    return side;
+  }
+
+  /// Size buckets for the class derivation: bucket `b` holds the objects
+  /// whose largest side `s` has `2^(b-127) < s <= 2^(b-126)` — the
+  /// power-of-two ceiling of `s`, read off its float bits — so the buckets
+  /// span every finite side (zero and subnormal sides share bucket 0, an
+  /// overflowed +inf side lands in the last bucket).
+  static constexpr int kBuckets = 255;
+  static_assert(std::numeric_limits<Scalar>::is_iec559 &&
+                    sizeof(Scalar) == sizeof(std::uint32_t),
+                "SideBucket reads the bits of a binary32 Scalar");
+  static int SideBucket(Scalar side) {
+    const auto bits = std::bit_cast<std::uint32_t>(side);
+    const int exp = static_cast<int>((bits >> 23) & 0xFFu);
+    if (exp == 0) return 0;
+    return exp - 1 + ((bits & 0x7FFFFFu) != 0 ? 1 : 0);
+  }
+
+  /// The largest side bucket `b` admits: `2^(b-126)`, or +inf for the last.
+  static Scalar BucketBound(int b) {
+    return b + 1 >= kBuckets ? std::numeric_limits<Scalar>::infinity()
+                             : std::ldexp(Scalar{1}, b - 126);
+  }
+
+  static int BucketOf(const Box<D>& b) { return SideBucket(MaxSide(b)); }
+
+  /// The class an object belongs to: the first whose bound covers its
+  /// largest side (the last class's bound is +inf).
+  std::size_t ClassOf(const Box<D>& b) const {
+    return class_of_bucket_[static_cast<std::size_t>(BucketOf(b))];
+  }
+
+  /// Rebuilds the bucket → class table from the class bounds.
+  void IndexBuckets() {
+    std::size_t c = 0;
+    for (int b = 0; b < kBuckets; ++b) {
+      while (c + 1 < classes_.size() &&
+             !(BucketBound(b) <= classes_[c].bound)) {
+        ++c;
+      }
+      class_of_bucket_[static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(c);
+    }
+  }
+
+  /// Rows and per-dimension maximum half extent of one size bucket (or of
+  /// a run of buckets).
+  struct BucketStats {
+    std::size_t count = 0;
+    Point<D> half{};
+
+    void Add(const BucketStats& o) {
+      count += o.count;
+      for (int d = 0; d < D; ++d) half[d] = std::max(half[d], o.half[d]);
+    }
+  };
+  using Histogram = std::array<BucketStats, kBuckets>;
+
+  /// Estimated rows one small query tests in a class of `s.count` rows:
+  /// its leaf cells are `(tau / n)^(1/D)` of the data bounds `u` wide per
+  /// dimension, and the query is widened by the class's half extent on
+  /// both sides, so it reaches `n · Π_d (cell + 2·h_d / U_d)` rows (each
+  /// factor capped at 1: a class cannot cost more than all its rows).
+  double ClassCost(const BucketStats& s, const Box<D>& u) const {
+    if (s.count == 0) return 0;
+    const double n = static_cast<double>(s.count);
+    const double cell = std::pow(
+        static_cast<double>(params_.leaf_threshold) / n, 1.0 / D);
+    double cost = n;
+    for (int d = 0; d < D; ++d) {
+      const double span = static_cast<double>(u.hi[d]) - u.lo[d];
+      if (!(span > 0) || !std::isfinite(span)) continue;
+      cost *= std::min(1.0, cell + 2.0 * s.half[d] / span);
+    }
+    return cost;
+  }
+
+  /// Splits the run of non-empty buckets `used[i..j]` into classes: cuts at
+  /// the boundary that lowers the summed `ClassCost` the most, recursing
+  /// into both sides, and stops where no cut lowers it. Appends the
+  /// resulting runs (as their last index into `used`) in size order.
+  void SplitBuckets(const Histogram& hist, const std::vector<int>& used,
+                    std::size_t i, std::size_t j, const Box<D>& u,
+                    std::vector<std::size_t>* class_ends) const {
+    const auto run = [&](std::size_t from, std::size_t to) {
+      BucketStats s;
+      for (std::size_t k = from; k <= to; ++k) {
+        s.Add(hist[static_cast<std::size_t>(used[k])]);
+      }
+      return s;
+    };
+    double best = ClassCost(run(i, j), u);
+    std::size_t cut = j;
+    for (std::size_t k = i; k < j; ++k) {
+      const double split =
+          ClassCost(run(i, k), u) + ClassCost(run(k + 1, j), u);
+      if (split < best) {
+        best = split;
+        cut = k;
+      }
+    }
+    if (cut == j) {
+      class_ends->push_back(j);
+      return;
+    }
+    SplitBuckets(hist, used, i, cut, u, class_ends);
+    SplitBuckets(hist, used, cut + 1, j, u, class_ends);
+  }
+
+  /// Derives the extent classes from the size histogram of the live set:
+  /// each class is a run of buckets, bounded by its largest bucket's bound
+  /// (the last class by +inf), with the run's row count and maximum half
+  /// extents. No data gives one empty class.
+  void DeriveClasses(const Histogram& hist) {
+    std::vector<int> used;
+    for (int b = 0; b < kBuckets; ++b) {
+      if (hist[static_cast<std::size_t>(b)].count > 0) used.push_back(b);
+    }
+    std::vector<std::size_t> ends;
+    if (!used.empty()) {
+      SplitBuckets(hist, used, 0, used.size() - 1, this->store_.bounds(),
+                   &ends);
+    }
+    classes_.assign(std::max<std::size_t>(ends.size(), 1), ExtentClass{});
+    std::size_t k = 0;
+    for (std::size_t c = 0; c < ends.size(); ++c) {
+      BucketStats s;
+      for (; k <= ends[c]; ++k) {
+        s.Add(hist[static_cast<std::size_t>(used[k])]);
+      }
+      if (c + 1 < ends.size()) classes_[c].bound = BucketBound(used[ends[c]]);
+      classes_[c].half_extent = s.half;
+      classes_[c].live = s.count;
+    }
+    IndexBuckets();
+  }
+
   /// First-query (and compaction) work: build the structure-of-arrays
-  /// columns from the live object set (pre-sized for the live count) and
-  /// derive the per-level thresholds and the query-extension amounts.
+  /// columns from the live object set (pre-sized for the live count) while
+  /// recording each row's size bucket and histogramming the buckets,
+  /// derive the extent classes from the histogram, then group the rows by
+  /// class (`GroupByClass`) and give every class one open root slice over
+  /// its rows and its own thresholds. Grouping is loading work, not
+  /// cracking: it is not counted in `cracks`/`objects_moved`.
   void Initialize() {
-    half_extent_ = Point<D>{};
-    array_.Load(this->store_.live_count(), [this](auto&& append) {
+    const std::size_t n = this->store_.live_count();
+    std::vector<std::uint8_t>& row_bucket = BucketScratchTLS();
+    row_bucket.resize(n);
+    Histogram hist{};
+    std::size_t row = 0;
+    array_.Load(n, [&](auto&& append) {
       this->store_.ForEachLive([&](ObjectId id, const Box<D>& b) {
         append(id, b);
+        const int bucket = BucketOf(b);
+        row_bucket[row++] = static_cast<std::uint8_t>(bucket);
+        // A new maximum is rare: compare first, so the common row stores
+        // nothing and no store-to-load chain runs through the histogram.
+        Point<D>& half = hist[static_cast<std::size_t>(bucket)].half;
         for (int d = 0; d < D; ++d) {
-          half_extent_[d] = std::max(half_extent_[d], b.Extent(d) / 2);
+          const Scalar h = b.Extent(d) / 2;
+          if (h > half[d]) half[d] = h;
         }
       });
     });
-    ComputeThresholds(array_.size());
-    root_.clear();
-    Slice root;
-    root.level = 0;
-    root.begin = 0;
-    root.end = array_.size();
-    root.lo = -std::numeric_limits<Scalar>::infinity();
-    root.hi = std::numeric_limits<Scalar>::infinity();
-    root_.push_back(std::move(root));
+    CountBuckets(row_bucket.data(), n, &hist);
+    DeriveClasses(hist);
+    std::vector<std::size_t> counts;
+    for (const ExtentClass& c : classes_) counts.push_back(c.live);
+    const std::vector<std::size_t> ends =
+        GroupByClass(0, row_bucket.data(), counts);
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      ExtentClass& cls = classes_[c];
+      cls.threshold = ThresholdsFor(cls.live, params_.leaf_threshold);
+      cls.root.push_back(OpenSlice(0, ends[c], ends[c + 1]));
+    }
     initialized_ = true;
+  }
+
+  /// Groups the rows from `begin` on by class, in class order, given each
+  /// row's size bucket (`bucket[i]` for row `begin + i`, permuted along
+  /// with the rows) and the number of rows per class. Classes are runs of
+  /// buckets, so each class boundary is a two-way split by bucket: one
+  /// pass over the bucket bytes finds the rows on the wrong side of the
+  /// boundary (equally many on each side), and the k-th of each side swap
+  /// places — disjoint swaps, run morsel-parallel like
+  /// `ChunkedCrackPartition`'s fixup, since the misplaced rows are
+  /// scattered and each swap waits on cache misses. The layout depends
+  /// only on the input. Returns the K+1 group boundaries.
+  std::vector<std::size_t> GroupByClass(
+      std::size_t begin, std::uint8_t* bucket,
+      const std::vector<std::size_t>& counts) {
+    std::vector<std::size_t> bounds(counts.size() + 1, 0);
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      bounds[c + 1] = bounds[c] + counts[c];
+    }
+    const std::size_t n = bounds.back();
+    std::vector<std::size_t> left;
+    std::vector<std::size_t> right;
+    int top = -1;  // the largest bucket of class c
+    for (std::size_t c = 0; c + 1 < counts.size(); ++c) {
+      while (top + 1 < kBuckets &&
+             class_of_bucket_[static_cast<std::size_t>(top + 1)] <= c) {
+        ++top;
+      }
+      left.clear();
+      right.clear();
+      for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+        if (bucket[i] > top) left.push_back(i);
+      }
+      for (std::size_t i = bounds[c + 1]; i < n; ++i) {
+        if (bucket[i] <= top) right.push_back(i);
+      }
+      ParallelFor(&IntraQueryScheduler(), 0, left.size(), MorselGrain(),
+                  [&](std::size_t kb, std::size_t ke) {
+                    for (std::size_t k = kb; k < ke; ++k) {
+                      array_.SwapRows(begin + left[k], begin + right[k]);
+                      std::swap(bucket[left[k]], bucket[right[k]]);
+                    }
+                  });
+    }
+    for (std::size_t& b : bounds) b += begin;
+    return bounds;
+  }
+
+  /// Fills the histogram's row counts from the per-row bucket bytes (four
+  /// interleaved tallies, so consecutive rows of one bucket do not wait on
+  /// each other's increment).
+  static void CountBuckets(const std::uint8_t* bucket, std::size_t n,
+                           Histogram* hist) {
+    std::array<std::array<std::size_t, kBuckets>, 4> tally{};
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      for (std::size_t k = 0; k < 4; ++k) ++tally[k][bucket[i + k]];
+    }
+    for (; i < n; ++i) ++tally[0][bucket[i]];
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      (*hist)[b].count = tally[0][b] + tally[1][b] + tally[2][b] + tally[3][b];
+    }
+  }
+
+  /// A slice of `level` over rows `[begin, end)` with open value bounds:
+  /// the unrefined starting point of a root list or a child list.
+  static Slice OpenSlice(int level, std::size_t begin, std::size_t end) {
+    Slice s;
+    s.level = level;
+    s.begin = begin;
+    s.end = end;
+    s.lo = -std::numeric_limits<Scalar>::infinity();
+    s.hi = std::numeric_limits<Scalar>::infinity();
+    return s;
+  }
+
+  /// The per-row bucket bytes of `Initialize` (one byte per loaded row),
+  /// thread-local and kept between calls like the scan scratch: a fresh
+  /// row-sized allocation
+  /// right before the columns are re-reserved would land in the memory a
+  /// dropped index just freed and push the new columns onto fresh pages
+  /// (thousands of page faults on a 2^20-row load).
+  static std::vector<std::uint8_t>& BucketScratchTLS() {
+    static thread_local std::vector<std::uint8_t> scratch;
+    return scratch;
   }
 
   /// Rebuilds from the live set once tombstones dominate: the one O(n)
@@ -459,39 +795,45 @@ class QuasiiIndex final : public SpatialIndex<D> {
     Initialize();
   }
 
-  /// Drains the pending tail into the slice hierarchy: the tail becomes a
-  /// root-level slice with open value bounds that queries refine lazily,
-  /// exactly like initial data. While the previously promoted slice is
-  /// still unrefined (open bounds, no cracks, no children) the new tail
-  /// merges into it, so insert-heavy phases cannot grow the root list by
-  /// one slice per query.
+  /// Drains the pending tail into the slice hierarchies: the tail is
+  /// grouped by class (`GroupByClass`), and each class's piece
+  /// becomes a root-level slice of that class with open value bounds that
+  /// queries refine lazily, exactly like initial data. While a class's
+  /// previously promoted slice is still unrefined (open bounds, no cracks,
+  /// no children) and ends where the new piece begins, the piece merges
+  /// into it, so insert-heavy phases cannot grow a root list by one slice
+  /// per query.
   void AbsorbPending() {
     const std::size_t begin = array_.pending_begin();
     const std::size_t end = array_.size();
     if (begin == end) return;
-    constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
-    if (!root_.empty()) {
-      Slice& last = root_.back();
-      if (last.end == begin && last.children.empty() && !last.frozen &&
-          last.lo == -kInf && last.hi == kInf) {
-        last.end = end;
-        array_.SealPending();
-        return;
-      }
+    std::vector<std::uint8_t> bucket(end - begin);
+    std::vector<std::size_t> counts(classes_.size(), 0);
+    for (std::size_t i = begin; i < end; ++i) {
+      bucket[i - begin] = static_cast<std::uint8_t>(BucketOf(array_.box(i)));
+      ++counts[class_of_bucket_[bucket[i - begin]]];
     }
-    Slice tail;
-    tail.level = 0;
-    tail.begin = begin;
-    tail.end = end;
-    tail.lo = -kInf;
-    tail.hi = kInf;
-    root_.push_back(std::move(tail));
+    const std::vector<std::size_t> ends =
+        GroupByClass(begin, bucket.data(), counts);
+    constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      if (ends[c] == ends[c + 1]) continue;
+      std::vector<Slice>& root = classes_[c].root;
+      if (!root.empty()) {
+        Slice& last = root.back();
+        if (last.end == ends[c] && last.children.empty() && !last.frozen &&
+            last.lo == -kInf && last.hi == kInf) {
+          last.end = ends[c + 1];
+          continue;
+        }
+      }
+      root.push_back(OpenSlice(0, ends[c], ends[c + 1]));
+    }
     array_.SealPending();
   }
 
-  static std::array<std::size_t, D> ThresholdsFor(std::size_t n,
-                                                  std::size_t leaf_threshold) {
-    std::array<std::size_t, D> out{};
+  static Thresholds ThresholdsFor(std::size_t n, std::size_t leaf_threshold) {
+    Thresholds out{};
     const double tau = static_cast<double>(leaf_threshold);
     const double rho = n > leaf_threshold
                            ? std::pow(static_cast<double>(n) / tau, 1.0 / D)
@@ -503,10 +845,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
       t *= rho;
     }
     return out;
-  }
-
-  void ComputeThresholds(std::size_t n) {
-    threshold_ = ThresholdsFor(n, params_.leaf_threshold);
   }
 
   /// Preorder slice serialization: per slice its range, value interval,
@@ -522,6 +860,27 @@ class QuasiiIndex final : public SpatialIndex<D> {
       w->U8(s.frozen ? 1 : 0);
       EncodeSlices(s.children, w);
     }
+  }
+
+  /// Decodes the crack-array columns and the class table. Checks only what
+  /// decoding itself needs (a class count and slice lists the input can
+  /// hold); `CheckClassTable` validates the result.
+  bool DecodeClasses(ByteReader* r) {
+    if (!array_.DecodeFrom(r)) return false;
+    constexpr std::size_t kMinClassBytes = (D + 1) * sizeof(Scalar) + 8;
+    const std::uint64_t count = r->U64();
+    if (!r->ok() || count == 0 || count > kBuckets ||
+        count > r->remaining() / kMinClassBytes) {
+      return false;
+    }
+    classes_.assign(static_cast<std::size_t>(count), ExtentClass{});
+    for (ExtentClass& c : classes_) {
+      c.bound = r->F();
+      for (int d = 0; d < D; ++d) c.half_extent[d] = r->F();
+      if (!DecodeSlices(r, /*level=*/0, array_.size(), &c.root)) return false;
+    }
+    IndexBuckets();
+    return true;
   }
 
   /// Decodes one slice list, validating as it goes: ranges inside
@@ -550,54 +909,116 @@ class QuasiiIndex final : public SpatialIndex<D> {
     return true;
   }
 
-  /// Structural slice-tree validation: a sibling list tiles `[begin, end)`
-  /// contiguously and in position order; children sit one level deeper and
-  /// tile their parent; every row of a slice has its key inside the
-  /// slice's value interval — except the parked-dead slices
-  /// (`lo == hi == +inf`), which must hold only tombstoned rows.
-  bool CheckSlices(const std::vector<Slice>& slices, std::size_t begin,
-                   std::size_t end, int level, std::string* why) const {
-    constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
-    std::size_t pos = begin;
-    for (const Slice& s : slices) {
-      if (s.level != level || s.begin != pos || s.end < s.begin ||
-          s.end > end) {
-        if (why) *why = "quasii: slice list does not tile its range";
-        return false;
+  /// The class-table invariants that keep answers correct, checked against
+  /// the array alone (so snapshot decoding runs them before trusting a
+  /// blob): at least one class; bounds strictly increasing, the last +inf;
+  /// every half extent finite and non-negative; the root slices of all
+  /// classes together tiling the structured prefix `[0, pending_begin)`;
+  /// and every live row — pending tail included — in the class `ClassOf`
+  /// names for it and within that class's half extent in every dimension.
+  /// Fills `live` with each class's live-row count.
+  bool CheckClassTable(std::vector<std::size_t>* live,
+                       std::string* why) const {
+    const auto fail = [why](const char* msg) {
+      if (why) *why = msg;
+      return false;
+    };
+    if (classes_.empty()) return fail("quasii: no extent class");
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      const ExtentClass& cls = classes_[c];
+      const bool last = c + 1 == classes_.size();
+      if (last ? cls.bound != std::numeric_limits<Scalar>::infinity()
+               : !(cls.bound > 0 && cls.bound < classes_[c + 1].bound)) {
+        return fail("quasii: extent class bounds out of order");
       }
-      pos = s.end;
-      const bool parked_dead = s.lo == kInf && s.hi == kInf;
-      if (!parked_dead && s.lo > s.hi) {
-        if (why) *why = "quasii: inverted slice value interval";
-        return false;
-      }
-      for (std::size_t i = s.begin; i < s.end; ++i) {
-        if (parked_dead) {
-          if (array_.live(i)) {
-            if (why) *why = "quasii: live row in a parked-dead slice";
-            return false;
-          }
-          continue;
+      for (int d = 0; d < D; ++d) {
+        if (!std::isfinite(cls.half_extent[d]) || cls.half_extent[d] < 0) {
+          return fail("quasii: extent class half extent invalid");
         }
-        const Scalar k = array_.key(level, i);
-        if (!(k >= s.lo && k < s.hi) && !(s.lo == s.hi && k == s.lo)) {
-          if (why) *why = "quasii: row key outside its slice interval";
+      }
+      for (const Slice& s : cls.root) ranges.emplace_back(s.begin, s.end);
+    }
+    std::sort(ranges.begin(), ranges.end());
+    bool tiled = true;
+    std::size_t pos = 0;
+    for (const auto& range : ranges) {
+      tiled = tiled && range.first == pos;
+      pos = range.second;
+    }
+    if (!tiled || pos != array_.pending_begin()) {
+      return fail("quasii: class ranges do not tile the structured prefix");
+    }
+    live->assign(classes_.size(), 0);
+    const auto check_row = [&](std::size_t c, std::size_t i) {
+      if (!array_.live(i)) return true;
+      const Box<D> b = array_.box(i);
+      if (ClassOf(b) != c) return false;
+      for (int d = 0; d < D; ++d) {
+        if (!(b.Extent(d) / 2 <= classes_[c].half_extent[d])) return false;
+      }
+      ++(*live)[c];
+      return true;
+    };
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      for (const Slice& s : classes_[c].root) {
+        for (std::size_t i = s.begin; i < s.end; ++i) {
+          if (!check_row(c, i)) {
+            return fail("quasii: live row outside its extent class");
+          }
+        }
+      }
+    }
+    for (std::size_t i = array_.pending_begin(); i < array_.size(); ++i) {
+      if (array_.live(i) && !check_row(ClassOf(array_.box(i)), i)) {
+        return fail("quasii: pending row outside its extent class");
+      }
+    }
+    return true;
+  }
+
+  /// Structural validation of one slice and its subtree: a non-inverted
+  /// value interval; every row's key inside it — except the parked-dead
+  /// slices (`lo == hi == +inf`), which must hold only tombstoned rows;
+  /// and children one level deeper that tile their parent contiguously and
+  /// in position order.
+  bool CheckSlice(const Slice& s, int level, std::string* why) const {
+    constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+    if (s.level != level || s.end < s.begin || s.end > array_.size()) {
+      if (why) *why = "quasii: slice list does not tile its range";
+      return false;
+    }
+    const bool parked_dead = s.lo == kInf && s.hi == kInf;
+    if (!parked_dead && s.lo > s.hi) {
+      if (why) *why = "quasii: inverted slice value interval";
+      return false;
+    }
+    for (std::size_t i = s.begin; i < s.end; ++i) {
+      if (parked_dead) {
+        if (array_.live(i)) {
+          if (why) *why = "quasii: live row in a parked-dead slice";
           return false;
         }
+        continue;
       }
-      if (!s.children.empty() &&
-          !CheckSlices(s.children, s.begin, s.end, level + 1, why)) {
-        return false;
-      }
-      if (!s.children.empty() &&
-          (s.children.front().begin != s.begin ||
-           s.children.back().end != s.end)) {
-        if (why) *why = "quasii: children do not cover their parent";
+      const Scalar k = array_.key(level, i);
+      if (!(k >= s.lo && k < s.hi) && !(s.lo == s.hi && k == s.lo)) {
+        if (why) *why = "quasii: row key outside its slice interval";
         return false;
       }
     }
-    if (pos != end) {
-      if (why) *why = "quasii: slice list does not cover its range";
+    if (s.children.empty()) return true;
+    std::size_t pos = s.begin;
+    for (const Slice& child : s.children) {
+      if (child.begin != pos) {
+        if (why) *why = "quasii: slice list does not tile its range";
+        return false;
+      }
+      if (!CheckSlice(child, level + 1, why)) return false;
+      pos = child.end;
+    }
+    if (pos != s.end) {
+      if (why) *why = "quasii: children do not cover their parent";
       return false;
     }
     return true;
@@ -618,12 +1039,20 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// position- and value-ordered, exactly tile the input slice, and live in
   /// this level's scratch buffer (valid until the next same-level `Refine`).
   ///
+  /// `limit` is the level threshold of the slice's extent class.
+  ///
   /// When the array carries tombstones, the dead rows of the slice are
   /// first swept behind the live ones and parked in a frozen slice whose
   /// empty value interval (`lo == hi == +inf`) no traversal ever enters —
   /// cracking compacts erased objects out of the hot range in passing.
-  std::vector<Slice>& Refine(Slice s, const Box<D>& ext) {
+  std::vector<Slice>& Refine(Slice s, const Box<D>& ext, std::size_t limit) {
     const int d = s.level;
+    // The cracks below move rows between the pieces, so any children
+    // describe rows that are no longer theirs. Only a join descent can
+    // leave children on an oversized slice: its pair walk and its
+    // refinement intervals round `lo - h`/`hi + h` differently, so a pair
+    // one float step apart may be walked unrefined.
+    s.children.clear();
     const Scalar qlo = ext.lo[d];
     const Scalar qhi = ext.hi[d];
     std::vector<Slice>& out = refine_scratch_[static_cast<std::size_t>(d)];
@@ -674,44 +1103,44 @@ class QuasiiIndex final : public SpatialIndex<D> {
       s.end = pos;
       s.hi = qhi;
     }
-    SplitToThreshold(std::move(s), &out);
+    SplitToThreshold(std::move(s), limit, &out);
     if (have_right) out.push_back(std::move(right));
     if (have_dead) out.push_back(std::move(dead));
     return out;
   }
 
-  /// Halves a slice at its median key until every piece is at most the level
-  /// threshold. Serial executions run the iterative worklist; with intra-
-  /// query workers, large slices fan out as a recursive task tree whose two
-  /// halves split concurrently (disjoint row ranges, so the median splits
-  /// never touch the same rows). Which splits happen — and therefore the
-  /// crack counters and the physical layout — depends only on the data, not
-  /// on the worker count: both paths perform the identical split sequence,
-  /// the parallel one merely re-orders the wall-clock and buffers the right
-  /// half so pieces still emit in left-to-right order. A run of identical
-  /// keys that cannot be halved is frozen and accepted oversized (it can
-  /// still be sliced in later dimensions).
-  void SplitToThreshold(Slice s, std::vector<Slice>* out) {
+  /// Halves a slice at its median key until every piece is at most `limit`
+  /// (its class's level threshold). Serial executions run the iterative
+  /// worklist; with intra-query workers, large slices fan out as a
+  /// recursive task tree whose two halves split concurrently (disjoint row
+  /// ranges, so the median splits never touch the same rows). Which splits
+  /// happen — and therefore the crack counters and the physical layout —
+  /// depends only on the data, not on the worker count: both paths perform
+  /// the identical split sequence, the parallel one merely re-orders the
+  /// wall-clock and buffers the right half so pieces still emit in
+  /// left-to-right order. A run of identical keys that cannot be halved is
+  /// frozen and accepted oversized (it can still be sliced in later
+  /// dimensions).
+  void SplitToThreshold(Slice s, std::size_t limit, std::vector<Slice>* out) {
     if (s.size() == 0) return;
     TaskScheduler& exec = IntraQueryScheduler();
     if (exec.parallel() && s.size() >= kParallelSplitMin) {
       QueryStats local;
-      SplitRecursive(std::move(s), out, &local, &exec);
+      SplitRecursive(std::move(s), limit, out, &local, &exec);
       this->Stats().cracks += local.cracks;
       this->Stats().objects_moved += local.objects_moved;
       return;
     }
-    SplitIterative(std::move(s), out, &this->Stats(), &split_stack_);
+    SplitIterative(std::move(s), limit, out, &this->Stats(), &split_stack_);
   }
 
   /// The classic worklist form (left-to-right emission, no recursion).
   /// Counters land in `st` so parallel tasks can accumulate task-locally
   /// and merge into the caller's shard afterwards; `stack` is caller-owned
   /// because the member worklist cannot be shared across concurrent tasks.
-  void SplitIterative(Slice s, std::vector<Slice>* out, QueryStats* st,
-                      std::vector<Slice>* stack) {
+  void SplitIterative(Slice s, std::size_t limit, std::vector<Slice>* out,
+                      QueryStats* st, std::vector<Slice>* stack) {
     const int d = s.level;
-    const std::size_t limit = threshold_[static_cast<std::size_t>(d)];
     stack->clear();
     stack->push_back(std::move(s));
     while (!stack->empty()) {
@@ -753,17 +1182,16 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// half's buffered pieces — so the emitted order equals the iterative
   /// worklist's. Small subranges drop back to `SplitIterative` with a local
   /// stack, bounding the recursion depth at log2(n / kParallelSplitMin).
-  void SplitRecursive(Slice t, std::vector<Slice>* out, QueryStats* st,
-                      TaskScheduler* exec) {
+  void SplitRecursive(Slice t, std::size_t limit, std::vector<Slice>* out,
+                      QueryStats* st, TaskScheduler* exec) {
     const int d = t.level;
-    const std::size_t limit = threshold_[static_cast<std::size_t>(d)];
     if (t.size() <= limit) {
       out->push_back(std::move(t));
       return;
     }
     if (t.size() < kParallelSplitMin) {
       std::vector<Slice> stack;
-      SplitIterative(std::move(t), out, st, &stack);
+      SplitIterative(std::move(t), limit, out, st, &stack);
       return;
     }
     const auto split = array_.MedianSplit(t.begin, t.end, d);
@@ -790,10 +1218,10 @@ class QuasiiIndex final : public SpatialIndex<D> {
     QueryStats right_stats;
     {
       TaskScheduler::Group g(exec);
-      g.Run([this, rest, &right_out, &right_stats, exec]() mutable {
-        SplitRecursive(std::move(rest), &right_out, &right_stats, exec);
+      g.Run([this, rest, limit, &right_out, &right_stats, exec]() mutable {
+        SplitRecursive(std::move(rest), limit, &right_out, &right_stats, exec);
       });
-      SplitRecursive(std::move(left), out, st, exec);
+      SplitRecursive(std::move(left), limit, out, st, exec);
       g.Wait();
     }
     st->cracks += right_stats.cracks;
@@ -809,14 +1237,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
   void Visit(std::vector<Slice>* slices, const BoxExec& ctx, const Box<D>& ext,
              unsigned covered) {
     const int d = slices->front().level;
+    const std::size_t limit = (*ctx.threshold)[static_cast<std::size_t>(d)];
     std::vector<Slice>& rebuilt = visit_scratch_[static_cast<std::size_t>(d)];
     bool rebuilding = false;
     for (std::size_t i = 0; i < slices->size(); ++i) {
       Slice& s = (*slices)[i];
       const bool outside =
           s.size() == 0 || s.lo >= ext.hi[d] || s.hi <= ext.lo[d];
-      if (!outside && s.size() > threshold_[static_cast<std::size_t>(d)] &&
-          !s.frozen) {
+      if (!outside && s.size() > limit && !s.frozen) {
         if (!rebuilding) {
           rebuilding = true;
           rebuilt.clear();
@@ -825,7 +1253,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
             rebuilt.push_back(std::move((*slices)[j]));
           }
         }
-        std::vector<Slice>& pieces = Refine(std::move(s), ext);
+        std::vector<Slice>& pieces = Refine(std::move(s), ext, limit);
         for (Slice& piece : pieces) {
           Process(&piece, ctx, ext, covered);
           rebuilt.push_back(std::move(piece));
@@ -940,13 +1368,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// non-leaf.
   void EnsureChild(Slice* s) {
     if (!s->children.empty()) return;
-    Slice child;
-    child.level = s->level + 1;
-    child.begin = s->begin;
-    child.end = s->end;
-    child.lo = -std::numeric_limits<Scalar>::infinity();
-    child.hi = std::numeric_limits<Scalar>::infinity();
-    s->children.push_back(std::move(child));
+    s->children.push_back(OpenSlice(s->level + 1, s->begin, s->end));
   }
 
   /// The value intervals of one level's live slices — the crack targets the
@@ -969,10 +1391,13 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// descent would (crack at the interval bounds, median-split the covered
   /// middle to threshold), but without scanning anything. Must be called on
   /// the index that owns `slices` (it uses that index's array, thresholds,
-  /// scratch, and stats shard).
-  void RefineForJoin(std::vector<Slice>* slices, Scalar lo, Scalar hi) {
+  /// scratch, and stats shard); `threshold` is the thresholds of the
+  /// extent class the slices belong to.
+  void RefineForJoin(std::vector<Slice>* slices, Scalar lo, Scalar hi,
+                     const Thresholds& threshold) {
     if (slices->empty()) return;
     const int d = slices->front().level;
+    const std::size_t limit = threshold[static_cast<std::size_t>(d)];
     Box<D> ext = Box<D>::Infinite();
     ext.lo[d] = lo;
     ext.hi[d] = hi;
@@ -981,8 +1406,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     for (std::size_t i = 0; i < slices->size(); ++i) {
       Slice& s = (*slices)[i];
       const bool outside = s.size() == 0 || s.lo >= hi || s.hi <= lo;
-      if (!outside && s.size() > threshold_[static_cast<std::size_t>(d)] &&
-          !s.frozen) {
+      if (!outside && s.size() > limit && !s.frozen) {
         if (!rebuilding) {
           rebuilding = true;
           rebuilt.clear();
@@ -991,7 +1415,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
             rebuilt.push_back(std::move((*slices)[j]));
           }
         }
-        std::vector<Slice>& pieces = Refine(std::move(s), ext);
+        std::vector<Slice>& pieces = Refine(std::move(s), ext, limit);
         for (Slice& piece : pieces) {
           rebuilt.push_back(std::move(piece));
         }
@@ -1013,17 +1437,19 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// self-join refine once instead of twice. Then every overlapping slice
   /// pair is walked: leaf pairs scan, inner pairs descend into their child
   /// lists. Two slices can hold intersecting objects only when their value
-  /// intervals come within the combined half extents `h` of each other —
-  /// and `sa.hi > sb.lo - h && sb.hi > sa.lo - h` is false for the parked
-  /// dead slices (`lo == hi == +inf`), so they are skipped for free. On a
-  /// self-join over one list the inner walk starts at `j = i`: the pair
-  /// (slice_i, slice_j) already covers both orientations after the
-  /// emitter's normalization, so `j < i` would only produce duplicates.
-  void JoinVisit(QuasiiIndex<D>* other, std::vector<Slice>* mine,
-                 std::vector<Slice>* theirs, JoinEmitter& emit) {
+  /// intervals come within the class pair's summed half extents `h` of
+  /// each other — and `sa.hi > sb.lo - h && sb.hi > sa.lo - h` is false
+  /// for the parked dead slices (`lo == hi == +inf`), so they are skipped
+  /// for free. On a self-join over one list the inner walk starts at
+  /// `j = i`: the pair (slice_i, slice_j) already covers both orientations
+  /// after the emitter's normalization, so `j < i` would only produce
+  /// duplicates.
+  void JoinVisit(QuasiiIndex<D>* other, const JoinClassPair& pair,
+                 std::vector<Slice>* mine, std::vector<Slice>* theirs,
+                 JoinEmitter& emit) {
     if (mine->empty() || theirs->empty()) return;
     const int d = mine->front().level;
-    const Scalar h = half_extent_[d] + other->half_extent_[d];
+    const Scalar h = pair.h[d];
     const bool same_list = (mine == theirs);
     const std::vector<std::pair<Scalar, Scalar>> their_iv =
         SliceIntervals(*theirs);
@@ -1031,14 +1457,15 @@ class QuasiiIndex final : public SpatialIndex<D> {
       const std::vector<std::pair<Scalar, Scalar>> my_iv =
           SliceIntervals(*mine);
       for (const auto& iv : their_iv) {
-        RefineForJoin(mine, iv.first - h, iv.second + h);
+        RefineForJoin(mine, iv.first - h, iv.second + h, *pair.mine);
       }
       for (const auto& iv : my_iv) {
-        other->RefineForJoin(theirs, iv.first - h, iv.second + h);
+        other->RefineForJoin(theirs, iv.first - h, iv.second + h,
+                             *pair.theirs);
       }
     } else {
       for (const auto& iv : their_iv) {
-        RefineForJoin(mine, iv.first - h, iv.second + h);
+        RefineForJoin(mine, iv.first - h, iv.second + h, *pair.mine);
       }
     }
     // Leaf level with intra-query workers: the remaining work is pure
@@ -1076,7 +1503,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
         } else {
           EnsureChild(&sa);
           other->EnsureChild(&sb);
-          JoinVisit(other, &sa.children, &sb.children, emit);
+          JoinVisit(other, pair, &sa.children, &sb.children, emit);
         }
       }
     }
@@ -1174,12 +1601,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
 
   Params params_;
   bool initialized_ = false;
-  /// Shared structure-of-arrays cracking core (keys, ids, bounds, live).
+  /// Shared structure-of-arrays cracking core (ids, bounds, live).
   CrackArray<D> array_;
-  Point<D> half_extent_{};
-  std::array<std::size_t, D> threshold_{};
-  /// Level-0 slices, ordered by array position (== key order).
-  std::vector<Slice> root_;
+  /// The extent classes, in increasing `bound` order (at least one once
+  /// initialized). Each class's half extents widen the queries that
+  /// descend its slices; see `ExtentClass`.
+  std::vector<ExtentClass> classes_;
+  /// Size bucket → class (`ClassOf`), rebuilt whenever the classes are.
+  std::array<std::uint8_t, kBuckets> class_of_bucket_{};
   /// Reusable buffers: `SplitToThreshold`'s worklist (never live across a
   /// descend) and per-level scratch for `Refine` output / `Visit` rebuilds
   /// (a level's buffer is only reused by the next same-level call, after the

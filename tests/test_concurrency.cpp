@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,6 +28,7 @@
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/spatial_index.h"
+#include "datagen/synthetic.h"
 #include "geometry/box.h"
 #include "grid/grid_index.h"
 #include "mosaic/mosaic_index.h"
@@ -552,6 +554,129 @@ void TestQuasiiConvergedForTracksRefinementAndMutations() {
   CHECK(!index.ConvergedFor(KNearestQuery<3>(universe.Center(), 4)));
 }
 
+/// Skewed extents: converged shared-mode reads whose answers span both of
+/// QUASII's extent classes run beside a writer inserting large objects,
+/// which land in the large-object class and widen its half extent. Each
+/// read must return its initial answer plus only inserted objects that
+/// match it; the final state must match a brute-force pass.
+void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
+  quasii::datagen::UniformDatasetParams dp;
+  dp.count = 8000;
+  dp.universe_size = 1000;
+  dp.seed = 43;
+  const Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
+  QuasiiIndex<3>::Params params;
+  params.leaf_threshold = 64;
+  QuasiiIndex<3> index(data, params);
+  Box3 universe;
+  for (int d = 0; d < 3; ++d) {
+    universe.lo[d] = 0;
+    universe.hi[d] = 1000;
+  }
+  Rng rng(47);
+  std::vector<Box3> reads;
+  for (int i = 0; i < 48; ++i) {
+    reads.push_back(RandomBox<3>(&rng, universe, 0.3));
+  }
+  const auto brute = [](const std::vector<Box3>& boxes, ObjectId first,
+                        const Box3& q, std::vector<ObjectId>* out) {
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+      if (boxes[i].Intersects(q)) {
+        out->push_back(first + static_cast<ObjectId>(i));
+      }
+    }
+  };
+  const auto is_large = [](const Box3& b) {
+    Scalar side = 0;
+    for (int d = 0; d < 3; ++d) side = std::max(side, b.Extent(d));
+    return side > 16;
+  };
+  std::vector<std::vector<ObjectId>> expected(reads.size());
+  bool small_hit = false;
+  bool large_hit = false;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      std::vector<ObjectId> got;
+      VectorSink sink(&got);
+      index.Execute(RangeQuery<3>(reads[i]), sink);
+      if (pass == 1) CHECK(index.ConvergedFor(RangeQuery<3>(reads[i])));
+      std::sort(got.begin(), got.end());
+      expected[i].clear();
+      brute(data, 0, reads[i], &expected[i]);
+      CHECK(got == expected[i]);
+      for (const ObjectId id : got) {
+        (is_large(data[id]) ? large_hit : small_hit) = true;
+      }
+    }
+  }
+  CHECK_EQ(index.class_count(), 2u);
+  CHECK(small_hit && large_hit);
+
+  // Large inserts: sides 200-600, the later ones larger than any object so
+  // far, so the large class's half extent grows while reads run.
+  const ObjectId first = static_cast<ObjectId>(data.size());
+  std::vector<Box3> inserts;
+  for (int i = 0; i < 120; ++i) {
+    const double side = 200 + 4 * i;
+    Box3 b;
+    for (int d = 0; d < 3; ++d) {
+      const double centre = rng.Uniform(0, 1000);
+      b.lo[d] = static_cast<Scalar>(centre - side / 2);
+      b.hi[d] = static_cast<Scalar>(centre + side / 2);
+    }
+    inserts.push_back(b);
+  }
+  ThreadPool pool(kThreads);
+  std::atomic<int> bad{0};
+  for (int t = 0; t + 1 < kThreads; ++t) {
+    pool.Submit([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t k = 0; k < reads.size(); ++k) {
+          const std::size_t i =
+              (k + static_cast<std::size_t>(t) * 7) % reads.size();
+          std::vector<ObjectId> got;
+          VectorSink sink(&got);
+          index.Execute(RangeQuery<3>(reads[i]), sink);
+          std::sort(got.begin(), got.end());
+          std::vector<ObjectId> extra;
+          std::set_difference(got.begin(), got.end(), expected[i].begin(),
+                              expected[i].end(), std::back_inserter(extra));
+          if (got.size() != expected[i].size() + extra.size()) ++bad;
+          for (const ObjectId id : extra) {
+            if (id < first || id - first >= inserts.size() ||
+                !inserts[id - first].Intersects(reads[i])) {
+              ++bad;
+            }
+          }
+        }
+      }
+    });
+  }
+  pool.Submit([&] {
+    for (std::size_t k = 0; k < inserts.size(); ++k) {
+      if (!index.Insert(first + static_cast<ObjectId>(k), inserts[k])) ++bad;
+    }
+  });
+  pool.Wait();
+  CHECK_EQ(bad.load(), 0);
+
+  std::string why;
+  if (!index.CheckInvariants(&why)) {
+    std::fprintf(stderr, "CheckInvariants: %s\n", why.c_str());
+    CHECK(false);
+  }
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    std::vector<ObjectId> want;
+    brute(data, 0, reads[i], &want);
+    brute(inserts, first, reads[i], &want);
+    std::vector<ObjectId> got;
+    VectorSink sink(&got);
+    index.Execute(RangeQuery<3>(reads[i]), sink);
+    std::sort(got.begin(), got.end());
+    CHECK(got == want);
+  }
+}
+
 void TestStaticIndexesConvergeOnceBuilt() {
   Rng rng(41);
   const Box3 universe = MakeUniverse<3>();
@@ -609,6 +734,7 @@ int main() {
   RUN_TEST(TestBatchExecutorDeterministicAcrossPoolSizes);
   RUN_TEST(TestConcurrentReadWriteStreamsReachSequentialState);
   RUN_TEST(TestQuasiiConvergedForTracksRefinementAndMutations);
+  RUN_TEST(TestQuasiiSkewedExtentReadsBesideLargeInserts);
   RUN_TEST(TestStaticIndexesConvergeOnceBuilt);
   return 0;
 }

@@ -532,8 +532,9 @@ void TestQuasiiReinsertNoDuplicates() {
   CHECK_EQ(std::count(got.begin(), got.end(), id), 1);
 }
 
-/// The per-level thresholds re-derive from the live count as it grows and
-/// shrinks (the geometric progression follows the population).
+/// The per-level thresholds of every extent class re-derive from the
+/// class's live count as it grows and shrinks (each class's geometric
+/// progression follows its population).
 void TestQuasiiThresholdMaintenance() {
   Box3 universe = UnitCube(0, 100);
   Rng rng(6);
@@ -542,20 +543,37 @@ void TestQuasiiThresholdMaintenance() {
 
   std::vector<ObjectId> got;
   RangeQueryInto(index, UnitCube(10, 20), &got);
-  const std::size_t before = index.LevelThreshold(0);
-  CHECK_GT(before, index.LevelThreshold(2));
-  CHECK_EQ(index.LevelThreshold(2), 64u);
+  const auto level0 = [&index] {
+    std::vector<std::size_t> t;
+    for (std::size_t c = 0; c < index.class_count(); ++c) {
+      t.push_back(index.extent_class(c).threshold[0]);
+    }
+    return t;
+  };
+  const std::vector<std::size_t> before = level0();
+  std::size_t biggest = 0;
+  for (std::size_t c = 0; c < index.class_count(); ++c) {
+    CHECK_EQ(index.extent_class(c).threshold[2], 64u);
+    if (index.extent_class(c).live > index.extent_class(biggest).live) {
+      biggest = c;
+    }
+  }
+  CHECK_GT(before[biggest], 64u);
 
   for (int i = 0; i < 7000; ++i) {
     CHECK(index.Insert(static_cast<ObjectId>(2000 + i),
                        RandomBox<3>(&rng, universe, 0.05)));
   }
-  CHECK_GT(index.LevelThreshold(0), before);
+  const std::vector<std::size_t> grown = level0();
+  for (std::size_t c = 0; c < grown.size(); ++c) {
+    CHECK_GE(grown[c], before[c]);
+  }
+  CHECK(grown != before);
 
   for (int i = 0; i < 7000; ++i) {
     CHECK(index.Erase(static_cast<ObjectId>(2000 + i)));
   }
-  CHECK_EQ(index.LevelThreshold(0), before);
+  CHECK(level0() == before);
 }
 
 void CheckQuasiiInvariants(const QuasiiIndex<3>& index, const char* where) {

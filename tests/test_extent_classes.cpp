@@ -1,0 +1,423 @@
+// Extent-class routing tests for QUASII: the class derivation on the
+// datasets it must split (and the ones it must not), a differential run of
+// every query type, join, mutation, compaction and snapshot recovery against
+// the Scan oracle with `CheckInvariants` after every operation, and the
+// pinned counters that prove a single-class index keeps the one-hierarchy
+// layout bit for bit.
+
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/dataset.h"
+#include "common/query.h"
+#include "common/rng.h"
+#include "common/task_scheduler.h"
+#include "datagen/queries.h"
+#include "datagen/synthetic.h"
+#include "geometry/box.h"
+#include "persist/recovery.h"
+#include "persist/snapshot.h"
+#include "quasii/quasii_index.h"
+#include "scan/scan_index.h"
+#include "tests/test_util.h"
+
+namespace {
+
+using quasii::Box3;
+using quasii::ConjunctiveQuery;
+using quasii::ConjunctiveTerm;
+using quasii::CountQuery;
+using quasii::CountSink;
+using quasii::Dataset3;
+using quasii::IdPair;
+using quasii::JoinQuery;
+using quasii::KNearestQuery;
+using quasii::ObjectId;
+using quasii::Point;
+using quasii::PointQuery;
+using quasii::QuasiiIndex;
+using quasii::RangePredicate;
+using quasii::RangeQuery;
+using quasii::Rng;
+using quasii::Scalar;
+using quasii::ScanIndex;
+using quasii::SpatialIndex;
+using quasii::VectorPairSink;
+using quasii::VectorSink;
+
+constexpr Scalar kSpan = 2000;  // positions lie in [0, kSpan)^3
+
+QuasiiIndex<3>::Params LeafParams(std::size_t leaf_threshold) {
+  QuasiiIndex<3>::Params p;
+  p.leaf_threshold = leaf_threshold;
+  return p;
+}
+
+QuasiiIndex<3>::Params SmallParams() { return LeafParams(64); }
+
+/// A box centred uniformly in the position span with every side drawn from
+/// `[side_lo, side_hi]`.
+Box3 SizedBox(Rng* rng, double side_lo, double side_hi) {
+  Box3 b;
+  for (int d = 0; d < 3; ++d) {
+    const double side = rng->Uniform(side_lo, side_hi);
+    const double centre = rng->Uniform(0, kSpan);
+    b.lo[d] = static_cast<Scalar>(centre - side / 2);
+    b.hi[d] = static_cast<Scalar>(centre + side / 2);
+  }
+  return b;
+}
+
+/// The paper's synthetic data (1% large objects), at test size.
+Dataset3 PaperData(std::size_t n) {
+  quasii::datagen::UniformDatasetParams p;
+  p.count = n;
+  p.seed = 7;
+  return quasii::datagen::MakeUniformDataset(p);
+}
+
+/// The paper's generator with no large objects: every side is 1–10.
+Dataset3 HomogeneousData(std::size_t n) {
+  quasii::datagen::UniformDatasetParams p;
+  p.count = n;
+  p.large_fraction = 0;
+  p.seed = 8;
+  return quasii::datagen::MakeUniformDataset(p);
+}
+
+/// Three size modes (sides 1–10, 100–200 and 2000–4000). Indexed with a
+/// leaf threshold of 1 (`kThreeModeLeaf`), the leaf cells are fine enough
+/// that the middle mode's extent matters next to them, so each mode gets
+/// its own class.
+constexpr std::size_t kThreeModeLeaf = 1;
+
+Dataset3 ThreeModeData() {
+  Rng rng(9);
+  Dataset3 data;
+  for (int i = 0; i < 3000; ++i) data.push_back(SizedBox(&rng, 1, 10));
+  for (int i = 0; i < 3000; ++i) data.push_back(SizedBox(&rng, 100, 200));
+  for (int i = 0; i < 20; ++i) data.push_back(SizedBox(&rng, 2000, 4000));
+  return data;
+}
+
+/// Zero-extent points only.
+Dataset3 PointData(std::size_t n) {
+  Rng rng(10);
+  Dataset3 data;
+  for (std::size_t i = 0; i < n; ++i) data.push_back(SizedBox(&rng, 0, 0));
+  return data;
+}
+
+Box3 DataBounds(const Dataset3& data) {
+  Box3 u = Box3::Empty();
+  for (const Box3& b : data) u.ExpandToInclude(b);
+  return u;
+}
+
+/// A query box centred inside `u` with sides up to `frac` of its extent.
+Box3 QueryBox(Rng* rng, const Box3& u, double frac) {
+  Box3 q;
+  for (int d = 0; d < 3; ++d) {
+    const double span = static_cast<double>(u.hi[d]) - u.lo[d];
+    const double centre = rng->Uniform(u.lo[d], u.hi[d]);
+    const double half = span * rng->Uniform(0, frac) / 2;
+    q.lo[d] = static_cast<Scalar>(centre - half);
+    q.hi[d] = static_cast<Scalar>(centre + half);
+  }
+  return q;
+}
+
+void CheckInvariantsOrDie(const SpatialIndex<3>& index) {
+  std::string why;
+  if (!index.CheckInvariants(&why)) {
+    std::fprintf(stderr, "CheckInvariants: %s\n", why.c_str());
+    CHECK(false);
+  }
+}
+
+std::vector<ObjectId> Sorted(std::vector<ObjectId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+template <typename QueryT>
+std::vector<ObjectId> Ids(SpatialIndex<3>& index, const QueryT& query) {
+  std::vector<ObjectId> out;
+  VectorSink sink(&out);
+  index.Execute(query, sink);
+  return out;
+}
+
+std::vector<IdPair> Pairs(SpatialIndex<3>& left, SpatialIndex<3>& right) {
+  std::vector<IdPair> out;
+  VectorPairSink sink(&out);
+  left.Execute(JoinQuery<3>(right), sink);
+  return out;
+}
+
+std::string ArtifactPath(const std::string& name) {
+  static const std::string dir = [] {
+    char tmpl[] = "/tmp/quasii_extent_classes_XXXXXX";
+    const char* made = ::mkdtemp(tmpl);
+    CHECK(made != nullptr);
+    return std::string(made);
+  }();
+  return dir + "/" + name;
+}
+
+/// One QUASII under test and its Scan oracle, mutated in lockstep.
+struct Subject {
+  std::unique_ptr<QuasiiIndex<3>> quasii;
+  ScanIndex<3> scan;
+  QuasiiIndex<3>::Params params;
+
+  Subject(const Dataset3& d, const QuasiiIndex<3>::Params& params)
+      : quasii(std::make_unique<QuasiiIndex<3>>(d, params)),
+        scan(d),
+        params(params) {}
+
+  void Insert(ObjectId id, const Box3& b) {
+    CHECK(quasii->Insert(id, b));
+    CHECK(scan.Insert(id, b));
+    CheckInvariantsOrDie(*quasii);
+  }
+  void Erase(ObjectId id) {
+    CHECK(quasii->Erase(id));
+    CHECK(scan.Erase(id));
+    CheckInvariantsOrDie(*quasii);
+  }
+};
+
+/// Every id-producing query type on one box, checked against the oracle.
+void CheckQueries(Subject* p, Rng* rng, const Box3& u) {
+  QuasiiIndex<3>& q = *p->quasii;
+  const Box3 box = QueryBox(rng, u, 0.3);
+  for (const RangePredicate pred :
+       {RangePredicate::kIntersects, RangePredicate::kContains,
+        RangePredicate::kContainedBy}) {
+    CHECK(Sorted(Ids(q, RangeQuery<3>(box, pred))) ==
+          Sorted(Ids(p->scan, RangeQuery<3>(box, pred))));
+    CheckInvariantsOrDie(q);
+    CountSink got;
+    CountSink want;
+    q.Execute(CountQuery<3>(box, pred), got);
+    p->scan.Execute(CountQuery<3>(box, pred), want);
+    CHECK_EQ(got.count(), want.count());
+    CheckInvariantsOrDie(q);
+  }
+  const Point<3> pt = box.Center();
+  CHECK(Sorted(Ids(q, PointQuery<3>(pt))) ==
+        Sorted(Ids(p->scan, PointQuery<3>(pt))));
+  CheckInvariantsOrDie(q);
+  CHECK(Ids(q, KNearestQuery<3>(pt, 12)) ==
+        Ids(p->scan, KNearestQuery<3>(pt, 12)));
+  CheckInvariantsOrDie(q);
+  const std::vector<ConjunctiveTerm<3>> terms = {
+      {box, RangePredicate::kIntersects},
+      {QueryBox(rng, u, 0.5), RangePredicate::kContainedBy}};
+  CHECK(Sorted(Ids(q, ConjunctiveQuery<3>(terms))) ==
+        Sorted(Ids(p->scan, ConjunctiveQuery<3>(terms))));
+  CheckInvariantsOrDie(q);
+}
+
+/// Self-join, a join against a one-class QUASII, and a join against Scan —
+/// each against the matching Scan join.
+void CheckJoins(Subject* p) {
+  QuasiiIndex<3>& q = *p->quasii;
+  CHECK(Pairs(q, q) == Pairs(p->scan, p->scan));
+  CheckInvariantsOrDie(q);
+
+  const Dataset3 other_data = HomogeneousData(3000);
+  QuasiiIndex<3> one_class(other_data, SmallParams());
+  ScanIndex<3> other_scan(other_data);
+  CHECK(Pairs(q, one_class) == Pairs(p->scan, other_scan));
+  CHECK_EQ(one_class.class_count(), 1u);
+  CheckInvariantsOrDie(q);
+  CheckInvariantsOrDie(one_class);
+
+  CHECK(Pairs(q, other_scan) == Pairs(p->scan, other_scan));
+  CheckInvariantsOrDie(q);
+}
+
+/// The differential sequence: queries and joins, inserts that fit the
+/// smallest class and inserts larger than every class, a snapshot and
+/// recovery in the middle, then erases past the compaction point (which
+/// derives the classes afresh) — every step checked against Scan.
+void RunDifferential(const Dataset3& data, std::size_t want_classes,
+                     std::uint64_t seed,
+                     const QuasiiIndex<3>::Params& params = SmallParams()) {
+  Subject p(data, params);
+  const Box3 u = DataBounds(data);
+  Rng rng(seed);
+  CheckQueries(&p, &rng, u);
+  CHECK_EQ(p.quasii->class_count(), want_classes);
+  for (int i = 0; i < 5; ++i) CheckQueries(&p, &rng, u);
+  CheckJoins(&p);
+
+  // Inserts into the smallest class, then inserts larger than any class
+  // admits (they widen the last class).
+  ObjectId next = static_cast<ObjectId>(data.size());
+  const std::size_t last = want_classes - 1;
+  const std::size_t small_before = p.quasii->extent_class(0).live;
+  const std::size_t last_before = p.quasii->extent_class(last).live;
+  const double small_side =
+      std::min<double>(p.quasii->extent_class(0).bound, 8);
+  const double huge = 2.0 * (u.hi[0] - u.lo[0]) + 16;
+  for (int i = 0; i < 60; ++i) {
+    Box3 b = SizedBox(&rng, small_side / 2, small_side);
+    if (i % 3 == 0) b = SizedBox(&rng, huge, huge * 1.5);
+    p.Insert(next++, b);
+    if (i % 10 == 9) CheckQueries(&p, &rng, u);
+  }
+  if (last > 0) {
+    CHECK_EQ(p.quasii->extent_class(0).live, small_before + 40);
+    CHECK_EQ(p.quasii->extent_class(last).live, last_before + 20);
+  }
+  // The huge inserts widened the last class past any half extent the
+  // original data (inside `u`) can have.
+  CHECK_GT(p.quasii->extent_class(last).half_extent[0], huge / 4);
+
+  // Snapshot and recover mid-sequence; the recovered index carries on.
+  const std::string snap = ArtifactPath("differential.snapshot");
+  CHECK_EQ(quasii::persist::WriteSnapshot<3>(*p.quasii, snap),
+           quasii::persist::PersistError::kNone);
+  const std::size_t classes_before = p.quasii->class_count();
+  auto recovered = std::make_unique<QuasiiIndex<3>>(data, params);
+  const auto rec = quasii::persist::RecoverIndex<3>(recovered.get(), snap, "");
+  CHECK(rec.ok());
+  CHECK(rec.structure_restored);
+  CHECK_EQ(recovered->class_count(), classes_before);
+  p.quasii = std::move(recovered);
+  std::remove(snap.c_str());
+  CheckInvariantsOrDie(*p.quasii);
+  for (int i = 0; i < 3; ++i) CheckQueries(&p, &rng, u);
+
+  // Erase a third of the live set: the next query compacts, which derives
+  // the classes again from the survivors.
+  std::vector<ObjectId> live;
+  for (ObjectId id = 0; id < next; ++id) {
+    if (p.scan.store().alive(id)) live.push_back(id);
+  }
+  for (std::size_t i = 0; i < live.size(); i += 3) p.Erase(live[i]);
+  CheckQueries(&p, &rng, u);
+  CHECK_EQ(p.quasii->array().tombstones(), 0u);
+  for (int i = 0; i < 3; ++i) CheckQueries(&p, &rng, u);
+  CheckJoins(&p);
+}
+
+void TestPaperDataTwoClasses() { RunDifferential(PaperData(3000), 2, 11); }
+
+void TestHomogeneousDataOneClass() {
+  RunDifferential(HomogeneousData(3000), 1, 12);
+}
+
+void TestThreeModeDataThreeClasses() {
+  RunDifferential(ThreeModeData(), 3, 13, LeafParams(kThreeModeLeaf));
+}
+
+void TestPointDataOneClass() { RunDifferential(PointData(3000), 1, 14); }
+
+/// The class routing under intra-query parallelism: leaf scans of every
+/// class fan out as one job list, and the join's leaf pairs too.
+void TestPaperDataTwoClassesParallel() {
+  quasii::SetIntraQueryThreads(4);
+  RunDifferential(PaperData(3000), 2, 15);
+  quasii::SetIntraQueryThreads(1);
+}
+
+/// The class derivation: the paper's data splits once, at a largest side
+/// of 2^4 (the 99% of objects with sides 1–10 against the 1% with sides up
+/// to 1000), and each class's half extents are its own members' maxima.
+void TestPaperClassesSplitAtSixteen() {
+  const Dataset3 data = PaperData(1 << 16);
+  QuasiiIndex<3> index(data);
+  std::vector<ObjectId> got;
+  RangeQueryInto(index, DataBounds(data), &got);
+  CHECK_EQ(got.size(), data.size());
+  CHECK_EQ(index.class_count(), 2u);
+  CHECK_EQ(index.extent_class(0).bound, Scalar{16});
+  CHECK_EQ(index.extent_class(1).bound,
+           std::numeric_limits<Scalar>::infinity());
+  Point<3> half[2] = {};
+  std::size_t count[2] = {0, 0};
+  for (const Box3& b : data) {
+    Scalar side = 0;
+    for (int d = 0; d < 3; ++d) side = std::max(side, b.Extent(d));
+    const int c = side <= 16 ? 0 : 1;
+    ++count[c];
+    for (int d = 0; d < 3; ++d) {
+      half[c][d] = std::max(half[c][d], b.Extent(d) / 2);
+    }
+  }
+  for (int c = 0; c < 2; ++c) {
+    const auto& cls = index.extent_class(static_cast<std::size_t>(c));
+    CHECK_EQ(cls.live, count[c]);
+    for (int d = 0; d < 3; ++d) CHECK_EQ(cls.half_extent[d], half[c][d]);
+  }
+  CHECK_LE(index.extent_class(0).half_extent[0], Scalar{5});
+}
+
+/// FNV-1a over the id column: a fingerprint of the physical row order.
+std::uint64_t IdColumnHash(const QuasiiIndex<3>& index) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const ObjectId id : index.array().ids()) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (id >> (8 * byte)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// One class is the single-hierarchy layout: on data of one size (the
+/// paper's generator without large objects) a fixed 1000-query session
+/// cracks, moves and tests exactly what the one-hierarchy index did, and
+/// leaves the rows in the same order. The pinned values were recorded with
+/// the index before extent classes existed.
+void TestOneClassIsBitIdentical() {
+  quasii::datagen::UniformDatasetParams dp;
+  dp.count = 1 << 16;
+  dp.large_fraction = 0;
+  dp.seed = 3;
+  const Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
+  quasii::datagen::UniformQueryParams qp;
+  qp.count = 1000;
+  qp.selectivity = 1e-3;
+  qp.seed = 5;
+  const auto queries = quasii::datagen::MakeUniformQueries(
+      quasii::datagen::UniformUniverse(dp), qp);
+  QuasiiIndex<3> index(data);
+  std::vector<ObjectId> got;
+  for (const Box3& q : queries) {
+    got.clear();
+    RangeQueryInto(index, q, &got);
+  }
+  CHECK_EQ(index.class_count(), 1u);
+  const auto stats = index.stats();
+  CHECK_EQ(stats.cracks, 158u);
+  CHECK_EQ(stats.objects_moved, 700823u);
+  CHECK_EQ(stats.objects_tested, 2051216u);
+  CHECK_EQ(IdColumnHash(index), 14937905523912036199ull);
+}
+
+}  // namespace
+
+int main() {
+  RUN_TEST(TestOneClassIsBitIdentical);
+  RUN_TEST(TestPaperClassesSplitAtSixteen);
+  RUN_TEST(TestPaperDataTwoClasses);
+  RUN_TEST(TestHomogeneousDataOneClass);
+  RUN_TEST(TestThreeModeDataThreeClasses);
+  RUN_TEST(TestPointDataOneClass);
+  RUN_TEST(TestPaperDataTwoClassesParallel);
+  return 0;
+}

@@ -15,21 +15,27 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/dataset.h"
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/spatial_index.h"
+#include "datagen/synthetic.h"
 #include "geometry/box.h"
 #include "grid/grid_index.h"
 #include "mosaic/mosaic_index.h"
+#include "persist/crc32c.h"
 #include "persist/failpoint.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
@@ -44,6 +50,7 @@
 namespace {
 
 using quasii::Box;
+using quasii::ByteWriter;
 using quasii::Box3;
 using quasii::Dataset;
 using quasii::Dataset3;
@@ -602,9 +609,10 @@ void TestSnapshotCorruptionClassesRefused() {
     recover_expecting(PersistError::kBadMagic);
   }
 
-  // Unknown format version, and version 1 (written before the crack keys
-  // left QUASII's structure blob): refused, never misparsed.
-  for (const int version : {0x7F, 1}) {
+  // Unknown format version, version 1 (written before the crack keys left
+  // QUASII's structure blob) and version 2 (before the extent-class table
+  // entered it): refused, never misparsed.
+  for (const int version : {0x7F, 1, 2}) {
     std::string bad = good;
     bad[4] = static_cast<char>(version);
     DumpFile(snap, bad);
@@ -618,6 +626,198 @@ void TestSnapshotCorruptionClassesRefused() {
     recover_expecting(PersistError::kIndexKindMismatch);
   }
   RemoveArtifact(snap);
+}
+
+// ---------------------------------------------------------------------------
+// Extent classes in the snapshot
+
+/// The paper's synthetic data at test size: 1% large objects, so QUASII
+/// derives two extent classes.
+Dataset3 TwoClassData(std::size_t n) {
+  quasii::datagen::UniformDatasetParams p;
+  p.count = n;
+  p.universe_size = 2000;
+  p.seed = 17;
+  return quasii::datagen::MakeUniformDataset(p);
+}
+
+/// Snapshot file surgery: the payload's offset (after magic, format and
+/// length) and a rebuild that re-frames and re-CRCs an edited payload, so
+/// the edit reaches the decoder instead of failing the checksum.
+constexpr std::size_t kPayloadOffset = 16;
+
+std::string Reframe(const std::string& file, const std::string& payload) {
+  std::string out = file.substr(0, 8);
+  ByteWriter w(&out);
+  w.U64(payload.size());
+  w.Bytes(payload.data(), payload.size());
+  w.U32(quasii::persist::Crc32c(payload.data(), payload.size()));
+  return out;
+}
+
+/// A converged two-class QUASII recovers with its class table and replays
+/// its converging workload without a single crack.
+void TestTwoClassSnapshotConvergedZeroCracks() {
+  const Dataset3 data = TwoClassData(3000);
+  const Box3 universe = UnitCube(0, 2000);
+  const std::string snap = ArtifactPath("two_class.snapshot");
+  RemoveArtifact(snap);
+
+  QuasiiIndex<3> primary(data, SmallQuasiiParams());
+  Converge(&primary, universe, 51);
+  CHECK_EQ(primary.class_count(), 2u);
+  CHECK_GT(primary.stats().cracks, 0u);
+  CHECK_EQ(WriteSnapshot<3>(primary, snap), PersistError::kNone);
+
+  QuasiiIndex<3> recovered(data, SmallQuasiiParams());
+  const RecoveryResult rec = RecoverIndex<3>(&recovered, snap, "");
+  CHECK(rec.ok());
+  CHECK(rec.structure_restored);
+  CHECK_EQ(recovered.class_count(), 2u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    const auto& want = primary.extent_class(c);
+    const auto& got = recovered.extent_class(c);
+    CHECK_EQ(got.bound, want.bound);
+    CHECK_EQ(got.live, want.live);
+    CHECK(got.threshold == want.threshold);
+    CHECK_EQ(got.root.size(), want.root.size());
+    for (int d = 0; d < 3; ++d) {
+      CHECK_EQ(got.half_extent[d], want.half_extent[d]);
+    }
+  }
+  CheckInvariantsOrDie(&recovered);
+
+  recovered.ResetStats();
+  Converge(&recovered, universe, 51);
+  CHECK_EQ(recovered.stats().cracks, 0u);
+  CHECK_EQ(recovered.stats().objects_moved, 0u);
+  CheckSameResults(&primary, &recovered, universe, 52);
+  RemoveArtifact(snap);
+}
+
+/// QUASII's structure blob is [u8 initialized] [crack array] [u64 K] and
+/// per class [bound] [D half extents] [slice list]; the crack array is two
+/// u64 counts plus per row 2·D Scalars, a u32 id and a live byte. Returns
+/// the offset of class 0's first half extent.
+std::size_t FirstHalfExtentOffset(std::size_t rows) {
+  const std::size_t array_bytes = 16 + rows * (2 * 3 * sizeof(Scalar) + 5);
+  return 1 + array_bytes + 8 + sizeof(Scalar);
+}
+
+/// The blob validator: a CRC only proves the bytes were written, so each
+/// inconsistent class table is refused — by `DeserializeStructure` itself
+/// and, through a re-CRC'd snapshot, by recovery as a corrupt structure.
+void TestClassTableValidatorRefusesBlobs() {
+  const Dataset3 data = TwoClassData(2000);
+  const Box3 universe = UnitCube(0, 2000);
+  QuasiiIndex<3> primary(data, SmallQuasiiParams());
+  Converge(&primary, universe, 61);
+  CHECK_EQ(primary.class_count(), 2u);
+  std::string good;
+  ByteWriter gw(&good);
+  CHECK(primary.SerializeStructure(gw));
+  {
+    QuasiiIndex<3> fresh(data, SmallQuasiiParams());
+    CHECK(fresh.DeserializeStructure(good));
+    CheckInvariantsOrDie(&fresh);
+  }
+  const std::size_t half0 = FirstHalfExtentOffset(data.size());
+  const auto with_scalar = [&good](std::size_t offset, Scalar v) {
+    std::string bad = good;
+    std::memcpy(&bad[offset], &v, sizeof(Scalar));
+    return bad;
+  };
+  // Class 0's root list starts right after its half extents: the first
+  // root slice's `begin` (after the u64 slice count) moved off row 0
+  // leaves row 0 outside every class.
+  std::string untiled = good;
+  const std::uint64_t one = 1;
+  std::memcpy(&untiled[half0 + 3 * sizeof(Scalar) + 8], &one, 8);
+  const std::vector<std::pair<const char*, std::string>> bad_blobs = {
+      {"NaN half extent",
+       with_scalar(half0, std::numeric_limits<Scalar>::quiet_NaN())},
+      {"infinite half extent",
+       with_scalar(half0 + sizeof(Scalar),
+                   std::numeric_limits<Scalar>::infinity())},
+      {"negative half extent", with_scalar(half0 + 2 * sizeof(Scalar), -1)},
+      {"class ranges do not tile", untiled},
+      // Class 0 holds objects with sides >= 1: a zero half extent puts its
+      // live rows outside their class, which would drop answers.
+      {"live row beyond its class's half extent", with_scalar(half0, 0)},
+  };
+
+  const std::string snap = ArtifactPath("class_table.snapshot");
+  RemoveArtifact(snap);
+  CHECK_EQ(WriteSnapshot<3>(primary, snap), PersistError::kNone);
+  const std::string file = SlurpFile(snap);
+  const std::string payload = file.substr(kPayloadOffset, file.size() - 20);
+  // The structure blob is the payload's tail: [u64 length] [blob].
+  CHECK_EQ(payload.substr(payload.size() - good.size()), good);
+  const std::string head = payload.substr(0, payload.size() - good.size());
+  for (const auto& [what, blob] : bad_blobs) {
+    std::fprintf(stderr, "  refusing: %s\n", what);
+    QuasiiIndex<3> fresh(data, SmallQuasiiParams());
+    CHECK(!fresh.DeserializeStructure(blob));
+    CHECK(!fresh.initialized());
+
+    DumpFile(snap, Reframe(file, head + blob));
+    QuasiiIndex<3> recovered(data, SmallQuasiiParams());
+    CHECK_EQ(RecoverIndex<3>(&recovered, snap, "").error,
+             PersistError::kStructureCorrupt);
+  }
+  RemoveArtifact(snap);
+}
+
+/// A live slot whose box has a NaN or infinite coordinate is refused as
+/// corrupt even when the CRC matches, like `Insert` refuses such a box.
+void TestNonFiniteLiveBoxRefused() {
+  Rng rng(71);
+  const Dataset3 data = RandomDataset(&rng, UnitCube(0, 100), 50);
+  const std::string snap = ArtifactPath("non_finite.snapshot");
+  RemoveArtifact(snap);
+  QuasiiIndex<3> primary(data, SmallQuasiiParams());
+  CHECK_EQ(WriteSnapshot<3>(primary, snap), PersistError::kNone);
+  const std::string file = SlurpFile(snap);
+  std::string payload = file.substr(kPayloadOffset, file.size() - 20);
+  // Payload: u32 D, u32 scalar width, u64 lsn, str kind ("QUASII"),
+  // u64 slots, u64 live count, then slot 0's box (lo[0] first).
+  const std::size_t box0 = 4 + 4 + 8 + (8 + 6) + 8 + 8;
+  for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                           std::numeric_limits<Scalar>::infinity(),
+                           -std::numeric_limits<Scalar>::infinity()}) {
+    std::string edited = payload;
+    std::memcpy(&edited[box0 + sizeof(Scalar)], &bad, sizeof(Scalar));
+    DumpFile(snap, Reframe(file, edited));
+    QuasiiIndex<3> recovered(data, SmallQuasiiParams());
+    CHECK_EQ(RecoverIndex<3>(&recovered, snap, "").error,
+             PersistError::kSnapshotCorrupt);
+  }
+  // The untouched payload, re-framed the same way, still recovers.
+  DumpFile(snap, Reframe(file, payload));
+  QuasiiIndex<3> recovered(data, SmallQuasiiParams());
+  CHECK(RecoverIndex<3>(&recovered, snap, "").ok());
+  RemoveArtifact(snap);
+}
+
+/// Constructing an index over a dataset with a non-finite box is caller
+/// misuse and aborts, naming the id — checked in a forked child.
+void TestNonFiniteDatasetAborts() {
+  for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                           std::numeric_limits<Scalar>::infinity()}) {
+    const pid_t pid = fork();
+    CHECK_GE(pid, 0);
+    if (pid == 0) {
+      ::close(STDERR_FILENO);  // keep the expected diagnostic out of the log
+      Dataset3 data(4, UnitCube(1, 2));
+      data[2].hi[1] = bad;
+      ScanIndex<3> scan(data);
+      std::_Exit(0);  // constructed: the check is missing
+    }
+    int status = 0;
+    CHECK_EQ(waitpid(pid, &status, 0), pid);
+    CHECK(WIFSIGNALED(status));
+    CHECK_EQ(WTERMSIG(status), SIGABRT);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -790,6 +990,10 @@ int main() {
   RUN_TEST(TestWalDimensionMismatchRefused);
   RUN_TEST(TestWalReplayRejectedRefused);
   RUN_TEST(TestSnapshotCorruptionClassesRefused);
+  RUN_TEST(TestTwoClassSnapshotConvergedZeroCracks);
+  RUN_TEST(TestClassTableValidatorRefusesBlobs);
+  RUN_TEST(TestNonFiniteLiveBoxRefused);
+  RUN_TEST(TestNonFiniteDatasetAborts);
   RUN_TEST(TestFailPointRegistry);
   RUN_TEST(TestFsyncFailureIsTypedError);
   RUN_TEST(TestInjectedBitFlipRefused);

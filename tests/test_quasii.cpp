@@ -32,12 +32,14 @@ using quasii::Scalar;
 using quasii::ScanIndex;
 using quasii::Timer;
 
-/// Walks one level's slice list and recurses into children, verifying:
-/// sibling ranges tile the parent range in order, value intervals are
-/// ordered and contain their entries' keys, and any slice that has been
-/// descended into (has children) obeys its level threshold unless frozen.
+/// Walks one level's slice list of one extent class and recurses into
+/// children, verifying: sibling ranges tile the parent range in order, value
+/// intervals are ordered and contain their entries' keys, and any slice that
+/// has been descended into (has children) obeys its class's level threshold
+/// unless frozen.
 template <int D>
 void CheckSliceList(const QuasiiIndex<D>& index,
+                    const typename QuasiiIndex<D>::ExtentClass& cls,
                     const std::vector<typename QuasiiIndex<D>::Slice>& slices,
                     int level, std::size_t begin, std::size_t end) {
   std::size_t pos = begin;
@@ -56,8 +58,9 @@ void CheckSliceList(const QuasiiIndex<D>& index,
     }
     if (!s.children.empty()) {
       CHECK_LT(level, D - 1);
-      CHECK(s.frozen || s.size() <= index.LevelThreshold(level));
-      CheckSliceList(index, s.children, level + 1, s.begin, s.end);
+      CHECK(s.frozen ||
+            s.size() <= cls.threshold[static_cast<std::size_t>(level)]);
+      CheckSliceList(index, cls, s.children, level + 1, s.begin, s.end);
     }
   }
   CHECK_EQ(pos, end);
@@ -67,7 +70,16 @@ template <int D>
 void CheckInvariants(const QuasiiIndex<D>& index, std::size_t n) {
   const CrackArray<D>& array = index.array();
   CHECK_EQ(array.size(), n);
-  CheckSliceList(index, index.root_slices(), 0, 0, n);
+  // Without inserts, the classes own consecutive row ranges in class order,
+  // each tiled by its own value-ordered root slice list.
+  std::size_t pos = 0;
+  for (std::size_t c = 0; c < index.class_count(); ++c) {
+    const auto& cls = index.extent_class(c);
+    const std::size_t end = cls.root.empty() ? pos : cls.root.back().end;
+    CheckSliceList(index, cls, cls.root, 0, pos, end);
+    pos = end;
+  }
+  CHECK_EQ(pos, n);
   // Cracking permutes rows but never loses or duplicates them, and the key
   // columns stay consistent with the co-moved boxes.
   std::vector<bool> seen(n, false);
@@ -94,12 +106,21 @@ void TestThresholdProgression() {
   }
   std::vector<ObjectId> result;
   RangeQueryInto(index, q, &result);
-  // Geometric progression: leaf threshold tau, each level above rho times
-  // larger, D refinements from n down to tau.
-  CHECK_EQ(index.LevelThreshold(2), 1024u);
-  CHECK_GT(index.LevelThreshold(1), index.LevelThreshold(2));
-  CHECK_GT(index.LevelThreshold(0), index.LevelThreshold(1));
-  CHECK_LT(index.LevelThreshold(0), p.count);
+  // Geometric progression per extent class: leaf threshold tau, each level
+  // above rho times larger, D refinements from the class's live count down
+  // to tau. The paper's data has two classes; the small-object one holds
+  // 99% of the rows and so gets a strict progression.
+  CHECK_EQ(index.class_count(), 2u);
+  for (std::size_t c = 0; c < index.class_count(); ++c) {
+    const auto& t = index.extent_class(c).threshold;
+    CHECK_EQ(t[2], 1024u);
+    CHECK_GE(t[1], t[2]);
+    CHECK_GE(t[0], t[1]);
+  }
+  const auto& small = index.extent_class(0);
+  CHECK_GT(small.threshold[1], small.threshold[2]);
+  CHECK_GT(small.threshold[0], small.threshold[1]);
+  CHECK_LT(small.threshold[0], small.live);
 }
 
 void TestInvariantsAfterQueries() {

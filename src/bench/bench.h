@@ -11,9 +11,9 @@
 #include "bench/json.h"
 #include "bench/workload.h"
 #include "common/dataset.h"
-#include "common/executor.h"
 #include "common/query.h"
 #include "common/spatial_index.h"
+#include "common/task_scheduler.h"
 #include "common/timer.h"
 #include "datagen/neuro.h"
 #include "datagen/queries.h"
@@ -105,7 +105,7 @@ struct BenchConfig {
   std::size_t knn_k = 10;
   /// Concurrent driver threads. 1 = the classic sequential measurement;
   /// N > 1 splits the workload into N deterministic per-thread op streams
-  /// (disjoint id spaces) executed at once on a `ThreadPool`.
+  /// (disjoint id spaces) executed at once on a `TaskScheduler`.
   int threads = 1;
   /// WAL + snapshot persistence (off unless `wal_path` is set).
   DurabilityConfig durability;
@@ -421,10 +421,11 @@ inline IndexRun RunIndex(SpatialIndex<3>* index, const std::vector<Op3>& ops,
   return run;
 }
 
-/// Concurrent measurement: each per-thread op stream runs on its own pool
-/// worker against the shared index, with per-thread sinks and latency
-/// vectors. Per-op stats deltas are not recorded (counters are shared
-/// mid-run); the cumulative stats are read once after the pool drains. The
+/// Concurrent measurement: each per-thread op stream runs as one task of a
+/// scheduler with a thread per stream (the caller helps as the last one)
+/// against the shared index, with per-thread sinks and latency vectors.
+/// Per-op stats deltas are not recorded (counters are shared mid-run); the
+/// cumulative stats are read once after every stream has finished. The
 /// aggregate view concatenates/sums the thread sections, and `wall_ms` is
 /// the whole batch's wall clock — the throughput denominator.
 inline IndexRun RunIndexThreaded(SpatialIndex<3>* index,
@@ -438,10 +439,11 @@ inline IndexRun RunIndexThreaded(SpatialIndex<3>* index,
   index->ResetStats();
 
   run.per_thread.resize(streams.size());
-  ThreadPool pool(static_cast<int>(streams.size()));
+  TaskScheduler scheduler(static_cast<int>(streams.size()) - 1);
   Timer wall;
+  TaskScheduler::Group group(&scheduler);
   for (std::size_t t = 0; t < streams.size(); ++t) {
-    pool.Submit([index, &streams, &run, t] {
+    group.Run([index, &streams, &run, t] {
       ThreadRun& section = run.per_thread[t];
       section.thread = static_cast<int>(t);
       const std::vector<Op3>& ops = streams[t];
@@ -456,7 +458,7 @@ inline IndexRun RunIndexThreaded(SpatialIndex<3>* index,
       }
     });
   }
-  pool.Wait();
+  group.Wait();
   run.wall_ms = wall.Millis();
 
   for (const ThreadRun& section : run.per_thread) {

@@ -139,8 +139,11 @@ void ParseArgOrDie(const std::string& arg, BenchConfig* config,
     config->knn_k = static_cast<std::size_t>(k);
   } else if (flag.key == "threads") {
     std::int64_t t = 0;
-    if (!cli::ParseI64(value, &t) || t <= 0 || t >= quasii::kStatsSlots) {
-      Die(arg, "expected a positive integer below the stats-slot limit");
+    if (!cli::ParseI64(value, &t) || t <= 0 ||
+        t > quasii::TaskScheduler::kMaxThreads) {
+      Die(arg, ("expected an integer in [1, " +
+                std::to_string(quasii::TaskScheduler::kMaxThreads) + "]")
+                   .c_str());
     }
     config->threads = static_cast<int>(t);
   } else if (flag.key == "wal") {

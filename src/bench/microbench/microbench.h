@@ -113,12 +113,13 @@ struct ScalingPoint {
 };
 
 /// Measures aggregate query throughput of the (already converged) index at
-/// 1/2/4/8 pool threads: the read-only query stream, repeated to a
-/// measurable batch size, dispatched through `BatchExecutor` — so converged
-/// QUASII executions take the shared-lock path and scale with threads.
-/// Wall-clock only; the index's reported work counters were captured before
-/// this runs. Speedups are only meaningful on machines with that many
-/// hardware threads (the report records throughput, not a verdict).
+/// 1/2/4/8 batch threads (scheduler workers plus the helping caller): the
+/// read-only query stream, repeated to a measurable batch size, dispatched
+/// through `BatchExecutor` — so converged QUASII executions take the
+/// shared-lock path and scale with threads. Wall-clock only; the index's
+/// reported work counters were captured before this runs. Speedups are only
+/// meaningful on machines with that many hardware threads (the report
+/// records throughput, not a verdict).
 inline std::vector<ScalingPoint> MeasureScaling(SpatialIndex<3>* index,
                                                 const std::vector<Op3>& ops) {
   std::vector<Query3> queries;
@@ -129,15 +130,15 @@ inline std::vector<ScalingPoint> MeasureScaling(SpatialIndex<3>* index,
   std::vector<ScalingPoint> points;
   if (queries.empty()) return points;
   // Repeat the stream so each measurement is a sizeable batch: short runs
-  // would time pool wake-up, not query execution — and the CI scaling
+  // would time worker wake-up, not query execution — and the CI scaling
   // check gates on the 8-vs-1-thread ratio, so the window must be long
   // enough for runner noise to average out.
   constexpr std::size_t kTargetQueries = 32768;
   const int rounds = static_cast<int>(
       std::max<std::size_t>(1, kTargetQueries / queries.size()));
   for (const int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    BatchExecutor<3> executor(&pool);
+    TaskScheduler scheduler(threads - 1);
+    BatchExecutor<3> executor(&scheduler);
     Timer wall;
     for (int r = 0; r < rounds; ++r) {
       executor.Run(index, std::span<const Query3>(queries));

@@ -1,116 +1,16 @@
 #ifndef QUASII_COMMON_EXECUTOR_H_
 #define QUASII_COMMON_EXECUTOR_H_
 
-#include <algorithm>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/query.h"
-#include "common/query_stats.h"
 #include "common/spatial_index.h"
 #include "common/task_scheduler.h"
 
 namespace quasii {
-
-/// Fixed-size thread pool — the inter-query concurrency entry point of the
-/// execution layer (its intra-query sibling, the work-stealing
-/// `TaskScheduler`, lives in common/task_scheduler.h). Deliberately
-/// minimal: a single FIFO queue, no work stealing, no dynamic sizing, so
-/// the thread ↔ work assignment of a deterministic submission order is
-/// itself deterministic.
-///
-/// Every worker binds a distinct stats slot (1 .. size; slot 0 stays with
-/// the caller thread), so tasks may drive `SpatialIndex::Execute`
-/// concurrently and each thread's work counters land in its own shard.
-/// Consequently the pool size is capped at `kStatsSlots - 1`.
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads) {
-    const int n = std::clamp(threads, 1, kStatsSlots - 1);
-    workers_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
-    }
-  }
-
-  /// Destruction is a full `Shutdown()`: every task submitted before the
-  /// destructor runs — queued-but-unstarted ones included — executes to
-  /// completion before the workers join. Tasks are never dropped.
-  ~ThreadPool() { Shutdown(); }
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Deterministic drain-and-join: signals the workers to exit once the
-  /// queue is empty, then blocks until they have finished every task
-  /// submitted so far and joined. This is the shutdown contract the query
-  /// server builds on — an accepted (submitted) request cannot be dropped
-  /// by tearing the pool down. Idempotent; `Submit` after `Shutdown` is a
-  /// programming error (the task would never run).
-  void Shutdown() {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-  }
-
-  int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues `fn` for execution by some worker. Never blocks.
-  void Submit(std::function<void()> fn) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      queue_.push_back(std::move(fn));
-      ++pending_;
-    }
-    cv_.notify_one();
-  }
-
-  /// Blocks until every task submitted so far has finished executing.
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] { return pending_ == 0; });
-  }
-
- private:
-  void WorkerLoop(int slot) {
-    ScopedStatsSlot bind(slot);
-    while (true) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stop_ set and nothing left to run
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      task();
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (--pending_ == 0) idle_cv_.notify_all();
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::deque<std::function<void()>> queue_;
-  std::size_t pending_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
 
 /// Result of one query of a batch: ids for id-producing types (`kKNearest`
 /// ids arrive in (distance, id) order), `count` for everything (`kCount`
@@ -120,16 +20,17 @@ struct BatchResult {
   std::uint64_t count = 0;
 };
 
-/// Runs a batch of queries against ONE index on a thread pool, with
+/// Runs a batch of queries against ONE index on a `TaskScheduler`, with
 /// per-thread sinks and deterministic result merging: the batch is cut into
-/// `pool->size()` contiguous chunks (a pure function of batch size and pool
-/// size), each chunk's queries execute in order on one worker with that
-/// worker's reused sinks, and every result lands in its query's own slot.
-/// With no interleaving mutation, every query's result *set* (and kNN's
-/// canonical (distance, id) order) equals the sequential loop's whatever
-/// the scheduling; only the emission order inside a range result can vary
-/// on a still-cracking adaptive index, since it follows the physical array
-/// order the warm-up races to produce.
+/// one contiguous chunk per scheduler thread (its workers plus the helping
+/// caller — a pure function of batch size and thread count), each chunk's
+/// queries execute in order on one thread with that thread's reused sinks,
+/// and every result lands in its query's own slot. With no interleaving
+/// mutation, every query's result *set* (and kNN's canonical (distance, id)
+/// order) equals the sequential loop's whatever the scheduling; only the
+/// emission order inside a range result can vary on a still-cracking
+/// adaptive index, since it follows the physical array order the warm-up
+/// races to produce.
 ///
 /// Thread safety is the index's own: `SpatialIndex::Execute` serializes
 /// reorganizing executions and runs converged/static ones concurrently
@@ -138,52 +39,37 @@ struct BatchResult {
 template <int D>
 class BatchExecutor {
  public:
-  explicit BatchExecutor(ThreadPool* pool) : pool_(pool) {}
+  explicit BatchExecutor(TaskScheduler* scheduler) : scheduler_(scheduler) {}
 
   /// Executes `queries` against `index`, returning per-query results in
   /// query order.
   std::vector<BatchResult> Run(SpatialIndex<D>* index,
                                std::span<const Query<D>> queries) {
-    return Run(index, queries, nullptr);
-  }
-
-  /// As above, but additionally invokes `on_result(i, results[i])` on the
-  /// executing worker thread the moment query `i` completes, so streaming
-  /// consumers (latency recording, the query server's bookkeeping) need not
-  /// wait for the whole batch. The callback runs concurrently from several
-  /// workers and must be thread-safe; results are still returned in query
-  /// order after the full batch drains.
-  std::vector<BatchResult> Run(
-      SpatialIndex<D>* index, std::span<const Query<D>> queries,
-      const std::function<void(std::size_t, const BatchResult&)>& on_result) {
     std::vector<BatchResult> results(queries.size());
     const std::uint64_t version_before = index->store().version();
     const std::size_t threads =
-        std::max<std::size_t>(1, static_cast<std::size_t>(pool_->size()));
+        static_cast<std::size_t>(scheduler_->workers()) + 1;
     const std::size_t chunk = (queries.size() + threads - 1) / threads;
-    for (std::size_t begin = 0; begin < queries.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, queries.size());
-      pool_->Submit([index, queries, &results, &on_result, begin, end] {
-        CountSink count_sink;
-        for (std::size_t i = begin; i < end; ++i) {
-          BatchResult& out = results[i];
-          if (queries[i].type() == QueryType::kCount) {
-            count_sink.Reset();
-            index->Execute(queries[i], count_sink);
-            out.count = count_sink.count();
-          } else {
-            // Sink straight into the result slot (a VectorSink is one
-            // pointer store) — copying through a scratch vector would fold
-            // pure memcpy into every throughput measurement on this path.
-            VectorSink sink(&out.ids);
-            index->Execute(queries[i], sink);
-            out.count = out.ids.size();
-          }
-          if (on_result) on_result(i, out);
+    const auto run_chunk = [index, queries, &results](std::size_t begin,
+                                                      std::size_t end) {
+      CountSink count_sink;
+      for (std::size_t i = begin; i < end; ++i) {
+        BatchResult& out = results[i];
+        if (queries[i].type() == QueryType::kCount) {
+          count_sink.Reset();
+          index->Execute(queries[i], count_sink);
+          out.count = count_sink.count();
+        } else {
+          // Sink straight into the result slot (a VectorSink is one pointer
+          // store) — copying through a scratch vector would fold pure
+          // memcpy into every throughput measurement on this path.
+          VectorSink sink(&out.ids);
+          index->Execute(queries[i], sink);
+          out.count = out.ids.size();
         }
-      });
-    }
-    pool_->Wait();
+      }
+    };
+    ParallelFor(scheduler_, 0, queries.size(), chunk, run_chunk);
     store_mutated_ = index->store().version() != version_before;
     return results;
   }
@@ -194,7 +80,7 @@ class BatchExecutor {
   bool store_mutated() const { return store_mutated_; }
 
  private:
-  ThreadPool* pool_;
+  TaskScheduler* scheduler_;
   bool store_mutated_ = false;
 };
 

@@ -194,8 +194,9 @@ class Query {
   }
 
   static Query MakeKNearest(const Point<D>& point, std::size_t k) {
+    if (k == 0) QueryApiAbort("kNearest query requires k >= 1");
     auto q = TryKNearest(point, k);
-    if (!q) QueryApiAbort("kNearest query requires k >= 1");
+    if (!q) QueryApiAbort("kNearest query requires a finite point");
     return *std::move(q);
   }
 

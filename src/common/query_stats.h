@@ -2,7 +2,11 @@
 #define QUASII_COMMON_QUERY_STATS_H_
 
 #include <array>
+#include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <ostream>
 
 namespace quasii {
@@ -63,22 +67,53 @@ inline std::ostream& operator<<(std::ostream& os, const QueryStats& s) {
 }
 
 /// Number of per-thread counter slots an index carries. Slot 0 belongs to
-/// unregistered threads (the main thread of a single-threaded run); the
-/// `ThreadPool` binds each worker to one of the remaining slots, so
-/// concurrency is bounded at `kStatsSlots - 1` pool workers.
+/// unregistered threads (the main thread of a single-threaded run); every
+/// `TaskScheduler` worker holds one of the remaining slots, taken from
+/// `AcquireStatsSlot`, so at most `kStatsSlots - 1` workers live at once.
 inline constexpr int kStatsSlots = 64;
 
 namespace internal {
 inline thread_local int tls_stats_slot = 0;
+
+/// Bit `s` set ⇔ slot `s` is held. Bit 0 is never released: slot 0 is the
+/// default of every unbound thread.
+static_assert(kStatsSlots == 64, "the slot mask is one 64-bit word");
+inline std::atomic<std::uint64_t> stats_slots_held{1};
 }  // namespace internal
+
+/// Takes the lowest stats slot nobody holds. Scheduler workers take their
+/// slots through here, so the workers of any number of coexisting
+/// schedulers hold distinct non-zero slots by construction. Aborts when all
+/// `kStatsSlots - 1` are held: two workers on one slot would race on its
+/// counters.
+inline int AcquireStatsSlot() {
+  std::uint64_t held = internal::stats_slots_held.load();
+  while (true) {
+    if (held == ~std::uint64_t{0}) {
+      std::fprintf(stderr, "quasii: more than %d scheduler workers alive\n",
+                   kStatsSlots - 1);
+      std::abort();
+    }
+    const int slot = std::countr_one(held);
+    if (internal::stats_slots_held.compare_exchange_weak(
+            held, held | (std::uint64_t{1} << slot))) {
+      return slot;
+    }
+  }
+}
+
+/// Returns a slot taken by `AcquireStatsSlot`.
+inline void ReleaseStatsSlot(int slot) {
+  internal::stats_slots_held.fetch_and(~(std::uint64_t{1} << slot));
+}
 
 /// The counter slot the calling thread writes to (0 unless bound).
 inline int CurrentStatsSlot() { return internal::tls_stats_slot; }
 
 /// Binds the calling thread to a stats slot for its lifetime. Every thread
 /// that executes queries concurrently with others MUST hold a distinct slot
-/// (the `ThreadPool` does this for its workers); two unbound threads would
-/// otherwise race on slot 0.
+/// (every `TaskScheduler` worker binds one from `AcquireStatsSlot`); two
+/// unbound threads would otherwise race on slot 0.
 class ScopedStatsSlot {
  public:
   explicit ScopedStatsSlot(int slot) : prev_(internal::tls_stats_slot) {

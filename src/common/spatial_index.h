@@ -50,8 +50,8 @@ using Entry3 = Entry<3>;
 ///
 /// Concurrency contract: `Execute`, `Insert`, and `Erase` may be called
 /// from any number of threads at once (each concurrently executing thread
-/// must hold a distinct stats slot — the `ThreadPool` arranges this for its
-/// workers). A reader-writer lock in this base class arbitrates: mutations
+/// must hold a distinct stats slot — every `TaskScheduler` worker holds
+/// one). A reader-writer lock in this base class arbitrates: mutations
 /// and reorganizing executions take the exclusive side; executions the
 /// index declares safe via `ConvergedFor(query)` run concurrently under the
 /// shared side. Static indexes are read-safe as soon as they are built;

@@ -18,10 +18,11 @@
 
 namespace quasii {
 
-/// Work-stealing task scheduler for *intra*-query parallelism — the second
-/// concurrency entry point of the execution layer, complementing
-/// `ThreadPool` (which parallelizes *across* queries and stays strictly
-/// FIFO for the server's determinism contract).
+/// Work-stealing task scheduler — the one executor of the execution layer.
+/// The process-wide `IntraQueryScheduler()` fans morsels out *within* a
+/// query; separate instances fan queries out *across* threads
+/// (`BatchExecutor`'s batches, the threaded bench driver). Batch
+/// determinism comes from contiguous chunking, not from execution order.
 ///
 /// Design:
 ///  - one deque per worker plus one shared injection deque for external
@@ -38,13 +39,12 @@ namespace quasii {
 ///    single-mutex design keeps the helping/stealing state machine simple
 ///    enough to reason about under TSan.
 ///
-/// Worker threads bind stats slots from the TOP of the `kStatsSlots` range
-/// (slot `kStatsSlots - 1 - i` for worker `i`), mirroring `ThreadPool`
-/// which binds from the bottom (1..n), so the two pools' workers land in
-/// disjoint shards in every realistic configuration. Parallel tasks spawned
-/// by the index code never write index counters directly — they accumulate
-/// into task-local `QueryStats` merged by the submitting thread — so the
-/// slot binding is a safety net, not a correctness requirement.
+/// Every worker binds a stats slot taken from `AcquireStatsSlot` at
+/// construction and returned at destruction, so the workers of coexisting
+/// schedulers land in distinct non-zero shards and tasks may drive
+/// `SpatialIndex::Execute` concurrently. (Morsel tasks spawned by the index
+/// code never write index counters directly — they accumulate into
+/// task-local `QueryStats` merged by the submitting thread.)
 class TaskScheduler {
  public:
   /// Utilization counters, cumulative since construction. `executed` counts
@@ -59,16 +59,19 @@ class TaskScheduler {
     std::uint64_t stolen = 0;
   };
 
-  /// Spawns `workers` worker threads (clamped to [0, kMaxWorkers]). Zero
-  /// workers is a valid, useful configuration: every task runs inline on
-  /// the submitting thread, which is the serial-execution mode the engine
-  /// defaults to.
+  /// Spawns `workers` worker threads (clamped to [0, kMaxThreads - 1]).
+  /// Zero workers is a valid, useful configuration: every task runs inline
+  /// on the submitting thread, which is the serial-execution mode the
+  /// engine defaults to.
   explicit TaskScheduler(int workers) {
-    const int n = std::clamp(workers, 0, kMaxWorkers);
+    const int n = std::clamp(workers, 0, kMaxThreads - 1);
     queues_.resize(static_cast<std::size_t>(n) + 1);
+    slots_.reserve(static_cast<std::size_t>(n));
     workers_.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      workers_.emplace_back([this, i] { WorkerLoop(i); });
+      const int slot = AcquireStatsSlot();
+      slots_.push_back(slot);
+      workers_.emplace_back([this, i, slot] { WorkerLoop(i, slot); });
     }
   }
 
@@ -84,6 +87,7 @@ class TaskScheduler {
     for (std::thread& w : workers_) {
       if (w.joinable()) w.join();
     }
+    for (const int slot : slots_) ReleaseStatsSlot(slot);
   }
 
   TaskScheduler(const TaskScheduler&) = delete;
@@ -165,10 +169,10 @@ class TaskScheduler {
     std::size_t pending_ = 0;  // guarded by s_->mu_
   };
 
-  /// `ThreadPool` binds slots 1..n from the bottom; staying out of its way
-  /// caps this scheduler's workers so the top-down slots 63, 62, … never
-  /// collide with the serving pool's in any realistic configuration.
-  static constexpr int kMaxWorkers = kStatsSlots / 2;
+  /// Most threads one scheduler runs a fan-out on: its workers plus the
+  /// helping caller. Half the stats slots, so the intra-query scheduler and
+  /// a batch scheduler both at the cap still fit in `kStatsSlots - 1`.
+  static constexpr int kMaxThreads = kStatsSlots / 2;
 
  private:
   struct Task {
@@ -207,8 +211,8 @@ class TaskScheduler {
     if (--g->pending_ == 0) cv_done_.notify_all();
   }
 
-  void WorkerLoop(int index) {
-    ScopedStatsSlot bind(std::max(1, kStatsSlots - 1 - index));
+  void WorkerLoop(int index, int slot) {
+    ScopedStatsSlot bind(slot);
     TlsWorkerBinding binding(this, index);
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
@@ -255,6 +259,7 @@ class TaskScheduler {
   std::condition_variable cv_done_;
   std::vector<std::deque<Task>> queues_;  // [0] injection, [1+i] worker i
   bool stop_ = false;
+  std::vector<int> slots_;  // worker i's stats slot
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> helped_{0};
@@ -300,7 +305,7 @@ inline int ParseEnvInt(const char* name, int fallback) {
   const long parsed = std::strtol(v, &end, 10);
   if (end == v || *end != '\0') return fallback;
   return static_cast<int>(
-      std::clamp<long>(parsed, 1, TaskScheduler::kMaxWorkers + 1));
+      std::clamp<long>(parsed, 1, TaskScheduler::kMaxThreads));
 }
 
 /// `QUASII_EXEC_THREADS`, parsed once: the startup intra-query thread count
@@ -347,11 +352,12 @@ inline int IntraQueryThreads() { return internal::IntraQuery().threads; }
 /// against in-flight queries — call it between queries (microbench A/B
 /// mode switches, server startup). Returns the effective thread count.
 inline int SetIntraQueryThreads(int threads) {
-  threads = std::clamp(threads, 1, TaskScheduler::kMaxWorkers + 1);
+  threads = std::clamp(threads, 1, TaskScheduler::kMaxThreads);
   const int cap = internal::EnvExecThreadsCap();
   if (cap > 0) threads = std::min(threads, cap);
   internal::IntraQueryState& state = internal::IntraQuery();
   if (threads != state.threads) {
+    state.scheduler.reset();  // return its stats slots before taking new ones
     state.scheduler = std::make_unique<TaskScheduler>(threads - 1);
     state.threads = threads;
   }

@@ -295,10 +295,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     if (!initialized_) return false;
     if (query.type() == QueryType::kKNearest) return false;
     if (array_.pending_count() > 0) return false;
-    const std::size_t dead = array_.tombstones();
-    if (dead >= kMinCompactTombstones && dead * 4 >= array_.size()) {
-      return false;  // the next ExecuteBox will compact
-    }
+    if (CompactionDue()) return false;  // the next ExecuteBox will compact
     if (array_.empty()) return true;
     const bool join = query.type() == QueryType::kJoin;
     const Box<D> box = join ? Box<D>::Infinite() : DescentBox(query);
@@ -786,11 +783,17 @@ class QuasiiIndex final : public SpatialIndex<D> {
     return scratch;
   }
 
+  /// Whether tombstones dominate: at least `kMinCompactTombstones` of them,
+  /// and at least a quarter of the rows.
+  bool CompactionDue() const {
+    const std::size_t dead = array_.tombstones();
+    return dead >= kMinCompactTombstones && dead * 4 >= array_.size();
+  }
+
   /// Rebuilds from the live set once tombstones dominate: the one O(n)
   /// reclamation backing the otherwise in-passing compaction.
   void MaybeCompact() {
-    const std::size_t dead = array_.tombstones();
-    if (dead < kMinCompactTombstones || dead * 4 < array_.size()) return;
+    if (!CompactionDue()) return;
     this->Stats().objects_moved += LiveRows();
     Initialize();
   }

@@ -42,16 +42,20 @@ namespace quasii::server {
 ///    execution order — the property the workload recorder (appended at
 ///    dequeue time) and bit-identical replay rest on. Runs of consecutive
 ///    *converged* unpinned queries against the same index are batched onto
-///    the `BatchExecutor` pool: `ConvergedFor` guarantees shared-mode
-///    execution (no reorganization), so batched results are byte-identical
-///    to serial execution and determinism survives the parallelism.
+///    the server's own `TaskScheduler` through `BatchExecutor`: the exec
+///    thread helps as the last of `pool_threads` threads. `ConvergedFor`
+///    guarantees shared-mode execution (no reorganization), so batched
+///    results are byte-identical to serial execution and determinism
+///    survives the parallelism. The batch scheduler is separate from
+///    `IntraQueryScheduler()`, so `exec_tasks` counts intra-query work only.
 ///
 /// Admission control: the queue is bounded at `max_inflight`; beyond it a
 /// request is answered `kOverloaded` without being recorded (it was never
 /// accepted, so replays reproduce only the accepted stream). Shutdown
 /// drains: readers stop admitting first, then the exec thread empties the
-/// queue — an accepted request is always executed, recorded and answered
-/// (`ThreadPool::Shutdown` provides the same guarantee one layer down).
+/// queue — an accepted request is always executed, recorded and answered.
+/// A batch never outlives its `RunBatch` call, so no batch work is left
+/// when the exec thread joins.
 ///
 /// Snapshot reads: a request pinned to a store epoch executes only if the
 /// target's `ObjectStore::version()` still equals the pin, else answers
@@ -66,7 +70,8 @@ class QueryServer {
     std::size_t max_inflight = 256;
     /// Longest run of converged queries handed to the pool at once.
     std::size_t max_batch = 64;
-    /// Batch pool workers.
+    /// Threads that execute a batch: `pool_threads - 1` scheduler workers
+    /// plus the helping exec thread.
     int pool_threads = 4;
     /// Intra-query morsel threads (`SetIntraQueryThreads`, applied at
     /// `Start`; a `QUASII_EXEC_THREADS` env cap may clamp it). Default 1:
@@ -102,7 +107,7 @@ class QueryServer {
   QueryServer(std::vector<SpatialIndex<D>*> roster, Options options)
       : roster_(std::move(roster)),
         options_(options),
-        pool_(options.pool_threads),
+        pool_(options.pool_threads - 1),
         executor_(&pool_) {}
 
   ~QueryServer() { Stop(); }
@@ -209,7 +214,6 @@ class QueryServer {
       conns_.clear();
     }
     recorder_.Close();
-    pool_.Shutdown();
   }
 
   Counters counters() const {
@@ -473,7 +477,7 @@ class QueryServer {
   std::vector<SpatialIndex<D>*> roster_;
   Options options_;
   int exec_threads_effective_ = 1;
-  ThreadPool pool_;
+  TaskScheduler pool_;
   BatchExecutor<D> executor_;
   WorkloadRecorder<D> recorder_;
 

@@ -1,6 +1,6 @@
-// Concurrency suite for the multi-threaded execution layer: ThreadPool /
-// BatchExecutor units, SplitMix Rng stream independence, the ObjectStore
-// mutation epoch, per-thread stats shards, the ConvergedFor shared-read
+// Concurrency suite for the multi-threaded execution layer: TaskScheduler
+// groups and stats slots, BatchExecutor units, SplitMix Rng stream
+// independence, the ObjectStore mutation epoch, per-thread stats shards, the ConvergedFor shared-read
 // predicate — and the headline checks: N threads of mixed queries against
 // every roster index must agree query-for-query with a single-threaded Scan
 // oracle (both during serialized warm-up and once converged), and N
@@ -15,10 +15,10 @@
 #include <iterator>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/workload.h"
@@ -28,6 +28,7 @@
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/spatial_index.h"
+#include "common/task_scheduler.h"
 #include "datagen/synthetic.h"
 #include "geometry/box.h"
 #include "grid/grid_index.h"
@@ -70,7 +71,7 @@ using quasii::ScopedStatsSlot;
 using quasii::SfcIndex;
 using quasii::SfcrackerIndex;
 using quasii::SpatialIndex;
-using quasii::ThreadPool;
+using quasii::TaskScheduler;
 using quasii::VectorSink;
 using quasii::bench::MakeThreadOpStreams;
 using quasii::bench::Op;
@@ -183,40 +184,74 @@ void TestRngSplitIsStableAndSeedBased() {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// TaskScheduler as the inter-query executor
 
-void TestThreadPoolRunsEverythingAndWaits() {
-  ThreadPool pool(kThreads);
-  CHECK_EQ(pool.size(), kThreads);
+void TestSchedulerGroupRunsEverythingAndWaits() {
+  TaskScheduler scheduler(kThreads - 1);
+  CHECK_EQ(scheduler.workers(), kThreads - 1);
   std::atomic<int> counter{0};
   for (int wave = 1; wave <= 3; ++wave) {
+    TaskScheduler::Group group(&scheduler);
     for (int i = 0; i < 200; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      group.Run([&counter] { counter.fetch_add(1); });
     }
-    pool.Wait();
+    group.Wait();
     CHECK_EQ(counter.load(), 200 * wave);
   }
 }
 
-void TestThreadPoolBindsDistinctStatsSlots() {
-  // Every worker must own a distinct slot in [1, size]; the caller thread
-  // stays on slot 0.
-  CHECK_EQ(CurrentStatsSlot(), 0);
-  ThreadPool pool(kThreads);
-  std::mutex mu;
-  std::set<int> slots;
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&mu, &slots] {
-      std::lock_guard<std::mutex> lock(mu);
-      slots.insert(CurrentStatsSlot());
+/// The stats slot of every worker of `s`: one task per worker, each held
+/// until all have started, so no worker runs two. The caller waits for the
+/// start before joining the group, so it runs none of them.
+std::vector<int> WorkerSlots(TaskScheduler* s) {
+  const int n = s->workers();
+  std::vector<int> slots(static_cast<std::size_t>(n), 0);
+  std::atomic<int> started{0};
+  TaskScheduler::Group group(s);
+  for (int i = 0; i < n; ++i) {
+    group.Run([&slots, &started, n, i] {
+      slots[static_cast<std::size_t>(i)] = CurrentStatsSlot();
+      started.fetch_add(1);
+      while (started.load() < n) std::this_thread::yield();
     });
   }
-  pool.Wait();
-  CHECK_GE(slots.size(), 1u);
-  for (const int slot : slots) {
-    CHECK_GE(slot, 1);
-    CHECK_LE(slot, kThreads);
+  while (started.load() < n) std::this_thread::yield();
+  group.Wait();
+  return slots;
+}
+
+/// Every worker of `batch` and of the intra-query scheduler holds a
+/// distinct non-zero slot.
+void CheckDistinctWorkerSlots(TaskScheduler* batch) {
+  std::vector<int> slots = WorkerSlots(batch);
+  const std::vector<int> intra = WorkerSlots(&quasii::IntraQueryScheduler());
+  slots.insert(slots.end(), intra.begin(), intra.end());
+  const std::set<int> distinct(slots.begin(), slots.end());
+  CHECK_EQ(distinct.size(), slots.size());
+  CHECK_EQ(distinct.count(0), 0u);
+}
+
+void TestSchedulerWorkersHoldDistinctStatsSlots() {
+  // A batch scheduler beside the 4-thread intra-query scheduler; the caller
+  // thread stays on slot 0.
+  CHECK_EQ(CurrentStatsSlot(), 0);
+  const int prev = quasii::IntraQueryThreads();
+  quasii::SetIntraQueryThreads(4);
+  {
+    TaskScheduler batch(kThreads - 1);
+    CheckDistinctWorkerSlots(&batch);
   }
+  // Two schedulers at the thread cap fit beside each other, and resizing
+  // the intra-query scheduler returns its old slots before taking new ones
+  // (taking first would need more slots than exist and abort).
+  {
+    TaskScheduler batch(TaskScheduler::kMaxThreads - 1);
+    CHECK_EQ(batch.workers(), TaskScheduler::kMaxThreads - 1);
+    quasii::SetIntraQueryThreads(TaskScheduler::kMaxThreads);
+    quasii::SetIntraQueryThreads(TaskScheduler::kMaxThreads - 1);
+    CheckDistinctWorkerSlots(&batch);
+  }
+  quasii::SetIntraQueryThreads(prev);
   ScopedStatsSlot bind(7);
   CHECK_EQ(CurrentStatsSlot(), 7);
 }
@@ -254,8 +289,8 @@ void TestStatsMergeAcrossConcurrentThreads() {
   for (int i = 0; i < 64; ++i) {
     queries.push_back(RangeQuery<3>(RandomBox<3>(&rng, universe, 0.2)));
   }
-  ThreadPool pool(kThreads);
-  BatchExecutor<3> executor(&pool);
+  TaskScheduler scheduler(kThreads - 1);
+  BatchExecutor<3> executor(&scheduler);
   executor.Run(&scan, std::span<const Query3>(queries));
   // Scan tests every live object per query; the counts land in per-thread
   // shards and must merge to the exact total.
@@ -348,8 +383,8 @@ void TestConcurrentQueriesMatchScanOracle() {
     oracle.push_back(std::move(r));
   }
 
-  ThreadPool pool(kThreads);
-  BatchExecutor<3> executor(&pool);
+  TaskScheduler scheduler(kThreads - 1);
+  BatchExecutor<3> executor(&scheduler);
   auto roster = MakeRoster(data, universe);
   for (auto& index : roster) {
     index->Build();
@@ -378,8 +413,8 @@ void TestBatchExecutorDeterministicAcrossPoolSizes() {
     p.leaf_threshold = 128;
     QuasiiIndex<3> index(data, p);
     index.Build();
-    ThreadPool pool(threads);
-    BatchExecutor<3> executor(&pool);
+    TaskScheduler scheduler(threads - 1);
+    BatchExecutor<3> executor(&scheduler);
     runs.push_back(executor.Run(&index, std::span<const Query3>(queries)));
   }
   for (std::size_t r = 1; r < runs.size(); ++r) {
@@ -450,10 +485,11 @@ void TestConcurrentReadWriteStreamsReachSequentialState() {
   for (auto& index : roster) {
     index->Build();
     const std::uint64_t version_before = index->store().version();
-    ThreadPool pool(kThreads);
+    TaskScheduler scheduler(kThreads - 1);
+    TaskScheduler::Group group(&scheduler);
     std::atomic<std::size_t> accepted{0};
     for (const auto& stream : streams) {
-      pool.Submit([&index, &stream, &accepted] {
+      group.Run([&index, &stream, &accepted] {
         std::vector<ObjectId> ids;
         VectorSink vector_sink(&ids);
         CountSink count_sink;
@@ -490,7 +526,7 @@ void TestConcurrentReadWriteStreamsReachSequentialState() {
         accepted.fetch_add(ok);
       });
     }
-    pool.Wait();
+    group.Wait();
     CHECK_EQ(accepted.load(), mutations);
     CHECK_EQ(index->store().live_count(), live.size());
     CHECK_EQ(index->store().version() - version_before,
@@ -626,10 +662,11 @@ void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
     }
     inserts.push_back(b);
   }
-  ThreadPool pool(kThreads);
+  TaskScheduler scheduler(kThreads - 1);
+  TaskScheduler::Group group(&scheduler);
   std::atomic<int> bad{0};
   for (int t = 0; t + 1 < kThreads; ++t) {
-    pool.Submit([&, t] {
+    group.Run([&, t] {
       for (int round = 0; round < 3; ++round) {
         for (std::size_t k = 0; k < reads.size(); ++k) {
           const std::size_t i =
@@ -652,12 +689,12 @@ void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
       }
     });
   }
-  pool.Submit([&] {
+  group.Run([&] {
     for (std::size_t k = 0; k < inserts.size(); ++k) {
       if (!index.Insert(first + static_cast<ObjectId>(k), inserts[k])) ++bad;
     }
   });
-  pool.Wait();
+  group.Wait();
   CHECK_EQ(bad.load(), 0);
 
   std::string why;
@@ -726,8 +763,8 @@ void TestStaticIndexesConvergeOnceBuilt() {
 int main() {
   RUN_TEST(TestRngSplitStreamsIndependent);
   RUN_TEST(TestRngSplitIsStableAndSeedBased);
-  RUN_TEST(TestThreadPoolRunsEverythingAndWaits);
-  RUN_TEST(TestThreadPoolBindsDistinctStatsSlots);
+  RUN_TEST(TestSchedulerGroupRunsEverythingAndWaits);
+  RUN_TEST(TestSchedulerWorkersHoldDistinctStatsSlots);
   RUN_TEST(TestObjectStoreVersionTicksPerAcceptedMutation);
   RUN_TEST(TestStatsMergeAcrossConcurrentThreads);
   RUN_TEST(TestConcurrentQueriesMatchScanOracle);

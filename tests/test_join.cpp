@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "common/dataset.h"
-#include "common/executor.h"
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/spatial_index.h"
+#include "common/task_scheduler.h"
 #include "datagen/queries.h"
 #include "datagen/synthetic.h"
 #include "geometry/box.h"
@@ -56,7 +56,7 @@ using quasii::RTreeIndex;
 using quasii::ScanIndex;
 using quasii::SfcrackerIndex;
 using quasii::SpatialIndex;
-using quasii::ThreadPool;
+using quasii::TaskScheduler;
 using quasii::VectorPairSink;
 using quasii::VectorSink;
 
@@ -569,16 +569,18 @@ void TestConcurrentJoins() {
   qa.Build();
   qb.Build();
 
-  // Four workers, half joining A⋈B and half B⋈A concurrently: the global
+  // Four lanes, half joining A⋈B and half B⋈A concurrently: the global
   // address-order lock acquisition must neither deadlock nor let a shared
   // join observe a half-cracked partner. A fifth lane interleaves range
-  // queries (their cracks contend with the joins' exclusive phases).
+  // queries (their cracks contend with the joins' exclusive phases). Four
+  // workers plus the helping caller run the five lanes at once.
   constexpr int kRounds = 6;
   std::atomic<std::uint64_t> failures{0};
-  ThreadPool pool(5);
+  TaskScheduler scheduler(4);
+  TaskScheduler::Group group(&scheduler);
   for (int w = 0; w < 4; ++w) {
     const bool forward = (w % 2 == 0);
-    pool.Submit([&, forward] {
+    group.Run([&, forward] {
       for (int r = 0; r < kRounds; ++r) {
         const std::vector<IdPair> got = forward ? RunJoin<3>(qa, qb)
                                                 : RunJoin<3>(qb, qa);
@@ -587,7 +589,7 @@ void TestConcurrentJoins() {
       }
     });
   }
-  pool.Submit([&] {
+  group.Run([&] {
     Rng qrng(71);
     std::vector<ObjectId> ids;
     VectorSink sink(&ids);
@@ -606,7 +608,7 @@ void TestConcurrentJoins() {
       qb.Execute(RangeQuery<3>(probe), sink);
     }
   });
-  pool.Wait();
+  group.Wait();
   CHECK_EQ(failures.load(), 0u);
 }
 

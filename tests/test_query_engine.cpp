@@ -7,10 +7,15 @@
 // fail at the query factories. (Joins and conjunctive plans have their own
 // suite: test_join.cpp.)
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -472,11 +477,59 @@ void TestFactoryValidation() {
   CHECK(q.box().IsEmpty());
 }
 
+/// Runs `make` in a forked child and returns what it wrote to stderr; the
+/// child must die of SIGABRT.
+template <typename Fn>
+std::string AbortMessage(const Fn& make) {
+  int fds[2];
+  CHECK_EQ(pipe(fds), 0);
+  const pid_t pid = fork();
+  CHECK_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    ::dup2(fds[1], STDERR_FILENO);
+    make();
+    std::_Exit(0);  // constructed: the check is missing
+  }
+  ::close(fds[1]);
+  std::string message;
+  char buf[256];
+  ssize_t got = 0;
+  while ((got = ::read(fds[0], buf, sizeof(buf))) > 0) {
+    message.append(buf, static_cast<std::size_t>(got));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  CHECK_EQ(waitpid(pid, &status, 0), pid);
+  CHECK(WIFSIGNALED(status));
+  CHECK_EQ(WTERMSIG(status), SIGABRT);
+  return message;
+}
+
+/// `MakeKNearest` aborts on k == 0 and on a non-finite point, and its
+/// message names whichever of the two it was.
+void TestMakeKNearestAbortNamesCause() {
+  const std::string zero_k =
+      AbortMessage([] { KNearestQuery<3>(Point3{}, 0); });
+  CHECK(zero_k.find("k >= 1") != std::string::npos);
+  for (const quasii::Scalar bad :
+       {std::numeric_limits<quasii::Scalar>::quiet_NaN(),
+        std::numeric_limits<quasii::Scalar>::infinity()}) {
+    Point3 pt{};
+    pt[1] = bad;
+    const std::string message =
+        AbortMessage([pt] { KNearestQuery<3>(pt, 4); });
+    CHECK(message.find("finite point") != std::string::npos);
+    CHECK(message.find("k >= 1") == std::string::npos);
+  }
+}
+
 }  // namespace
 
 int main() {
   RUN_TEST(TestTopKSink);
   RUN_TEST(TestFactoryValidation);
+  RUN_TEST(TestMakeKNearestAbortNamesCause);
   RUN_TEST(TestAllTypesMatchBruteForceAcrossRoster);
   RUN_TEST(TestKnnOracle);
   RUN_TEST(TestCountOnlyWorkloadCracksWithoutIds);

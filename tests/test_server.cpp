@@ -2,7 +2,7 @@
 // envelope round trips and rejection cases, the CRC-framed wire codec's
 // torn/corrupt/oversized/fuzz behavior over real socketpairs (every
 // malformed input is a typed error, never UB — the ASan/UBSan CI job runs
-// this file too), ThreadPool shutdown-drain semantics, `ExecuteRequest`
+// this file too), `BatchExecutor` vs direct execution, `ExecuteRequest`
 // against direct-execution oracles, epoch-pinned snapshot reads, workload
 // record/replay determinism in-process AND over the socket, admission
 // control, and converged-read batching.
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -68,7 +67,6 @@ using quasii::Rng;
 using quasii::Scalar;
 using quasii::ScanIndex;
 using quasii::SpatialIndex;
-using quasii::ThreadPool;
 using quasii::server::ClientReply;
 using quasii::server::QueryServer;
 using quasii::server::ReadFrame;
@@ -442,42 +440,7 @@ void TestFrameFuzz() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// ThreadPool shutdown semantics (satellite: deterministic drain)
-
-void TestThreadPoolShutdownDrains() {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        ran.fetch_add(1);
-      });
-    }
-    pool.Shutdown();
-    // Every task submitted before Shutdown ran — queued-but-unstarted ones
-    // included. This is the contract server shutdown builds on.
-    CHECK_EQ(ran.load(), 64);
-    pool.Shutdown();  // idempotent
-  }
-  {
-    // The destructor alone gives the same drain guarantee.
-    std::atomic<int> ran2{0};
-    {
-      ThreadPool pool(2);
-      for (int i = 0; i < 32; ++i) {
-        pool.Submit([&ran2] {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          ran2.fetch_add(1);
-        });
-      }
-    }
-    CHECK_EQ(ran2.load(), 32);
-  }
-}
-
-void TestBatchExecutorCallback() {
+void TestBatchExecutorMatchesDirectExecution() {
   Dataset3 data = MakeData(400, 3);
   ScanIndex<3> index(data);
   std::vector<quasii::Query<3>> queries;
@@ -485,30 +448,17 @@ void TestBatchExecutorCallback() {
     queries.push_back(
         quasii::RangeQuery<3>(MakeBox(static_cast<Scalar>(i), 60)));
   }
-  ThreadPool pool(3);
-  quasii::BatchExecutor<3> exec(&pool);
-  std::atomic<std::uint64_t> called{0};
-  std::atomic<std::uint64_t> callback_ids{0};
-  auto results = exec.Run(
-      &index, std::span<const quasii::Query<3>>(queries),
-      [&](std::size_t i, const quasii::BatchResult& r) {
-        called.fetch_add(1);
-        callback_ids.fetch_add(i + r.ids.size());
-      });
-  CHECK_EQ(called.load(), queries.size());
+  quasii::TaskScheduler scheduler(2);
+  quasii::BatchExecutor<3> exec(&scheduler);
+  auto results =
+      exec.Run(&index, std::span<const quasii::Query<3>>(queries));
   CHECK_EQ(results.size(), queries.size());
-  // Callback saw the same results the return value carries.
-  std::uint64_t expect = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    expect += i + results[i].ids.size();
-  }
-  CHECK_EQ(callback_ids.load(), expect);
-  // And the results match direct execution.
   for (std::size_t i = 0; i < queries.size(); ++i) {
     std::vector<ObjectId> direct;
     quasii::VectorSink sink(&direct);
     index.Execute(queries[i], sink);
     CHECK(results[i].ids == direct);
+    CHECK_EQ(results[i].count, direct.size());
   }
 }
 
@@ -1064,8 +1014,7 @@ int main() {
   RUN_TEST(TestFrameRoundTrip);
   RUN_TEST(TestFrameTornAndCorrupt);
   RUN_TEST(TestFrameFuzz);
-  RUN_TEST(TestThreadPoolShutdownDrains);
-  RUN_TEST(TestBatchExecutorCallback);
+  RUN_TEST(TestBatchExecutorMatchesDirectExecution);
   RUN_TEST(TestExecuteRequestOracle);
   RUN_TEST(TestEpochPinning);
   RUN_TEST(TestSnapshotHook);

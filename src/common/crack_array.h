@@ -777,9 +777,10 @@ class CrackArray {
   std::size_t pending_begin_ = 0;
 
   /// Pivot-selection scratch, thread-local because `MedianSplit` runs
-  /// concurrently on disjoint ranges under the parallel split worklist (a
-  /// shared member would race even though the owning index holds its
-  /// exclusive lock — the workers all belong to one query).
+  /// concurrently on disjoint ranges when QUASII's median split hands
+  /// right halves to tasks (a shared member would race even though the
+  /// owning index holds its exclusive lock — the workers all belong to one
+  /// query).
   static std::vector<Scalar>& MedianScratchTLS() {
     static thread_local std::vector<Scalar> scratch;
     return scratch;

@@ -364,24 +364,10 @@ inline int SetIntraQueryThreads(int threads) {
   return state.threads;
 }
 
-/// Morsel size in rows for `ParallelFor` over row ranges — the grain knob.
-/// `QUASII_GRAIN` overrides; the default keeps a morsel big enough that
+/// Morsel size in rows for `ParallelFor` over row ranges: big enough that
 /// task dispatch is noise next to the per-row work, small enough that a
 /// cold 2^20-row crack cuts into plenty of morsels for 8 threads.
-inline std::size_t MorselGrain() {
-  static const std::size_t grain = [] {
-    const char* v = std::getenv("QUASII_GRAIN");
-    if (v != nullptr && *v != '\0') {
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end != v && *end == '\0' && parsed > 0) {
-        return static_cast<std::size_t>(parsed);
-      }
-    }
-    return std::size_t{4096};
-  }();
-  return grain;
-}
+inline constexpr std::size_t MorselGrain() { return 4096; }
 
 }  // namespace quasii
 

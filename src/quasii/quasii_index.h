@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -340,15 +341,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
     PrepareArray();
     if (array_.empty()) return;
     MatchEmitter emit(count_only, &sink);
-    TaskScheduler& exec = IntraQueryScheduler();
     std::vector<LeafScanJob> jobs;
-    BoxExec ctx{&q, predicate, &emit, exec.parallel() ? &jobs : nullptr};
+    BoxExec ctx{&q, predicate, &emit, &jobs};
     for (ExtentClass& c : classes_) {
       if (c.root.empty()) continue;
       ctx.threshold = &c.threshold;
       Visit(&c.root, ctx, ExtendedBox(q, c.half_extent), 0u);
     }
-    if (!jobs.empty()) RunLeafScans(jobs, ctx, &exec);
+    RunLeafScans(jobs, ctx, &IntraQueryScheduler());
     emit.Flush();
   }
 
@@ -398,12 +398,12 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
  private:
-  /// One leaf scan deferred for morsel-parallel execution. Captured BY
-  /// VALUE during the descent — `Slice` pointers dangle the moment a later
-  /// refinement rebuilds a slice list, but the row range of a processed
-  /// leaf never moves within one query (subsequent refinements reorganize
-  /// only other, disjoint ranges), so (begin, end, covered) is all a scan
-  /// needs.
+  /// One leaf scan, recorded during the descent and run after it
+  /// (`RunLeafScans`), at every thread count. Captured BY VALUE — `Slice`
+  /// pointers dangle the moment a later refinement rebuilds a slice list,
+  /// but the row range of a processed leaf never moves within one query
+  /// (subsequent refinements reorganize only other, disjoint ranges), so
+  /// (begin, end, covered) is all a scan needs.
   struct LeafScanJob {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -411,11 +411,12 @@ class QuasiiIndex final : public SpatialIndex<D> {
   };
 
   /// Box-execution context (see `SpatialIndex::ExecuteBox` for the shared
-  /// contract); threaded through the recursive slice descent. When `jobs`
-  /// is non-null (intra-query workers available), leaf scans are recorded
-  /// there in visit order instead of executing inline, and run after the
-  /// descent completes. `threshold` is the level thresholds of the extent
-  /// class being descended.
+  /// contract); threaded through the recursive slice descent. Leaf scans
+  /// are recorded in `jobs` in visit order and run after the descent
+  /// completes. A context without a query box (`q == nullptr`, as the join
+  /// descent uses) only refines: `Visit` then processes nothing, so `emit`
+  /// and `jobs` stay unused. `threshold` is the level thresholds of the
+  /// extent class being descended.
   struct BoxExec {
     const Box<D>* q;
     RangePredicate predicate;
@@ -434,25 +435,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   };
 
   /// Adapts a partner-slice `StreamScan` into join pairs: every id the scan
-  /// emits pairs with the currently fixed left-side object.
-  class LeftFixedSink final : public Sink {
-   public:
-    explicit LeftFixedSink(JoinEmitter* emit) : emit_(emit) {}
-    void set_left(ObjectId left) { left_ = left; }
-    void Emit(ObjectId id) override { emit_->Add(left_, id); }
-    void EmitRun(const ObjectId* ids, std::size_t n) override {
-      for (std::size_t i = 0; i < n; ++i) emit_->Add(left_, ids[i]);
-    }
-    void AddMatches(std::uint64_t) override {}
-
-   private:
-    JoinEmitter* emit_;
-    ObjectId left_ = 0;
-  };
-
-  /// `LeftFixedSink`'s task-local twin: collects (left, id) pairs into a
-  /// plain buffer instead of an emitter, so parallel leaf-pair walks stay
-  /// off the shared `JoinEmitter` until their deterministic merge.
+  /// emits pairs with the currently fixed left-side object, collected into
+  /// a task-local buffer, so leaf-pair scans stay off the shared
+  /// `JoinEmitter` until their deterministic merge.
   class PairListSink final : public Sink {
    public:
     explicit PairListSink(std::vector<std::pair<ObjectId, ObjectId>>* out)
@@ -915,8 +900,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// The class-table invariants that keep answers correct, checked against
   /// the array alone (so snapshot decoding runs them before trusting a
   /// blob): at least one class; bounds strictly increasing, the last +inf;
-  /// every half extent finite and non-negative; the root slices of all
-  /// classes together tiling the structured prefix `[0, pending_begin)`;
+  /// every half extent finite and non-negative; each class's root slices
+  /// in position order, and those of all classes together tiling the
+  /// structured prefix `[0, pending_begin)`;
   /// and every live row — pending tail included — in the class `ClassOf`
   /// names for it and within that class's half extent in every dimension.
   /// Fills `live` with each class's live-row count.
@@ -940,7 +926,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
           return fail("quasii: extent class half extent invalid");
         }
       }
-      for (const Slice& s : cls.root) ranges.emplace_back(s.begin, s.end);
+      std::size_t prev_end = 0;
+      for (const Slice& s : cls.root) {
+        if (s.begin < prev_end) {
+          return fail("quasii: root slices out of position order");
+        }
+        prev_end = s.end;
+        ranges.emplace_back(s.begin, s.end);
+      }
     }
     std::sort(ranges.begin(), ranges.end());
     bool tiled = true;
@@ -1113,37 +1106,40 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
   /// Halves a slice at its median key until every piece is at most `limit`
-  /// (its class's level threshold). Serial executions run the iterative
-  /// worklist; with intra-query workers, large slices fan out as a
-  /// recursive task tree whose two halves split concurrently (disjoint row
-  /// ranges, so the median splits never touch the same rows). Which splits
-  /// happen — and therefore the crack counters and the physical layout —
-  /// depends only on the data, not on the worker count: both paths perform
-  /// the identical split sequence, the parallel one merely re-orders the
-  /// wall-clock and buffers the right half so pieces still emit in
-  /// left-to-right order. A run of identical keys that cannot be halved is
+  /// (its class's level threshold), appending the pieces to `out` in
+  /// position order. A run of identical keys that cannot be halved is
   /// frozen and accepted oversized (it can still be sliced in later
-  /// dimensions).
+  /// dimensions). Counters land in the caller's stats shard.
   void SplitToThreshold(Slice s, std::size_t limit, std::vector<Slice>* out) {
     if (s.size() == 0) return;
-    TaskScheduler& exec = IntraQueryScheduler();
-    if (exec.parallel() && s.size() >= kParallelSplitMin) {
-      QueryStats local;
-      SplitRecursive(std::move(s), limit, out, &local, &exec);
-      this->Stats().cracks += local.cracks;
-      this->Stats().objects_moved += local.objects_moved;
-      return;
-    }
-    SplitIterative(std::move(s), limit, out, &this->Stats(), &split_stack_);
+    SplitPieces(std::move(s), limit, out, &this->Stats(), &split_stack_,
+                &IntraQueryScheduler());
   }
 
-  /// The classic worklist form (left-to-right emission, no recursion).
-  /// Counters land in `st` so parallel tasks can accumulate task-locally
-  /// and merge into the caller's shard afterwards; `stack` is caller-owned
-  /// because the member worklist cannot be shared across concurrent tasks.
-  void SplitIterative(Slice s, std::size_t limit, std::vector<Slice>* out,
-                      QueryStats* st, std::vector<Slice>* stack) {
+  /// The one median-halving loop, at every thread count. A worklist holds
+  /// the halves still to split, left on top, so pieces leave in position
+  /// order without recursion. When the scheduler has workers, a slice of at
+  /// least `kParallelSplitMin` rows hands its right half to a task (an
+  /// independent `SplitPieces` over a disjoint row range, with its own
+  /// pieces, counters and worklist) and keeps halving the left half.
+  /// Such a slice is only ever popped from an otherwise empty worklist —
+  /// smaller slices halve into smaller halves — so each forked right half
+  /// lies right of everything the worklist still emits, and of every half
+  /// forked after it: appending the forked pieces in reverse fork order
+  /// after the worklist drains restores position order. Which splits
+  /// happen, and so the layout and the counters, depends only on the data;
+  /// the fork is a scheduling choice. Nesting grows only through forked
+  /// right halves of at least `kParallelSplitMin` rows.
+  void SplitPieces(Slice s, std::size_t limit, std::vector<Slice>* out,
+                   QueryStats* st, std::vector<Slice>* stack,
+                   TaskScheduler* exec) {
+    struct Forked {
+      std::vector<Slice> pieces;
+      QueryStats stats;
+    };
+    std::deque<Forked> forked;  // stable addresses for the running tasks
     const int d = s.level;
+    TaskScheduler::Group g(exec);
     stack->clear();
     stack->push_back(std::move(s));
     while (!stack->empty()) {
@@ -1173,73 +1169,36 @@ class QuasiiIndex final : public SpatialIndex<D> {
       rest.end = t.end;
       rest.lo = split.bound;
       rest.hi = t.hi;
-      // LIFO: push the right half first so the left half is processed (and
-      // emitted) before it.
-      stack->push_back(std::move(rest));
+      if (exec->parallel() && t.size() >= kParallelSplitMin) {
+        Forked* f = &forked.emplace_back();
+        g.Run([this, rest, limit, f, exec]() mutable {
+          std::vector<Slice> task_stack;
+          SplitPieces(std::move(rest), limit, &f->pieces, &f->stats,
+                      &task_stack, exec);
+        });
+      } else {
+        stack->push_back(std::move(rest));
+      }
       stack->push_back(std::move(left));
     }
+    g.Wait();
+    for (auto it = forked.rbegin(); it != forked.rend(); ++it) {
+      for (Slice& piece : it->pieces) out->push_back(std::move(piece));
+      st->cracks += it->stats.cracks;
+      st->objects_moved += it->stats.objects_moved;
+    }
   }
 
-  /// Task-tree form: splits at the median, forks the right half onto the
-  /// scheduler, recurses into the left inline, then appends the right
-  /// half's buffered pieces — so the emitted order equals the iterative
-  /// worklist's. Small subranges drop back to `SplitIterative` with a local
-  /// stack, bounding the recursion depth at log2(n / kParallelSplitMin).
-  void SplitRecursive(Slice t, std::size_t limit, std::vector<Slice>* out,
-                      QueryStats* st, TaskScheduler* exec) {
-    const int d = t.level;
-    if (t.size() <= limit) {
-      out->push_back(std::move(t));
-      return;
-    }
-    if (t.size() < kParallelSplitMin) {
-      std::vector<Slice> stack;
-      SplitIterative(std::move(t), limit, out, st, &stack);
-      return;
-    }
-    const auto split = array_.MedianSplit(t.begin, t.end, d);
-    ++st->cracks;
-    st->objects_moved += t.size();
-    if (split.frozen) {
-      t.frozen = true;
-      out->push_back(std::move(t));
-      return;
-    }
-    Slice left;
-    left.level = d;
-    left.begin = t.begin;
-    left.end = split.pos;
-    left.lo = t.lo;
-    left.hi = split.bound;
-    Slice rest;
-    rest.level = d;
-    rest.begin = split.pos;
-    rest.end = t.end;
-    rest.lo = split.bound;
-    rest.hi = t.hi;
-    std::vector<Slice> right_out;
-    QueryStats right_stats;
-    {
-      TaskScheduler::Group g(exec);
-      g.Run([this, rest, limit, &right_out, &right_stats, exec]() mutable {
-        SplitRecursive(std::move(rest), limit, &right_out, &right_stats, exec);
-      });
-      SplitRecursive(std::move(left), limit, out, st, exec);
-      g.Wait();
-    }
-    st->cracks += right_stats.cracks;
-    st->objects_moved += right_stats.objects_moved;
-    for (Slice& piece : right_out) out->push_back(std::move(piece));
-  }
-
-  /// Walks one level's slice list: skips slices outside the query, refines
-  /// oversized touched slices, and descends (or scans, at the leaf level)
-  /// the rest. Refinement pieces are stitched into a rebuilt list in one
-  /// pass instead of `erase`+`insert` splicing, so a query that cracks k
-  /// slices costs one O(list) rebuild, not k of them.
+  /// Walks one level's slice list: skips slices outside `ext`, refines
+  /// oversized touched slices, and processes the rest and the refinement
+  /// pieces (`Process`: descend, or record a leaf scan) unless the context
+  /// has no query box. Refinement pieces are stitched into a rebuilt list
+  /// in one pass instead of `erase`+`insert` splicing, so a query that
+  /// cracks k slices costs one O(list) rebuild, not k of them.
   void Visit(std::vector<Slice>* slices, const BoxExec& ctx, const Box<D>& ext,
              unsigned covered) {
     const int d = slices->front().level;
+    const bool process = ctx.q != nullptr;
     const std::size_t limit = (*ctx.threshold)[static_cast<std::size_t>(d)];
     std::vector<Slice>& rebuilt = visit_scratch_[static_cast<std::size_t>(d)];
     bool rebuilding = false;
@@ -1258,11 +1217,11 @@ class QuasiiIndex final : public SpatialIndex<D> {
         }
         std::vector<Slice>& pieces = Refine(std::move(s), ext, limit);
         for (Slice& piece : pieces) {
-          Process(&piece, ctx, ext, covered);
+          if (process) Process(&piece, ctx, ext, covered);
           rebuilt.push_back(std::move(piece));
         }
       } else {
-        if (!outside) Process(&s, ctx, ext, covered);
+        if (!outside && process) Process(&s, ctx, ext, covered);
         if (rebuilding) rebuilt.push_back(std::move(s));
       }
     }
@@ -1273,12 +1232,13 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
   /// Handles one within-threshold (or frozen) slice that may overlap the
-  /// query: scans it at the leaf level, descends otherwise. `covered` is the
-  /// bitmask of dimensions whose slice value range lies inside the query's
-  /// own interval — every centre key there is inside `q`, which (as
-  /// `box.lo <= centre <= box.hi`) already proves the box overlaps `q` in
-  /// that dimension, so the leaf scan skips its bound test (intersection
-  /// predicate only; `StreamScan` ignores the mask for containment).
+  /// query: records its leaf scan at the leaf level, descends otherwise.
+  /// `covered` is the bitmask of dimensions whose slice value range lies
+  /// inside the query's own interval — every centre key there is inside
+  /// `q`, which (as `box.lo <= centre <= box.hi`) already proves the box
+  /// overlaps `q` in that dimension, so the leaf scan skips its bound test
+  /// (intersection predicate only; `StreamScan` ignores the mask for
+  /// containment).
   void Process(Slice* s, const BoxExec& ctx, const Box<D>& ext,
                unsigned covered) {
     const int d = s->level;
@@ -1287,28 +1247,45 @@ class QuasiiIndex final : public SpatialIndex<D> {
     ++this->Stats().partitions_visited;
     if (d == D - 1) {
       this->Stats().objects_tested += s->size();
-      if (ctx.jobs != nullptr) {
-        ctx.jobs->push_back(LeafScanJob{s->begin, s->end, covered});
-        return;
-      }
-      this->Stats().bytes_scanned += array_.StreamScan(
-          s->begin, s->end, *ctx.q, ctx.predicate, covered, ctx.emit);
+      ctx.jobs->push_back(LeafScanJob{s->begin, s->end, covered});
       return;
     }
     EnsureChild(s);
     Visit(&s->children, ctx, ext, covered);
   }
 
-  /// Executes the deferred leaf scans morsel-parallel: consecutive jobs are
-  /// batched until a batch holds at least a grain of rows, every batch runs
-  /// the normal `StreamScan` kernels into its own per-job buffer on some
-  /// worker, and the buffers drain into the query's emitter in CAPTURE
-  /// (= visit) order — so the sink observes the byte-identical id stream a
-  /// serial execution produces, and count-only runs the identical total.
-  /// Byte counters accumulate per job and merge into the caller's shard
-  /// here; the tasks never touch index stats.
+  /// Runs a query's recorded leaf scans, the only scan runner. When the
+  /// scheduler has workers, the jobs are cut into batches of consecutive
+  /// jobs holding at least a grain of rows each. With one batch, or with
+  /// no workers, the caller scans the jobs in CAPTURE (= visit) order
+  /// straight into the query's emitter.
+  /// Otherwise every batch runs the same `StreamScan` kernels into its own
+  /// per-job buffers on some worker, and the buffers drain into the
+  /// emitter in capture order — so the sink observes the identical id
+  /// stream either way, and count-only runs the identical total. Byte
+  /// counters merge into the caller's shard here; the tasks never touch
+  /// index stats.
   void RunLeafScans(const std::vector<LeafScanJob>& jobs, const BoxExec& ctx,
                     TaskScheduler* exec) {
+    std::vector<std::size_t> starts;  // first job of each batch
+    if (exec->parallel()) {
+      std::size_t rows = 0;
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (i == 0 || rows >= MorselGrain()) {
+          starts.push_back(i);
+          rows = 0;
+        }
+        rows += jobs[i].end - jobs[i].begin;
+      }
+    }
+    if (starts.size() <= 1) {
+      for (const LeafScanJob& job : jobs) {
+        this->Stats().bytes_scanned +=
+            array_.StreamScan(job.begin, job.end, *ctx.q, ctx.predicate,
+                              job.covered, ctx.emit);
+      }
+      return;
+    }
     struct JobOut {
       std::vector<ObjectId> ids;
       std::uint64_t count = 0;
@@ -1316,16 +1293,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
     };
     std::vector<JobOut> results(jobs.size());
     const bool count_only = ctx.emit->count_only();
-    std::vector<std::size_t> starts;
-    starts.push_back(0);
-    std::size_t rows = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      rows += jobs[i].end - jobs[i].begin;
-      if (rows >= MorselGrain() && i + 1 < jobs.size()) {
-        starts.push_back(i + 1);
-        rows = 0;
-      }
-    }
     {
       TaskScheduler::Group g(exec);
       for (std::size_t b = 0; b < starts.size(); ++b) {
@@ -1390,46 +1357,21 @@ class QuasiiIndex final : public SpatialIndex<D> {
 
   /// The crack half of the join descent: refines this index's level list
   /// against the interval `[lo, hi)` — a partner slice's value range,
-  /// pre-extended by the combined half extents — exactly like a query
-  /// descent would (crack at the interval bounds, median-split the covered
-  /// middle to threshold), but without scanning anything. Must be called on
-  /// the index that owns `slices` (it uses that index's array, thresholds,
-  /// scratch, and stats shard); `threshold` is the thresholds of the
-  /// extent class the slices belong to.
+  /// pre-extended by the combined half extents — through `Visit` with no
+  /// query box, so it cracks and median-splits exactly like a query
+  /// descent but processes nothing. Must be called on the index that owns
+  /// `slices` (it uses that index's array, scratch, and stats shard);
+  /// `threshold` is the thresholds of the extent class the slices belong
+  /// to.
   void RefineForJoin(std::vector<Slice>* slices, Scalar lo, Scalar hi,
                      const Thresholds& threshold) {
-    if (slices->empty()) return;
     const int d = slices->front().level;
-    const std::size_t limit = threshold[static_cast<std::size_t>(d)];
     Box<D> ext = Box<D>::Infinite();
     ext.lo[d] = lo;
     ext.hi[d] = hi;
-    std::vector<Slice>& rebuilt = visit_scratch_[static_cast<std::size_t>(d)];
-    bool rebuilding = false;
-    for (std::size_t i = 0; i < slices->size(); ++i) {
-      Slice& s = (*slices)[i];
-      const bool outside = s.size() == 0 || s.lo >= hi || s.hi <= lo;
-      if (!outside && s.size() > limit && !s.frozen) {
-        if (!rebuilding) {
-          rebuilding = true;
-          rebuilt.clear();
-          rebuilt.reserve(slices->size() + 8);
-          for (std::size_t j = 0; j < i; ++j) {
-            rebuilt.push_back(std::move((*slices)[j]));
-          }
-        }
-        std::vector<Slice>& pieces = Refine(std::move(s), ext, limit);
-        for (Slice& piece : pieces) {
-          rebuilt.push_back(std::move(piece));
-        }
-      } else if (rebuilding) {
-        rebuilt.push_back(std::move(s));
-      }
-    }
-    if (rebuilding) {
-      slices->swap(rebuilt);
-      rebuilt.clear();  // drop the moved-from originals, keep the capacity
-    }
+    const BoxExec ctx{nullptr, RangePredicate::kIntersects, nullptr, nullptr,
+                      &threshold};
+    Visit(slices, ctx, ext, 0u);
   }
 
   /// One level of the lockstep join descent over two slice lists (of this
@@ -1438,15 +1380,15 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// other side's slice intervals — the snapshot keeps the cross-refinement
   /// from chasing the partner's freshly carved slices, and makes the
   /// self-join refine once instead of twice. Then every overlapping slice
-  /// pair is walked: leaf pairs scan, inner pairs descend into their child
-  /// lists. Two slices can hold intersecting objects only when their value
-  /// intervals come within the class pair's summed half extents `h` of
-  /// each other — and `sa.hi > sb.lo - h && sb.hi > sa.lo - h` is false
-  /// for the parked dead slices (`lo == hi == +inf`), so they are skipped
-  /// for free. On a self-join over one list the inner walk starts at
-  /// `j = i`: the pair (slice_i, slice_j) already covers both orientations
-  /// after the emitter's normalization, so `j < i` would only produce
-  /// duplicates.
+  /// pair is walked once: inner pairs descend into their child lists, leaf
+  /// pairs are collected and scanned by `RunLeafJoins`. Two slices can
+  /// hold intersecting objects only when their value intervals come within
+  /// the class pair's summed half extents `h` of each other — and
+  /// `sa.hi > sb.lo - h && sb.hi > sa.lo - h` is false for the parked dead
+  /// slices (`lo == hi == +inf`), so they are skipped for free. On a
+  /// self-join over one list the inner walk starts at `j = i`: the pair
+  /// (slice_i, slice_j) already covers both orientations after the
+  /// emitter's normalization, so `j < i` would only produce duplicates.
   void JoinVisit(QuasiiIndex<D>* other, const JoinClassPair& pair,
                  std::vector<Slice>* mine, std::vector<Slice>* theirs,
                  JoinEmitter& emit) {
@@ -1471,28 +1413,10 @@ class QuasiiIndex final : public SpatialIndex<D> {
         RefineForJoin(mine, iv.first - h, iv.second + h, *pair.mine);
       }
     }
-    // Leaf level with intra-query workers: the remaining work is pure
-    // scanning over stable slice lists, so collect the overlapping pairs
-    // and fan them out. Inner levels keep the serial walk — their loop
-    // bodies mutate (EnsureChild, the recursive refinement).
-    if (d == D - 1 && IntraQueryScheduler().parallel()) {
-      std::vector<std::pair<const Slice*, const Slice*>> pairs;
-      for (std::size_t i = 0; i < mine->size(); ++i) {
-        const Slice& sa = (*mine)[i];
-        if (sa.size() == 0) continue;
-        for (std::size_t j = same_list ? i : 0; j < theirs->size(); ++j) {
-          const Slice& sb = (*theirs)[j];
-          if (sb.size() == 0) continue;
-          if (!(sa.hi > sb.lo - h && sb.hi > sa.lo - h)) continue;
-          ++this->Stats().partitions_visited;
-          pairs.emplace_back(&sa, &sb);
-        }
-      }
-      if (!pairs.empty()) {
-        ParallelLeafJoin(other, pairs, emit, &IntraQueryScheduler());
-      }
-      return;
-    }
+    // At the leaf level nothing mutates any more, so the pair walk only
+    // collects the pairs (the slice lists, and so the pointers, are stable
+    // until the scans ran).
+    std::vector<std::pair<const Slice*, const Slice*>> leaf_pairs;
     for (std::size_t i = 0; i < mine->size(); ++i) {
       Slice& sa = (*mine)[i];
       if (sa.size() == 0) continue;
@@ -1502,7 +1426,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
         if (!(sa.hi > sb.lo - h && sb.hi > sa.lo - h)) continue;
         ++this->Stats().partitions_visited;
         if (d == D - 1) {
-          LeafJoin(other, sa, sb, emit);
+          leaf_pairs.emplace_back(&sa, &sb);
         } else {
           EnsureChild(&sa);
           other->EnsureChild(&sb);
@@ -1510,17 +1434,18 @@ class QuasiiIndex final : public SpatialIndex<D> {
         }
       }
     }
+    if (!leaf_pairs.empty()) {
+      RunLeafJoins(other, leaf_pairs, emit, &IntraQueryScheduler());
+    }
   }
 
   /// Scans one leaf-slice pair: each live row of this side's slice streams
   /// through the partner slice's bound columns (`StreamScan` is the exact
   /// box-intersection filter and skips the partner's tombstones itself).
-  /// `sink` is either the emitter-backed `LeftFixedSink` (serial path) or a
-  /// per-task `PairListSink` (parallel path); counters land in `st` so
-  /// tasks accumulate locally.
-  template <typename ProbeSink>
+  /// Pairs land in `sink`, counters in `st`, both local to the calling
+  /// task.
   void LeafJoinScan(QuasiiIndex<D>* other, const Slice& sa, const Slice& sb,
-                    ProbeSink* sink, QueryStats* st) {
+                    PairListSink* sink, QueryStats* st) {
     MatchEmitter me(/*count_only=*/false, sink);
     for (std::size_t r = sa.begin; r < sa.end; ++r) {
       if (!array_.live(r)) continue;
@@ -1533,21 +1458,16 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
   }
 
-  void LeafJoin(QuasiiIndex<D>* other, const Slice& sa, const Slice& sb,
-                JoinEmitter& emit) {
-    LeftFixedSink sink(&emit);
-    LeafJoinScan(other, sa, sb, &sink, &this->Stats());
-  }
-
-  /// Walks a batch of leaf pairs per task, each task collecting its pairs
-  /// and counters locally; the caller drains the buffers into the real
-  /// emitter in pair-capture order and merges the counters into its own
-  /// shard. Safe because at the leaf level nothing mutates: `RefineForJoin`
-  /// already ran, `LeafJoinScan` is a pure read, and the slice lists (and
-  /// so the captured `Slice*`) are stable for the duration of the walk.
-  /// Result sets are unaffected by the batching — the emitter canonicalizes
-  /// (sorts, dedups) at Flush.
-  void ParallelLeafJoin(
+  /// Scans one leaf level's collected pairs, at every thread count: a
+  /// batch of consecutive pairs per task (inline on a scheduler without
+  /// workers), each task collecting its pairs and counters locally; the
+  /// caller drains the buffers into the real emitter in pair-capture order
+  /// and merges the counters into its own shard. Safe because at the leaf
+  /// level nothing mutates: `RefineForJoin` already ran, `LeafJoinScan` is
+  /// a pure read, and the slice lists (and so the captured `Slice*`) are
+  /// stable for the duration of the walk. Result sets are unaffected by
+  /// the batching — the emitter canonicalizes (sorts, dedups) at Flush.
+  void RunLeafJoins(
       QuasiiIndex<D>* other,
       const std::vector<std::pair<const Slice*, const Slice*>>& pairs,
       JoinEmitter& emit, TaskScheduler* exec) {
@@ -1595,9 +1515,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
 
   /// Tombstone count below which compaction is never worth an O(n) rebuild.
   static constexpr std::size_t kMinCompactTombstones = 64;
-  /// Slices below this size split via the iterative worklist even when the
-  /// scheduler has workers — a scheduling cutoff only, the split sequence
-  /// (and so layout and counters) is identical either way.
+  /// Slices below this size hand no half to a task even when the scheduler
+  /// has workers — a scheduling cutoff only, the split sequence (and so
+  /// layout and counters) is identical either way.
   static constexpr std::size_t kParallelSplitMin = std::size_t{1} << 14;
   /// Probe work (|a| · |b| row products) batched into one leaf-join task.
   static constexpr std::uint64_t kJoinBatchWork = std::uint64_t{1} << 18;

@@ -163,8 +163,10 @@ void ParseArgOrDie(const std::string& arg, ClientConfig* config) {
     config->out_path = flag.value;
   } else if (flag.key == "exec-threads") {
     if (!flag.has_value || !cli::ParseU64(flag.value, &u) || u == 0 ||
-        u > 256) {
-      Die(arg, "expected an integer in [1, 256]");
+        u > quasii::TaskScheduler::kMaxThreads) {
+      Die(arg, ("expected an integer in [1, " +
+                std::to_string(quasii::TaskScheduler::kMaxThreads) + "]")
+                   .c_str());
     }
     config->exec_threads = static_cast<int>(u);
   } else if (flag.key == "help") {

@@ -2,10 +2,11 @@
 // (nested submission without deadlock at any pool size, steal accounting,
 // ParallelFor grain edge cases) and the determinism contract of morsel-
 // parallel QUASII execution — a serial and a multi-threaded run of the
-// same cold query stream must produce bit-identical columns, identical
-// crack/objects_tested counters, and identical results, for range queries
-// and crack-driven joins alike. The final stress test races parallel
-// scans/cracks against roster mutations and is the CI TSan leg's fodder.
+// same cold query stream must produce bit-identical columns and slice
+// lists, identical work counters, and identical result streams, for range
+// and count queries, duplicate-heavy data, and crack-driven joins alike.
+// The final stress test races parallel scans/cracks against roster
+// mutations and is the CI TSan leg's fodder.
 
 #include <algorithm>
 #include <atomic>
@@ -13,10 +14,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/dataset.h"
 #include "common/query.h"
 #include "common/task_scheduler.h"
@@ -28,6 +31,8 @@
 namespace {
 
 using quasii::Box3;
+using quasii::CountQuery;
+using quasii::CountSink;
 using quasii::Dataset3;
 using quasii::IntraQueryThreads;
 using quasii::JoinQuery;
@@ -35,6 +40,7 @@ using quasii::MorselGrain;
 using quasii::ObjectId;
 using quasii::ParallelFor;
 using quasii::QuasiiIndex;
+using quasii::QueryStats;
 using quasii::RangeQuery;
 using quasii::Scalar;
 using quasii::SetIntraQueryThreads;
@@ -187,54 +193,83 @@ void TestEnvCapAndThreadCount() {
   CHECK_GE(MorselGrain(), 1u);
 }
 
-/// Runs `queries` cold on a fresh index at the given thread count and
-/// returns the per-query sorted results; exposes the index for column and
-/// counter comparison.
+/// The index's snapshot structure blob: every crack-array column plus the
+/// class table and each class's slice hierarchy in list order — the
+/// physical layout and the refinement state together.
+std::string StructureOf(const QuasiiIndex<3>& index) {
+  std::string bytes;
+  quasii::ByteWriter w(&bytes);
+  CHECK(index.SerializeStructure(w));
+  return bytes;
+}
+
+/// The work counters QUASII reports, which must not depend on the thread
+/// count.
+void CheckSameCounters(const QueryStats& a, const QueryStats& b) {
+  CHECK_EQ(a.cracks, b.cracks);
+  CHECK_EQ(a.objects_moved, b.objects_moved);
+  CHECK_EQ(a.objects_tested, b.objects_tested);
+  CHECK_EQ(a.partitions_visited, b.partitions_visited);
+  CHECK_EQ(a.bytes_scanned, b.bytes_scanned);
+}
+
+/// Runs range queries, and count queries between them, cold on a fresh
+/// index at the given thread count; records each range query's id stream
+/// in emission order, the counts, the counters and the final structure.
 struct ColdRun {
   std::vector<std::vector<ObjectId>> results;
-  std::uint64_t cracks = 0;
-  std::uint64_t objects_tested = 0;
-  std::uint64_t objects_moved = 0;
-  /// The lo and hi column of every dimension.
-  std::vector<std::vector<Scalar>> bounds;
-  std::vector<ObjectId> ids;
-  std::vector<std::uint8_t> live;
+  std::vector<std::uint64_t> counts;
+  QueryStats stats;
+  std::string structure;
+  /// Rows of the largest frozen root slice.
+  std::size_t frozen_root_rows = 0;
 };
 
-ColdRun RunCold(const Dataset3& data, const std::vector<Box3>& queries,
-                int threads) {
+ColdRun RunCold(const Dataset3& data, const std::vector<Box3>& ranges,
+                const std::vector<Box3>& counts, int threads) {
   ScopedThreads guard(threads);
   QuasiiIndex<3> index(data);
   ColdRun run;
-  for (const Box3& q : queries) {
-    std::vector<ObjectId> got;
-    VectorSink sink(&got);
-    index.Execute(RangeQuery<3>(q), sink);
-    std::sort(got.begin(), got.end());
-    run.results.push_back(std::move(got));
+  for (std::size_t i = 0; i < std::max(ranges.size(), counts.size()); ++i) {
+    if (i < ranges.size()) {
+      std::vector<ObjectId> got;
+      VectorSink sink(&got);
+      index.Execute(RangeQuery<3>(ranges[i]), sink);
+      run.results.push_back(std::move(got));
+    }
+    if (i < counts.size()) {
+      CountSink sink;
+      index.Execute(CountQuery<3>(counts[i]), sink);
+      run.counts.push_back(sink.count());
+    }
   }
   CHECK(index.CheckInvariants());
-  run.cracks = index.stats().cracks;
-  run.objects_tested = index.stats().objects_tested;
-  run.objects_moved = index.stats().objects_moved;
-  const auto& array = index.array();
-  for (int d = 0; d < 3; ++d) {
-    run.bounds.push_back(array.lo_col(d));
-    run.bounds.push_back(array.hi_col(d));
-  }
-  run.ids = array.ids();
-  for (std::size_t i = 0; i < array.size(); ++i) {
-    run.live.push_back(array.live(i) ? 1 : 0);
+  run.stats = index.stats();
+  run.structure = StructureOf(index);
+  for (std::size_t c = 0; c < index.class_count(); ++c) {
+    for (const auto& s : index.extent_class(c).root) {
+      if (s.frozen) {
+        run.frozen_root_rows = std::max(run.frozen_root_rows, s.size());
+      }
+    }
   }
   return run;
 }
 
+void CheckSameColdRun(const ColdRun& serial, const ColdRun& parallel) {
+  CHECK(serial.results == parallel.results);
+  CHECK(serial.counts == parallel.counts);
+  CheckSameCounters(serial.stats, parallel.stats);
+  CHECK(serial.structure == parallel.structure);
+}
+
 void TestColdStartSerialParallelIdentical() {
   // n above the chunked-partition threshold (2^16) so the cold first query
-  // exercises the parallel partition, the parallel split worklist, and the
-  // deferred leaf scans — and still must match the serial run bit for bit:
-  // same results, same crack/objects_tested counters, same physical column
-  // order.
+  // exercises the parallel partition, the forked median split, and the
+  // batched leaf scans — and still must match the serial run bit for bit:
+  // same id streams, same counters, same columns and slice lists. The count
+  // queries (wider, so their leaves span several scan batches) take the
+  // count-only batch path.
   quasii::datagen::UniformDatasetParams dp;
   dp.count = 1u << 17;
   dp.seed = 9;
@@ -244,22 +279,78 @@ void TestColdStartSerialParallelIdentical() {
   qp.count = 30;
   qp.selectivity = 1e-3;
   qp.seed = 41;
-  const auto queries = quasii::datagen::MakeUniformQueries(universe, qp);
+  const auto ranges = quasii::datagen::MakeUniformQueries(universe, qp);
+  qp.count = 10;
+  qp.selectivity = 1e-2;
+  qp.seed = 42;
+  const auto counts = quasii::datagen::MakeUniformQueries(universe, qp);
 
-  const ColdRun serial = RunCold(data, queries, 1);
-  const ColdRun parallel = RunCold(data, queries, 4);
+  const ColdRun serial = RunCold(data, ranges, counts, 1);
+  const ColdRun parallel = RunCold(data, ranges, counts, 4);
+  CheckSameColdRun(serial, parallel);
+}
 
-  CHECK_EQ(serial.results.size(), parallel.results.size());
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    CHECK(serial.results[i] == parallel.results[i]);
+void TestDuplicateHeavySerialParallelIdentical() {
+  // 2^16 rows, half of them one box at the centre of the universe: the
+  // cold whole-universe query halves the 2^16-row root at the duplicate
+  // centre, so with workers the right half, which holds the duplicate run,
+  // is halved in a task and freezes there. Layout and counters must still
+  // match the serial run.
+  quasii::datagen::UniformDatasetParams dp;
+  dp.count = 1u << 15;
+  dp.seed = 17;
+  Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
+  const Box3 universe = quasii::datagen::UniformUniverse(dp);
+  Box3 dup = data[0];
+  for (int d = 0; d < 3; ++d) {
+    const Scalar shift =
+        (universe.lo[d] + universe.hi[d]) / 2 - (dup.lo[d] + dup.hi[d]) / 2;
+    dup.lo[d] += shift;
+    dup.hi[d] += shift;
   }
-  CHECK_EQ(serial.cracks, parallel.cracks);
-  CHECK_EQ(serial.objects_tested, parallel.objects_tested);
-  CHECK_EQ(serial.objects_moved, parallel.objects_moved);
-  // Bit-identical layout: the strongest form of the determinism contract.
-  CHECK(serial.bounds == parallel.bounds);
-  CHECK(serial.ids == parallel.ids);
-  CHECK(serial.live == parallel.live);
+  data.insert(data.end(), std::size_t{1} << 15, dup);
+  std::vector<Box3> ranges = {universe};
+  quasii::datagen::UniformQueryParams qp;
+  qp.count = 20;
+  qp.selectivity = 1e-3;
+  qp.seed = 43;
+  for (const Box3& q : quasii::datagen::MakeUniformQueries(universe, qp)) {
+    ranges.push_back(q);
+  }
+  const std::vector<Box3> counts = {dup, universe};
+
+  const ColdRun serial = RunCold(data, ranges, counts, 1);
+  const ColdRun parallel = RunCold(data, ranges, counts, 4);
+  CHECK_GE(serial.frozen_root_rows, std::size_t{1} << 15);
+  CheckSameColdRun(serial, parallel);
+}
+
+/// A cold join at the given thread count: of a fresh index over `left_data`
+/// against one over `right_data`, or with itself on a self-join.
+struct JoinRun {
+  std::vector<IdPair> pairs;
+  QueryStats left_stats;
+  QueryStats right_stats;
+  std::string left_structure;
+  std::string right_structure;
+};
+
+JoinRun RunJoin(const Dataset3& left_data, const Dataset3& right_data,
+                bool self_join, int threads) {
+  ScopedThreads guard(threads);
+  QuasiiIndex<3> left(left_data);
+  QuasiiIndex<3> right(right_data);
+  QuasiiIndex<3>& partner = self_join ? left : right;
+  JoinRun run;
+  VectorPairSink sink(&run.pairs);
+  left.Execute(JoinQuery<3>(partner), sink);
+  CHECK(left.CheckInvariants());
+  CHECK(partner.CheckInvariants());
+  run.left_stats = left.stats();
+  run.right_stats = partner.stats();
+  run.left_structure = StructureOf(left);
+  run.right_structure = StructureOf(partner);
+  return run;
 }
 
 void TestParallelJoinMatchesSerial() {
@@ -270,21 +361,16 @@ void TestParallelJoinMatchesSerial() {
   dp.seed = 6;
   const Dataset3 right_data = quasii::datagen::MakeUniformDataset(dp);
 
-  auto run = [&](int threads) {
-    ScopedThreads guard(threads);
-    QuasiiIndex<3> left(left_data);
-    QuasiiIndex<3> right(right_data);
-    std::vector<IdPair> pairs;
-    VectorPairSink sink(&pairs);
-    left.Execute(JoinQuery<3>(right), sink);
-    CHECK(left.CheckInvariants());
-    CHECK(right.CheckInvariants());
-    return std::make_pair(pairs, left.stats().cracks + right.stats().cracks);
-  };
-  const auto serial = run(1);
-  const auto parallel = run(4);
-  CHECK(serial.first == parallel.first);  // emitter output is canonical
-  CHECK_EQ(serial.second, parallel.second);
+  for (const bool self_join : {false, true}) {
+    const JoinRun serial = RunJoin(left_data, right_data, self_join, 1);
+    const JoinRun parallel = RunJoin(left_data, right_data, self_join, 4);
+    CHECK(!serial.pairs.empty());
+    CHECK(serial.pairs == parallel.pairs);  // emitter output is canonical
+    CheckSameCounters(serial.left_stats, parallel.left_stats);
+    CheckSameCounters(serial.right_stats, parallel.right_stats);
+    CHECK(serial.left_structure == parallel.left_structure);
+    CHECK(serial.right_structure == parallel.right_structure);
+  }
 }
 
 void TestParallelScansRaceRosterMutations() {
@@ -348,6 +434,7 @@ int main() {
   RUN_TEST(TestParallelForGrainEdgeCases);
   RUN_TEST(TestEnvCapAndThreadCount);
   RUN_TEST(TestColdStartSerialParallelIdentical);
+  RUN_TEST(TestDuplicateHeavySerialParallelIdentical);
   RUN_TEST(TestParallelJoinMatchesSerial);
   RUN_TEST(TestParallelScansRaceRosterMutations);
   return 0;

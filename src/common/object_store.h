@@ -58,6 +58,9 @@ class ObjectStore {
       bounds_.ExpandToInclude(data[id]);
     }
   }
+  /// The store keeps a view of `data` until the first mutation, so a
+  /// temporary would dangle.
+  explicit ObjectStore(std::vector<Box<D>>&&) = delete;
 
   /// Upper bound (exclusive) of ids ever stored.
   std::size_t slots() const { return view_ ? view_->size() : boxes_.size(); }

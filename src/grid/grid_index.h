@@ -52,6 +52,8 @@ class GridIndex final : public SpatialIndex<D> {
                 ? "GridQueryExt"
                 : "GridReplication";
   }
+  /// A temporary dataset would be destroyed while the store still reads it.
+  GridIndex(Dataset<D>&&, const Box<D>&, const Params&) = delete;
 
   std::string_view name() const override { return name_; }
 

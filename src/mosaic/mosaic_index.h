@@ -53,6 +53,8 @@ class MosaicIndex final : public SpatialIndex<D> {
   MosaicIndex(const Dataset<D>& data, const Box<D>& universe,
               const Params& params = Params{})
       : SpatialIndex<D>(data), universe_(universe), params_(params) {}
+  /// A temporary dataset would be destroyed while the store still reads it.
+  MosaicIndex(Dataset<D>&&, const Box<D>&, const Params& = Params{}) = delete;
 
   std::string_view name() const override { return "Mosaic"; }
 

@@ -83,10 +83,13 @@ namespace quasii {
 ///    smallest extent class whose bound covers their largest side (widening
 ///    that class's half extent if they exceed it); the next query splits
 ///    the tail by class and promotes each class's piece to a root-level
-///    slice of that class with open value bounds (consecutive promotions
-///    merge while the previous one is still unrefined), which subsequent
-///    queries crack down lazily exactly like initial data — an insert
-///    itself never cracks anything;
+///    slice of that class with open value bounds, which subsequent queries
+///    crack down lazily exactly like initial data — an insert itself never
+///    cracks anything. Promoted tails fold with the logarithmic method
+///    (`AbsorbPending`): a tail merges with every newest promoted group no
+///    larger than what it has gathered so far, so the promoted root slices
+///    per class stay about log2 of the promoted rows instead of growing by
+///    one per insert-then-read cycle;
 ///  - erases tombstone the object's row in place (O(1) via the id → row
 ///    map, which the first erase after a (re)initialization builds in one
 ///    O(n) pass, so read-only sessions never maintain it); leaf scans skip
@@ -154,6 +157,8 @@ class QuasiiIndex final : public SpatialIndex<D> {
 
   explicit QuasiiIndex(const Dataset<D>& data, const Params& params = Params{})
       : SpatialIndex<D>(data), params_(params) {}
+  /// A temporary dataset would be destroyed while the store still reads it.
+  explicit QuasiiIndex(Dataset<D>&&, const Params& = Params{}) = delete;
 
   std::string_view name() const override { return "QUASII"; }
 
@@ -166,6 +171,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   const ExtentClass& extent_class(std::size_t c) const { return classes_[c]; }
   const CrackArray<D>& array() const { return array_; }
   bool initialized() const { return initialized_; }
+  /// First row of every promoted insert group, oldest first
+  /// (`AbsorbPending`).
+  const std::vector<std::size_t>& fold_stack() const { return fold_stack_; }
 
   /// Per-row column bytes (lo/hi bounds, id and live byte), plus the
   /// id → row map's 8 B per slot once an erase has built it.
@@ -203,6 +211,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// written, and a live row outside its class's half extent would
   /// silently drop answers.
   bool DeserializeStructure(std::string_view bytes) override {
+    fold_stack_.clear();  // restored slices are never folded
     ByteReader r(bytes);
     const bool init = r.U8() != 0;
     if (!r.ok()) return false;
@@ -229,14 +238,15 @@ class QuasiiIndex final : public SpatialIndex<D> {
     initialized_ = false;
     array_.Clear();
     classes_.clear();
+    fold_stack_.clear();
   }
 
   /// Extends the store check with crack-array column agreement, the
   /// live-row ↔ store bijection (every live row's id is alive and its
   /// columns match the store's box bit-for-bit), the class table
   /// (`CheckClassTable`), each class's live count and thresholds,
-  /// slice-range tiling, and key containment in every slice's value
-  /// interval.
+  /// slice-range tiling, key containment in every slice's value interval,
+  /// and the fold stack (`CheckFoldStack`).
   bool CheckInvariants(std::string* why = nullptr) const override {
     if (!SpatialIndex<D>::CheckInvariants(why)) return false;
     if (!initialized_) return true;
@@ -278,7 +288,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
         if (!CheckSlice(s, 0, why)) return false;
       }
     }
-    return true;
+    return CheckFoldStack(why);
   }
 
   /// A query is converged — safe to execute concurrently under the shared
@@ -680,6 +690,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
       cls.threshold = ThresholdsFor(cls.live, params_.leaf_threshold);
       cls.root.push_back(OpenSlice(0, ends[c], ends[c + 1]));
     }
+    fold_stack_.clear();
     initialized_ = true;
   }
 
@@ -783,18 +794,28 @@ class QuasiiIndex final : public SpatialIndex<D> {
     Initialize();
   }
 
-  /// Drains the pending tail into the slice hierarchies: the tail is
-  /// grouped by class (`GroupByClass`), and each class's piece
-  /// becomes a root-level slice of that class with open value bounds that
-  /// queries refine lazily, exactly like initial data. While a class's
-  /// previously promoted slice is still unrefined (open bounds, no cracks,
-  /// no children) and ends where the new piece begins, the piece merges
-  /// into it, so insert-heavy phases cannot grow a root list by one slice
-  /// per query.
+  /// Drains the pending tail into the slice hierarchies with the
+  /// logarithmic method (Bentley & Saxe; database cracking merges pending
+  /// inserts the same way). The promoted rows form *groups*, each absorbed
+  /// together and holding one open root slice per class, and `fold_stack_`
+  /// records their start rows. The tail first swallows, like a binary
+  /// counter's carry, every newest group no larger than what it has
+  /// gathered so far; the gathered range then loses its root slices (and
+  /// their refinement), is regrouped by class (`GroupByClass`, dead rows
+  /// included) and becomes one new group of open root slices that queries
+  /// refine lazily, exactly like initial data. Group sizes strictly
+  /// decrease up the stack, each promoted row is regrouped O(log P) times
+  /// for P promoted rows, and equal-size tails leave at most
+  /// `floor(log2 P) + 1` groups, so reads cost the same after thousands of
+  /// insert-then-read cycles as after a few.
   void AbsorbPending() {
-    const std::size_t begin = array_.pending_begin();
+    std::size_t begin = array_.pending_begin();
     const std::size_t end = array_.size();
     if (begin == end) return;
+    while (!fold_stack_.empty() && begin - fold_stack_.back() <= end - begin) {
+      begin = fold_stack_.back();
+      fold_stack_.pop_back();
+    }
     std::vector<std::uint8_t> bucket(end - begin);
     std::vector<std::size_t> counts(classes_.size(), 0);
     for (std::size_t i = begin; i < end; ++i) {
@@ -803,20 +824,16 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
     const std::vector<std::size_t> ends =
         GroupByClass(begin, bucket.data(), counts);
-    constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
     for (std::size_t c = 0; c < classes_.size(); ++c) {
-      if (ends[c] == ends[c + 1]) continue;
+      // Root lists are in position order, so the folded groups' slices
+      // are each list's tail.
       std::vector<Slice>& root = classes_[c].root;
-      if (!root.empty()) {
-        Slice& last = root.back();
-        if (last.end == ends[c] && last.children.empty() && !last.frozen &&
-            last.lo == -kInf && last.hi == kInf) {
-          last.end = ends[c + 1];
-          continue;
-        }
+      while (!root.empty() && root.back().begin >= begin) root.pop_back();
+      if (ends[c] < ends[c + 1]) {
+        root.push_back(OpenSlice(0, ends[c], ends[c + 1]));
       }
-      root.push_back(OpenSlice(0, ends[c], ends[c + 1]));
     }
+    fold_stack_.push_back(begin);
     array_.SealPending();
   }
 
@@ -968,6 +985,36 @@ class QuasiiIndex final : public SpatialIndex<D> {
     for (std::size_t i = array_.pending_begin(); i < array_.size(); ++i) {
       if (array_.live(i) && !check_row(ClassOf(array_.box(i)), i)) {
         return fail("quasii: pending row outside its extent class");
+      }
+    }
+    return true;
+  }
+
+  /// The fold stack agrees with the root lists: its entries strictly
+  /// increase and lie inside the structured prefix, and each is where a
+  /// root slice begins, so no root slice crosses one (a fold drops whole
+  /// root slices).
+  bool CheckFoldStack(std::string* why) const {
+    const auto fail = [why](const char* msg) {
+      if (why) *why = msg;
+      return false;
+    };
+    std::vector<std::pair<std::size_t, std::size_t>> roots;
+    for (const ExtentClass& c : classes_) {
+      for (const Slice& s : c.root) roots.emplace_back(s.begin, s.end);
+    }
+    std::sort(roots.begin(), roots.end());
+    std::size_t r = 0;
+    for (std::size_t k = 0; k < fold_stack_.size(); ++k) {
+      const std::size_t start = fold_stack_[k];
+      if (start >= array_.pending_begin() ||
+          (k > 0 && start <= fold_stack_[k - 1])) {
+        return fail("quasii: fold stack out of order");
+      }
+      // The first root slice ending past `start` must begin there.
+      while (r < roots.size() && roots[r].second <= start) ++r;
+      if (r == roots.size() || roots[r].first != start) {
+        return fail("quasii: a root slice crosses a promoted group start");
       }
     }
     return true;
@@ -1530,6 +1577,10 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// initialized). Each class's half extents widen the queries that
   /// descend its slices; see `ExtentClass`.
   std::vector<ExtentClass> classes_;
+  /// Start row of every promoted group, oldest first (`AbsorbPending`).
+  /// Transient: (re)initialization and structure restores clear it, and a
+  /// restored index folds only the tails promoted after the restore.
+  std::vector<std::size_t> fold_stack_;
   /// Size bucket → class (`ClassOf`), rebuilt whenever the classes are.
   std::array<std::uint8_t, kBuckets> class_of_bucket_{};
   /// Reusable buffers: `SplitToThreshold`'s worklist (never live across a

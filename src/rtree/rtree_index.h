@@ -63,6 +63,8 @@ class RTreeIndex final : public SpatialIndex<D> {
 
   RTreeIndex(const Dataset<D>& data, const Params& params = Params{})
       : SpatialIndex<D>(data), params_(params) {}
+  /// A temporary dataset would be destroyed while the store still reads it.
+  RTreeIndex(Dataset<D>&&, const Params& = Params{}) = delete;
 
   std::string_view name() const override { return "R-Tree"; }
 

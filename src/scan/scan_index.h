@@ -22,6 +22,8 @@ class ScanIndex final : public SpatialIndex<D> {
  public:
   /// Keeps a reference to `data`; the caller owns it and must keep it alive.
   explicit ScanIndex(const Dataset<D>& data) : SpatialIndex<D>(data) {}
+  /// A temporary dataset would be destroyed while the store still reads it.
+  explicit ScanIndex(Dataset<D>&&) = delete;
 
   std::string_view name() const override { return "Scan"; }
 

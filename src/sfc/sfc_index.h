@@ -55,6 +55,8 @@ class SfcIndex final : public SpatialIndex<D> {
   SfcIndex(const Dataset<D>& data, const Box<D>& universe,
            const Params& params = Params{})
       : SpatialIndex<D>(data), grid_(universe), params_(params) {}
+  /// A temporary dataset would be destroyed while the store still reads it.
+  SfcIndex(Dataset<D>&&, const Box<D>&, const Params& = Params{}) = delete;
 
   std::string_view name() const override { return "SFC"; }
 

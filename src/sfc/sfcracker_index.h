@@ -54,6 +54,8 @@ class SfcrackerIndex final : public SpatialIndex<D> {
   SfcrackerIndex(const Dataset<D>& data, const Box<D>& universe,
                  const Params& params = Params{})
       : SpatialIndex<D>(data), grid_(universe), params_(params) {}
+  /// A temporary dataset would be destroyed while the store still reads it.
+  SfcrackerIndex(Dataset<D>&&, const Box<D>&, const Params& = {}) = delete;
 
   std::string_view name() const override { return "SFCracker"; }
 

@@ -714,6 +714,141 @@ void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
   }
 }
 
+/// Insert folds beside readers, at 4 intra-query threads: one thread runs
+/// insert-then-read cycles over both extent classes — its first tails are
+/// large enough that a fold's `GroupByClass` swaps run as parallel morsels
+/// — while three readers run range and count reads. Every read returns its
+/// initial answer plus only matching inserted objects; afterwards every
+/// answer matches Scan.
+void TestQuasiiInsertFoldsBesideReaders() {
+  const int prev = quasii::IntraQueryThreads();
+  quasii::SetIntraQueryThreads(4);
+  quasii::datagen::UniformDatasetParams dp;
+  dp.count = 8000;
+  dp.universe_size = 1000;
+  dp.seed = 53;
+  const Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
+  QuasiiIndex<3> index(data);
+  ScanIndex<3> scan(data);
+  Box3 universe;
+  for (int d = 0; d < 3; ++d) {
+    universe.lo[d] = 0;
+    universe.hi[d] = 1000;
+  }
+  Rng rng(59);
+  std::vector<Box3> reads;
+  for (int i = 0; i < 24; ++i) {
+    reads.push_back(RandomBox<3>(&rng, universe, 0.3));
+  }
+  std::vector<std::vector<ObjectId>> expected(reads.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    VectorSink sink(&expected[i]);
+    index.Execute(RangeQuery<3>(reads[i]), sink);
+    std::sort(expected[i].begin(), expected[i].end());
+  }
+  CHECK_EQ(index.class_count(), 2u);
+
+  // Four tails of 9000 rows, then 200 tails of 3; small (sides 1-10) and
+  // large (sides 100-300) objects alternate. Folding the second 9000-row
+  // tail onto the first regroups 4500 misplaced rows per side, more than
+  // one morsel.
+  const ObjectId first = static_cast<ObjectId>(data.size());
+  std::vector<std::size_t> tails(4, 9000);
+  tails.resize(204, 3);
+  std::vector<Box3> inserts;
+  for (const std::size_t tail : tails) {
+    for (std::size_t k = 0; k < tail; ++k) {
+      const bool large = inserts.size() % 2 == 1;
+      const double side = large ? rng.Uniform(100, 300) : rng.Uniform(1, 10);
+      Box3 b;
+      for (int d = 0; d < 3; ++d) {
+        const double centre = rng.Uniform(0, 1000);
+        b.lo[d] = static_cast<Scalar>(centre - side / 2);
+        b.hi[d] = static_cast<Scalar>(centre + side / 2);
+      }
+      inserts.push_back(b);
+    }
+  }
+  std::vector<Box3> writer_reads;
+  for (std::size_t i = 0; i < tails.size(); ++i) {
+    writer_reads.push_back(RandomBox<3>(&rng, universe, 0.2));
+  }
+
+  TaskScheduler scheduler(kThreads - 1);
+  TaskScheduler::Group group(&scheduler);
+  std::atomic<bool> writing{true};
+  std::atomic<int> bad{0};
+  for (int t = 0; t + 1 < kThreads; ++t) {
+    group.Run([&, t] {
+      std::size_t k = static_cast<std::size_t>(t) * 5;
+      for (int rounds = 0; writing.load() || rounds < 24; ++rounds, ++k) {
+        const std::size_t i = k % reads.size();
+        if (t == 0) {
+          CountSink cs;
+          index.Execute(CountQuery<3>(reads[i]), cs);
+          if (cs.count() < expected[i].size()) ++bad;
+          continue;
+        }
+        std::vector<ObjectId> got;
+        VectorSink sink(&got);
+        index.Execute(RangeQuery<3>(reads[i]), sink);
+        std::sort(got.begin(), got.end());
+        std::vector<ObjectId> extra;
+        std::set_difference(got.begin(), got.end(), expected[i].begin(),
+                            expected[i].end(), std::back_inserter(extra));
+        if (got.size() != expected[i].size() + extra.size()) ++bad;
+        for (const ObjectId id : extra) {
+          if (id < first || id - first >= inserts.size() ||
+              !inserts[id - first].Intersects(reads[i])) {
+            ++bad;
+          }
+        }
+      }
+    });
+  }
+  // The writer runs on this thread, so the readers, which spin until it
+  // finishes, cannot hold the threads it would need.
+  std::size_t next = 0;
+  for (std::size_t c = 0; c < tails.size(); ++c) {
+    for (std::size_t k = 0; k < tails[c]; ++k, ++next) {
+      if (!index.Insert(first + static_cast<ObjectId>(next), inserts[next])) {
+        ++bad;
+      }
+    }
+    std::vector<ObjectId> got;
+    VectorSink sink(&got);
+    index.Execute(RangeQuery<3>(writer_reads[c]), sink);
+  }
+  writing.store(false);
+  group.Wait();
+  CHECK_EQ(bad.load(), 0);
+
+  for (std::size_t k = 0; k < inserts.size(); ++k) {
+    CHECK(scan.Insert(first + static_cast<ObjectId>(k), inserts[k]));
+  }
+  std::string why;
+  if (!index.CheckInvariants(&why)) {
+    std::fprintf(stderr, "CheckInvariants: %s\n", why.c_str());
+    CHECK(false);
+  }
+  CHECK(!index.fold_stack().empty());
+  for (const Box3& q : reads) {
+    std::vector<ObjectId> got;
+    std::vector<ObjectId> want;
+    VectorSink got_sink(&got);
+    VectorSink want_sink(&want);
+    index.Execute(RangeQuery<3>(q), got_sink);
+    scan.Execute(RangeQuery<3>(q), want_sink);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    CHECK(got == want);
+    CountSink got_count;
+    index.Execute(CountQuery<3>(q), got_count);
+    CHECK_EQ(got_count.count(), want.size());
+  }
+  quasii::SetIntraQueryThreads(prev);
+}
+
 void TestStaticIndexesConvergeOnceBuilt() {
   Rng rng(41);
   const Box3 universe = MakeUniverse<3>();
@@ -772,6 +907,7 @@ int main() {
   RUN_TEST(TestConcurrentReadWriteStreamsReachSequentialState);
   RUN_TEST(TestQuasiiConvergedForTracksRefinementAndMutations);
   RUN_TEST(TestQuasiiSkewedExtentReadsBesideLargeInserts);
+  RUN_TEST(TestQuasiiInsertFoldsBesideReaders);
   RUN_TEST(TestStaticIndexesConvergeOnceBuilt);
   return 0;
 }

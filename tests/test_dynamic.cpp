@@ -7,12 +7,14 @@
 // thresholds track the live population.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/dataset.h"
@@ -21,6 +23,7 @@
 #include "common/request.h"
 #include "common/rng.h"
 #include "common/spatial_index.h"
+#include "datagen/synthetic.h"
 #include "geometry/box.h"
 #include "grid/grid_index.h"
 #include "mosaic/mosaic_index.h"
@@ -47,6 +50,7 @@ using quasii::GridIndex;
 using quasii::MatchesPredicate;
 using quasii::MosaicIndex;
 using quasii::ObjectId;
+using quasii::ObjectStore;
 using quasii::Point;
 using quasii::QuasiiIndex;
 using quasii::Query;
@@ -61,6 +65,23 @@ using quasii::SfcrackerIndex;
 using quasii::SpatialIndex;
 using quasii::TopKSink;
 using quasii::VectorSink;
+
+/// Whether `Index` can be built from a temporary dataset (and `Rest`).
+/// Every index, and the store behind it, keeps a view of the caller's
+/// dataset until the first mutation, so none of them may.
+template <typename Index, typename... Rest>
+constexpr bool kFromTemporary =
+    std::is_constructible_v<Index, Dataset3&&, Rest...>;
+static_assert(std::is_constructible_v<ScanIndex<3>, const Dataset3&>);
+static_assert(!kFromTemporary<ScanIndex<3>>);
+static_assert(!kFromTemporary<QuasiiIndex<3>>);
+static_assert(!kFromTemporary<QuasiiIndex<3>, QuasiiIndex<3>::Params>);
+static_assert(!kFromTemporary<RTreeIndex<3>>);
+static_assert(!kFromTemporary<GridIndex<3>, Box3, GridIndex<3>::Params>);
+static_assert(!kFromTemporary<SfcIndex<3>, Box3>);
+static_assert(!kFromTemporary<SfcrackerIndex<3>, Box3>);
+static_assert(!kFromTemporary<MosaicIndex<3>, Box3>);
+static_assert(!kFromTemporary<ObjectStore<3>>);
 
 /// Brute-force mutable reference: a sorted id → box map with the store's
 /// exact mutation semantics.
@@ -667,6 +688,166 @@ void TestQuasiiColumnMemoryTracksRowMap() {
            data.size() * row_bytes + data.size() * sizeof(std::size_t));
 }
 
+/// The promoted root slices of `index` (those at or past its oldest
+/// promoted group start) and the rows its promoted groups hold.
+struct PromotedShape {
+  std::size_t slices = 0;
+  std::size_t rows = 0;
+};
+
+PromotedShape Promoted(const QuasiiIndex<3>& index) {
+  PromotedShape shape;
+  const std::vector<std::size_t>& stack = index.fold_stack();
+  if (stack.empty()) return shape;
+  shape.rows = index.array().pending_begin() - stack.front();
+  for (std::size_t c = 0; c < index.class_count(); ++c) {
+    for (const auto& s : index.extent_class(c).root) {
+      if (s.begin >= stack.front()) ++shape.slices;
+    }
+  }
+  return shape;
+}
+
+/// Promoted insert tails fold with the logarithmic method: over thousands
+/// of insert-then-read cycles on the paper's two-size data (K = 2), with
+/// the inserts mixing both classes and erases tombstoning rows inside
+/// promoted groups, the promoted root slices never exceed
+/// K * (floor(log2 P) + 1) for P promoted rows, answers match Scan, and
+/// the invariants (fold stack included) hold. A structure restore and a
+/// compaction each clear the fold stack (the restore keeps the restored
+/// slices), and the bound holds again for the tails promoted after them.
+void TestQuasiiInsertFoldsStayLogarithmic() {
+  quasii::datagen::UniformDatasetParams dp;
+  dp.count = std::size_t{1} << 14;
+  dp.universe_size = 2000;
+  dp.seed = 21;
+  const Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
+  QuasiiIndex<3>::Params params;
+  params.leaf_threshold = 512;
+  QuasiiIndex<3> index(data, params);
+  ScanIndex<3> scan(data);
+  Rng rng(22);
+  const auto sized_box = [&rng](double side_lo, double side_hi) {
+    Box3 b;
+    for (int d = 0; d < 3; ++d) {
+      const double side = rng.Uniform(side_lo, side_hi);
+      const double centre = rng.Uniform(0, 2000);
+      b.lo[d] = static_cast<Scalar>(centre - side / 2);
+      b.hi[d] = static_cast<Scalar>(centre + side / 2);
+    }
+    return b;
+  };
+  std::vector<ObjectId> live(data.size());
+  for (ObjectId i = 0; i < data.size(); ++i) live[i] = i;
+  ObjectId next_id = static_cast<ObjectId>(data.size());
+  std::size_t inserted_from = live.size();  // live[i >= this] were inserted
+
+  const auto compare_with_scan = [&] {
+    const Box3 q = sized_box(100, 400);
+    CHECK(RunRange<3>(&index, q, RangePredicate::kIntersects) ==
+          RunRange<3>(&scan, q, RangePredicate::kIntersects));
+    CountSink got;
+    CountSink want;
+    index.Execute(CountQuery<3>(q), got);
+    scan.Execute(CountQuery<3>(q), want);
+    CHECK_EQ(got.count(), want.count());
+    const Point<3> pt = q.Center();
+    std::vector<ObjectId> got_ids;
+    std::vector<ObjectId> want_ids;
+    VectorSink got_sink(&got_ids);
+    VectorSink want_sink(&want_ids);
+    index.Execute(PointQuery<3>(pt), got_sink);
+    scan.Execute(PointQuery<3>(pt), want_sink);
+    std::sort(got_ids.begin(), got_ids.end());
+    std::sort(want_ids.begin(), want_ids.end());
+    CHECK(got_ids == want_ids);
+    CheckQuasiiInvariants(index, "insert folds");
+  };
+  const auto run_cycles = [&](int cycles) {
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+      // One large (class 1) object per seven small (class 0) ones: every
+      // fold regroups interleaved classes; a group of 1024 rows or more
+      // has a small piece above the leaf threshold, so refinement sweeps
+      // its tombstones into parked-dead slices that a later fold drops;
+      // and no group's large piece ever exceeds a level threshold, so each
+      // group keeps one root slice per class.
+      const Box3 box = cycle % 8 != 7 ? sized_box(1, 10) : sized_box(100, 600);
+      const ObjectId id = next_id++;
+      CHECK(index.Insert(id, box));
+      CHECK(scan.Insert(id, box));
+      live.push_back(id);
+      if (cycle % 3 == 2) {
+        // Mostly erase promoted rows, so folds meet tombstones (and the
+        // parked-dead slices refinement sweeps them into).
+        const bool promoted_victim = cycle % 4 != 0;
+        const std::int64_t lo =
+            promoted_victim ? static_cast<std::int64_t>(inserted_from) : 0;
+        const std::size_t victim = static_cast<std::size_t>(rng.UniformInt(
+            lo, static_cast<std::int64_t>(live.size()) - 1));
+        CHECK(index.Erase(live[victim]));
+        CHECK(scan.Erase(live[victim]));
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        if (victim < inserted_from) --inserted_from;
+      }
+      std::vector<ObjectId> got;
+      RangeQueryInto(index, sized_box(50, 300), &got);
+      const PromotedShape shape = Promoted(index);
+      CHECK_GT(shape.rows, 0u);
+      // At most floor(log2 P) + 1 groups, each one root slice per class.
+      const auto groups = static_cast<std::size_t>(std::bit_width(shape.rows));
+      CHECK_LE(shape.slices, index.class_count() * groups);
+      if (cycle % 100 == 99) compare_with_scan();
+    }
+  };
+
+  compare_with_scan();
+  CHECK_EQ(index.class_count(), 2u);
+  run_cycles(4000);
+  CHECK_EQ(index.array().pending_begin(), index.array().size());
+  CHECK_GT(index.array().tombstones(), 0u);
+
+  std::string blob;
+  quasii::ByteWriter w(&blob);
+  CHECK(index.SerializeStructure(w));
+  CHECK(index.DeserializeStructure(blob));
+  CHECK(index.fold_stack().empty());
+  CheckQuasiiInvariants(index, "restored");
+  std::string again;
+  quasii::ByteWriter w2(&again);
+  CHECK(index.SerializeStructure(w2));
+  CHECK(again == blob);
+  const std::size_t restored_roots =
+      index.extent_class(0).root.size() + index.extent_class(1).root.size();
+
+  run_cycles(1000);
+  compare_with_scan();
+  // The restored slices are never folded: every restored root slice lies
+  // before the first group promoted after the restore.
+  const std::size_t first_new = index.fold_stack().front();
+  std::size_t before_restore = 0;
+  for (std::size_t c = 0; c < index.class_count(); ++c) {
+    for (const auto& s : index.extent_class(c).root) {
+      if (s.begin < first_new) ++before_restore;
+    }
+  }
+  CHECK_GE(before_restore, restored_roots);
+
+  // A compaction rebuilds every row as initial data: the fold stack starts
+  // over, and the bound holds again for the tails promoted after it.
+  while (index.array().tombstones() * 4 < index.array().size()) {
+    const ObjectId victim = live.back();
+    live.pop_back();
+    CHECK(index.Erase(victim));
+    CHECK(scan.Erase(victim));
+  }
+  inserted_from = std::min(inserted_from, live.size());
+  compare_with_scan();
+  CHECK_EQ(index.array().tombstones(), 0u);
+  CHECK(index.fold_stack().empty());
+  run_cycles(300);
+  compare_with_scan();
+}
+
 }  // namespace
 
 int main() {
@@ -681,5 +862,6 @@ int main() {
   RUN_TEST(TestQuasiiThresholdMaintenance);
   RUN_TEST(TestQuasiiErasesAfterCrackingSession);
   RUN_TEST(TestQuasiiColumnMemoryTracksRowMap);
+  RUN_TEST(TestQuasiiInsertFoldsStayLogarithmic);
   return 0;
 }

@@ -62,9 +62,9 @@ struct ConjunctiveTerm {
   std::abort();
 }
 
-/// Whether every coordinate is a finite number — the validation gate the
-/// `Try*` factories apply to untrusted (wire/parsed) descriptions and
-/// `SpatialIndex::Insert` applies to every new object. NaN poisons every
+/// Whether every coordinate is a finite number — the validation gate every
+/// query factory applies to its geometry and `SpatialIndex::Insert`
+/// applies to every new object. NaN poisons every
 /// comparison-based traversal and infinities are reserved for the sentinel
 /// empty box, so neither belongs in a deserialized query or a stored box.
 template <int D>
@@ -111,9 +111,11 @@ std::size_t ConjunctionDriverIndex(
 /// `RangeQuery`/`PointQuery`/`CountQuery`/`KNearestQuery`/`JoinQuery`/
 /// `ConjunctiveQuery` wrappers) validate every description up front, so a
 /// malformed query — a `k == 0` kNN, a join without a second set, a
-/// conjunction without terms — fails at construction with a clear error
-/// instead of inside dispatch. `Try*` variants return `std::nullopt`
-/// instead of aborting, for callers that validate user input.
+/// conjunction without terms, a NaN or infinite coordinate in a range,
+/// point, count, kNN or conjunction — fails at construction with a clear
+/// error instead of inside dispatch. `Try*` variants return
+/// `std::nullopt` instead of aborting, for callers that validate user
+/// input.
 template <int D>
 class Query {
  public:
@@ -140,7 +142,13 @@ class Query {
   /// kConjunction: the ANDed terms (at least one by construction).
   const std::vector<ConjunctiveTerm<D>>& terms() const { return terms_; }
 
-  static Query MakeRange(const Box<D>& box, RangePredicate predicate) {
+  /// Every factory rejects NaN/infinite coordinates: they poison the
+  /// comparison-based traversals and the adaptive indexes' cost estimates.
+  /// `Try*` returns `std::nullopt` (for untrusted descriptions: the wire
+  /// protocol and other parsers); `Make*` aborts naming the cause.
+  static std::optional<Query> TryRange(const Box<D>& box,
+                                       RangePredicate predicate) {
+    if (!IsFinite(box)) return std::nullopt;
     Query q;
     q.type_ = QueryType::kRange;
     q.predicate_ = predicate;
@@ -148,14 +156,29 @@ class Query {
     return q;
   }
 
-  static Query MakePoint(const Point<D>& point) {
+  static Query MakeRange(const Box<D>& box, RangePredicate predicate) {
+    auto q = TryRange(box, predicate);
+    if (!q) QueryApiAbort("range query requires a finite box");
+    return *std::move(q);
+  }
+
+  static std::optional<Query> TryPoint(const Point<D>& point) {
+    if (!IsFinite(point)) return std::nullopt;
     Query q;
     q.type_ = QueryType::kPoint;
     q.point_ = point;
     return q;
   }
 
-  static Query MakeCount(const Box<D>& box, RangePredicate predicate) {
+  static Query MakePoint(const Point<D>& point) {
+    auto q = TryPoint(point);
+    if (!q) QueryApiAbort("point query requires a finite point");
+    return *std::move(q);
+  }
+
+  static std::optional<Query> TryCount(const Box<D>& box,
+                                       RangePredicate predicate) {
+    if (!IsFinite(box)) return std::nullopt;
     Query q;
     q.type_ = QueryType::kCount;
     q.predicate_ = predicate;
@@ -163,24 +186,10 @@ class Query {
     return q;
   }
 
-  /// Validating variants for untrusted descriptions (the wire protocol and
-  /// other parsers): reject NaN/infinite coordinates, which the trusting
-  /// `Make*` factories accept unchecked from in-process callers.
-  static std::optional<Query> TryRange(const Box<D>& box,
-                                       RangePredicate predicate) {
-    if (!IsFinite(box)) return std::nullopt;
-    return MakeRange(box, predicate);
-  }
-
-  static std::optional<Query> TryPoint(const Point<D>& point) {
-    if (!IsFinite(point)) return std::nullopt;
-    return MakePoint(point);
-  }
-
-  static std::optional<Query> TryCount(const Box<D>& box,
-                                       RangePredicate predicate) {
-    if (!IsFinite(box)) return std::nullopt;
-    return MakeCount(box, predicate);
+  static Query MakeCount(const Box<D>& box, RangePredicate predicate) {
+    auto q = TryCount(box, predicate);
+    if (!q) QueryApiAbort("count query requires a finite box");
+    return *std::move(q);
   }
 
   static std::optional<Query> TryKNearest(const Point<D>& point,
@@ -229,7 +238,7 @@ class Query {
 
   static std::optional<Query> TryConjunction(
       std::vector<ConjunctiveTerm<D>> terms) {
-    if (terms.empty()) return std::nullopt;
+    if (terms.empty() || !AllFinite(terms)) return std::nullopt;
     Query q;
     q.type_ = QueryType::kConjunction;
     q.terms_ = std::move(terms);
@@ -237,12 +246,23 @@ class Query {
   }
 
   static Query MakeConjunction(std::vector<ConjunctiveTerm<D>> terms) {
-    auto q = TryConjunction(std::move(terms));
-    if (!q) QueryApiAbort("conjunctive query requires at least one term");
-    return *std::move(q);
+    if (terms.empty()) {
+      QueryApiAbort("conjunctive query requires at least one term");
+    }
+    if (!AllFinite(terms)) {
+      QueryApiAbort("conjunctive query requires finite term boxes");
+    }
+    return *TryConjunction(std::move(terms));
   }
 
  private:
+  static bool AllFinite(const std::vector<ConjunctiveTerm<D>>& terms) {
+    return std::all_of(terms.begin(), terms.end(),
+                       [](const ConjunctiveTerm<D>& t) {
+                         return IsFinite(t.box);
+                       });
+  }
+
   QueryType type_ = QueryType::kRange;
   RangePredicate predicate_ = RangePredicate::kIntersects;
   Box<D> box_;

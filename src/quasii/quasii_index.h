@@ -39,9 +39,20 @@ namespace quasii {
 /// and SFCracker's many-cracks-per-query behaviour (Section 6.3).
 ///
 /// Per-level size thresholds follow the paper's geometric progression: the
-/// leaf (level D-1) threshold is `tau` and each level above is allowed
-/// `rho = (n / tau)^(1/D)` times more, so `D` refinements take a slice from
-/// `n` down to `tau`.
+/// leaf (level D-1) threshold is a leaf limit `t` and each level above is
+/// allowed `rho = (n / t)^(1/D)` times more, so `D` refinements take a slice
+/// from `n` down to `t`. The leaf limit is query-aware (`LeafThresholds`): a
+/// box query's limit is the rows its extended box reaches in the class,
+/// rounded up to a power of two and clamped between `kMinLeafRows` and the
+/// paper's `tau` (`Params::leaf_threshold`), so a small query refines the
+/// slices it touches until a leaf scan holds about what it reaches, while a
+/// query that reaches `tau` rows or more keeps the paper's leaves. Joins
+/// refine to the finest leaf, `kMinLeafRows`; the extent-class derivation
+/// uses `tau`. The limit is a pure function of the query box, the class
+/// and the data bounds, so no per-query state is stored: a larger query
+/// finds finer slices within its threshold and cracks nothing, and a
+/// smaller one refines only the childless slices and leaves it touches
+/// (`NeedsRefinement`), so it never discards what a coarser query built.
 ///
 /// Extended objects use the query-extension strategy [40], like
 /// `SfcrackerIndex`: an entry is keyed by its MBB centre, queries are
@@ -49,13 +60,13 @@ namespace quasii {
 /// against the original query box. The half extent is not one global
 /// maximum but one per *extent class*: the rows are grouped into K classes
 /// by the power-of-two ceiling of their largest side, and each class has
-/// its own row ranges, root slice list, per-level thresholds (`n` above is
-/// the class's own live count) and per-dimension half extents. A query
-/// descends every class with its box widened by that class's half extent
-/// only, so the 1% of large objects in the paper's dataset no longer widen
-/// every query for the 99% of small ones. K and the class bounds come from
-/// the data (`DeriveClasses`, no knob); data of one size gets K = 1, which
-/// is the single-hierarchy layout. All classes share one `CrackArray`, one
+/// its own row ranges, root slice list, live count (`n` above) and
+/// per-dimension half extents. A query descends every class with its box
+/// widened by that class's half extent only, so the 1% of large objects in
+/// the paper's dataset no longer widen every query for the 99% of small
+/// ones. K and the class bounds come from the data (`DeriveClasses`, no
+/// knob); data of one size gets K = 1, which is the single-hierarchy
+/// layout. All classes share one `CrackArray`, one
 /// lock and one snapshot blob.
 ///
 /// Storage is the shared structure-of-arrays `CrackArray` core: cracks and
@@ -97,9 +108,10 @@ namespace quasii {
 ///    dead rows of a cracked slice aside in passing, and once tombstones
 ///    exceed a quarter of the array the whole structure is rebuilt from the
 ///    live set (which derives the extent classes afresh);
-///  - both mutations re-derive the touched class's per-level size
-///    thresholds from its live count, so each slice hierarchy's geometric
-///    progression keeps tracking its population as it grows and shrinks.
+///  - both mutations update the touched class's live count, from which
+///    every descent derives its level thresholds, so each slice hierarchy's
+///    geometric progression keeps tracking its population as it grows and
+///    shrinks.
 ///
 /// Concurrency (the `SpatialIndex` contract): warm-up queries serialize on
 /// the exclusive lock while they crack; once `ConvergedFor` observes that a
@@ -111,10 +123,20 @@ template <int D>
 class QuasiiIndex final : public SpatialIndex<D> {
  public:
   struct Params {
-    /// Maximum size of a level-(D-1) slice before it is scanned (the paper's
-    /// tau, ~1000).
+    /// The coarsest leaf: the largest a level-(D-1) slice may be when it is
+    /// scanned (the paper's tau, ~1000). The extent-class derivation uses
+    /// this setting as is; a box query that reaches fewer rows refines its
+    /// leaves further, down to `kMinLeafRows` (`LeafThresholds`), and a
+    /// join refines to that finest leaf.
     std::size_t leaf_threshold = 1024;
   };
+
+  /// The finest leaf limit a box query refines to (`LeafThresholds`), and
+  /// the one every join refines to. Finer leaves cost more per slice than
+  /// they save in scanning: on the paper's data at n = 2^20 with
+  /// selectivity 1e-4 queries (4-vCPU Xeon VM), a crack-free read took
+  /// 4.44 us at 256-row leaves and 6.46 us at 64-row ones.
+  static constexpr std::size_t kMinLeafRows = 256;
 
   /// One slice: a contiguous range `[begin, end)` of the crack array whose
   /// centre keys along dimension `level` all lie in the half-open value
@@ -148,8 +170,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
     Point<D> half_extent{};
     /// Live rows of the class, pending tail included.
     std::size_t live = 0;
-    /// Per-level size thresholds derived from `live`.
-    Thresholds threshold{};
     /// Level-0 slices, in array position order. Together, the root slices
     /// of all classes tile the structured prefix of the array.
     std::vector<Slice> root;
@@ -174,6 +194,52 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// First row of every promoted insert group, oldest first
   /// (`AbsorbPending`).
   const std::vector<std::size_t>& fold_stack() const { return fold_stack_; }
+
+  /// The per-level size thresholds of a slice hierarchy over `n` rows with
+  /// leaf limit `leaf`: the leaf (level D-1) threshold is `leaf` and each
+  /// level above is allowed `rho = (n / leaf)^(1/D)` times more. Every
+  /// level's threshold grows with `leaf`.
+  static Thresholds ThresholdsFor(std::size_t n, std::size_t leaf) {
+    Thresholds out{};
+    const double rho =
+        n > leaf ? std::pow(static_cast<double>(n) / static_cast<double>(leaf),
+                            1.0 / D)
+                 : 1.0;
+    double t = static_cast<double>(leaf);
+    for (int d = D - 1; d >= 0; --d) {
+      out[static_cast<std::size_t>(d)] =
+          static_cast<std::size_t>(std::ceil(t));
+      t *= rho;
+    }
+    return out;
+  }
+
+  /// The level thresholds a box query `q` descends class `c` with. The
+  /// leaf limit is the class rows `q`'s extended box reaches, estimated as
+  /// uniform over the data bounds `U` like `ClassCost` does,
+  /// `E = n_c · Π_d min(1, (q.hi_d - q.lo_d + 2·h_d) / U_d)`, rounded up to
+  /// a power of two and clamped to `[min(kMinLeafRows, tau), tau]`; the
+  /// levels above follow from it (`ThresholdsFor`). Pure: `ExecuteBox` and
+  /// `ConvergedFor` call it with the same box, so the replay and the
+  /// descent cannot disagree.
+  Thresholds LeafThresholds(const ExtentClass& c, const Box<D>& q) const {
+    const std::size_t tau = params_.leaf_threshold;
+    const Box<D>& u = this->store_.bounds();
+    double reach = static_cast<double>(c.live);
+    for (int d = 0; d < D; ++d) {
+      const double span = static_cast<double>(u.hi[d]) - u.lo[d];
+      if (!(span > 0) || !std::isfinite(span)) continue;
+      const double side = static_cast<double>(q.hi[d]) - q.lo[d] +
+                          2.0 * c.half_extent[d];
+      reach *= std::min(1.0, side / span);
+    }
+    std::size_t limit = tau;
+    if (reach < static_cast<double>(tau)) {  // false for NaN too
+      const std::size_t rows = static_cast<std::size_t>(std::ceil(reach));
+      limit = std::clamp(std::bit_ceil(rows), std::min(kMinLeafRows, tau), tau);
+    }
+    return ThresholdsFor(c.live, limit);
+  }
 
   /// Per-row column bytes (lo/hi bounds, id and live byte), plus the
   /// id → row map's 8 B per slot once an erase has built it.
@@ -228,7 +294,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
     for (std::size_t c = 0; c < classes_.size(); ++c) {
       classes_[c].live = live[c];
-      classes_[c].threshold = ThresholdsFor(live[c], params_.leaf_threshold);
     }
     initialized_ = true;
     return true;
@@ -244,7 +309,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// Extends the store check with crack-array column agreement, the
   /// live-row ↔ store bijection (every live row's id is alive and its
   /// columns match the store's box bit-for-bit), the class table
-  /// (`CheckClassTable`), each class's live count and thresholds,
+  /// (`CheckClassTable`), each class's live count,
   /// slice-range tiling, key containment in every slice's value interval,
   /// and the fold stack (`CheckFoldStack`).
   bool CheckInvariants(std::string* why = nullptr) const override {
@@ -280,10 +345,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
         if (why) *why = "quasii: class live count disagrees with its rows";
         return false;
       }
-      if (cls.threshold != ThresholdsFor(cls.live, params_.leaf_threshold)) {
-        if (why) *why = "quasii: thresholds not derived from the live count";
-        return false;
-      }
       for (const Slice& s : cls.root) {
         if (!CheckSlice(s, 0, why)) return false;
       }
@@ -296,12 +357,17 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// initialized, has no pending tail to promote and no compaction due,
   /// and in every extent class a read-only replay of the descent (with the
   /// box widened by that class's half extent, `ExtendedBox`) touches only
-  /// slices that are within their level threshold or frozen, and (above
-  /// the leaf level) already have children to descend into. kNN stays
-  /// conservative: its expanding ring probes regions the triggering query
-  /// never names. A join touches the whole structure and cracks wherever
-  /// the partner has slice bounds, so it replays an unbounded descent: only
-  /// full convergence guarantees a join is a pure read of this side.
+  /// slices that `ExecuteBox` would not refine at the level thresholds it
+  /// uses (`LeafThresholds` of the same box; see `NeedsRefinement`), and
+  /// (above the leaf level) already have children to descend into. kNN
+  /// stays conservative: its expanding ring probes regions the triggering
+  /// query never names. A join touches the whole structure and cracks
+  /// wherever the partner has slice bounds, so it replays an unbounded
+  /// descent at the join's thresholds (`JoinThresholds`): only full
+  /// convergence guarantees a join is a pure read of this side. Those are
+  /// the finest any descent uses, so the same check covers the
+  /// `ExecuteBox` probes of a stream join or of a join with a partner of
+  /// another index type.
   bool ConvergedFor(const Query<D>& query) const override {
     if (!initialized_) return false;
     if (query.type() == QueryType::kKNearest) return false;
@@ -313,7 +379,8 @@ class QuasiiIndex final : public SpatialIndex<D> {
     if (box.IsEmpty()) return true;
     for (const ExtentClass& c : classes_) {
       const Box<D> ext = join ? box : ExtendedBox(box, c.half_extent);
-      if (!SlicesConverged(c.root, ext, c.threshold)) return false;
+      const Thresholds t = join ? JoinThresholds(c) : LeafThresholds(c, box);
+      if (!SlicesConverged(c.root, ext, t)) return false;
     }
     return true;
   }
@@ -332,7 +399,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
       c.half_extent[d] = std::max(c.half_extent[d], box.Extent(d) / 2);
     }
     ++c.live;
-    c.threshold = ThresholdsFor(c.live, params_.leaf_threshold);
   }
 
   /// Erases tombstone in place; scans skip the row branchlessly until a
@@ -343,9 +409,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
     array_.EraseId(id);
     ExtentClass& c = classes_[ClassOf(this->store_.box(id))];
     --c.live;
-    c.threshold = ThresholdsFor(c.live, params_.leaf_threshold);
   }
 
+  /// Descends every class at the thresholds `LeafThresholds` sizes to `q`.
   void ExecuteBox(const Box<D>& q, RangePredicate predicate, bool count_only,
                   Sink& sink) override {
     PrepareArray();
@@ -355,7 +421,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     BoxExec ctx{&q, predicate, &emit, &jobs};
     for (ExtentClass& c : classes_) {
       if (c.root.empty()) continue;
-      ctx.threshold = &c.threshold;
+      ctx.threshold = LeafThresholds(c, q);
       Visit(&c.root, ctx, ExtendedBox(q, c.half_extent), 0u);
     }
     RunLeafScans(jobs, ctx, &IntraQueryScheduler());
@@ -398,7 +464,8 @@ class QuasiiIndex final : public SpatialIndex<D> {
       for (std::size_t b = other == this ? a : 0; b < other->classes_.size();
            ++b) {
         ExtentClass& theirs = other->classes_[b];
-        JoinClassPair pair{{}, &mine.threshold, &theirs.threshold};
+        JoinClassPair pair{{}, JoinThresholds(mine),
+                           other->JoinThresholds(theirs)};
         for (int d = 0; d < D; ++d) {
           pair.h[d] = mine.half_extent[d] + theirs.half_extent[d];
         }
@@ -425,14 +492,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// are recorded in `jobs` in visit order and run after the descent
   /// completes. A context without a query box (`q == nullptr`, as the join
   /// descent uses) only refines: `Visit` then processes nothing, so `emit`
-  /// and `jobs` stay unused. `threshold` is the level thresholds of the
-  /// extent class being descended.
+  /// and `jobs` stay unused. `threshold` is the level thresholds the
+  /// extent class being descended is refined to.
   struct BoxExec {
     const Box<D>* q;
     RangePredicate predicate;
     MatchEmitter* emit;
     std::vector<LeafScanJob>* jobs = nullptr;
-    const Thresholds* threshold = nullptr;
+    Thresholds threshold{};
   };
 
   /// What a join descent over one pair of extent classes needs besides the
@@ -440,8 +507,8 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// thresholds.
   struct JoinClassPair {
     Point<D> h;
-    const Thresholds* mine;
-    const Thresholds* theirs;
+    Thresholds mine;
+    Thresholds theirs;
   };
 
   /// Adapts a partner-slice `StreamScan` into join pairs: every id the scan
@@ -474,6 +541,26 @@ class QuasiiIndex final : public SpatialIndex<D> {
     AbsorbPending();
   }
 
+  /// The level thresholds a join descends class `c` with: the finest leaf,
+  /// `min(kMinLeafRows, tau)`. A join pairs leaves, so smaller leaves
+  /// prune more pairs: on 2^15 uniform rows (4-vCPU Xeon VM) a converged
+  /// self-join took 40.5 ms at 256-row leaves and 77.7 ms at 1024.
+  Thresholds JoinThresholds(const ExtentClass& c) const {
+    return ThresholdsFor(c.live,
+                         std::min(kMinLeafRows, params_.leaf_threshold));
+  }
+
+  /// Whether a descent at level threshold `limit` refines touched slice
+  /// `s`: it holds more rows, is not frozen, and has no children. A slice
+  /// with children keeps its level: it was within the threshold of the
+  /// descent that created them, and cracking it would discard their
+  /// refinement, so a descent with finer thresholds (a query that reaches
+  /// fewer rows, a join, or a class that lost rows to erases) refines
+  /// below it.
+  static bool NeedsRefinement(const Slice& s, std::size_t limit) {
+    return s.size() > limit && !s.frozen && s.children.empty();
+  }
+
   /// Read-only replay of `Visit`'s routing decisions over one class's
   /// slices: false as soon as some touched slice would be refined or would
   /// materialize a first child.
@@ -482,7 +569,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     for (const Slice& s : slices) {
       const int d = s.level;
       if (s.size() == 0 || s.lo >= ext.hi[d] || s.hi <= ext.lo[d]) continue;
-      if (s.size() > threshold[static_cast<std::size_t>(d)] && !s.frozen) {
+      if (NeedsRefinement(s, threshold[static_cast<std::size_t>(d)])) {
         return false;
       }
       if (d == D - 1) continue;
@@ -657,8 +744,8 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// recording each row's size bucket and histogramming the buckets,
   /// derive the extent classes from the histogram, then group the rows by
   /// class (`GroupByClass`) and give every class one open root slice over
-  /// its rows and its own thresholds. Grouping is loading work, not
-  /// cracking: it is not counted in `cracks`/`objects_moved`.
+  /// its rows. Grouping is loading work, not cracking: it is not counted in
+  /// `cracks`/`objects_moved`.
   void Initialize() {
     const std::size_t n = this->store_.live_count();
     std::vector<std::uint8_t>& row_bucket = BucketScratchTLS();
@@ -686,9 +773,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     const std::vector<std::size_t> ends =
         GroupByClass(0, row_bucket.data(), counts);
     for (std::size_t c = 0; c < classes_.size(); ++c) {
-      ExtentClass& cls = classes_[c];
-      cls.threshold = ThresholdsFor(cls.live, params_.leaf_threshold);
-      cls.root.push_back(OpenSlice(0, ends[c], ends[c + 1]));
+      classes_[c].root.push_back(OpenSlice(0, ends[c], ends[c + 1]));
     }
     fold_stack_.clear();
     initialized_ = true;
@@ -835,21 +920,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
     fold_stack_.push_back(begin);
     array_.SealPending();
-  }
-
-  static Thresholds ThresholdsFor(std::size_t n, std::size_t leaf_threshold) {
-    Thresholds out{};
-    const double tau = static_cast<double>(leaf_threshold);
-    const double rho = n > leaf_threshold
-                           ? std::pow(static_cast<double>(n) / tau, 1.0 / D)
-                           : 1.0;
-    double t = tau;
-    for (int d = D - 1; d >= 0; --d) {
-      out[static_cast<std::size_t>(d)] =
-          static_cast<std::size_t>(std::ceil(t));
-      t *= rho;
-    }
-    return out;
   }
 
   /// Preorder slice serialization: per slice its range, value interval,
@@ -1082,7 +1152,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// position- and value-ordered, exactly tile the input slice, and live in
   /// this level's scratch buffer (valid until the next same-level `Refine`).
   ///
-  /// `limit` is the level threshold of the slice's extent class.
+  /// `limit` is the level threshold the descent refines to.
   ///
   /// When the array carries tombstones, the dead rows of the slice are
   /// first swept behind the live ones and parked in a frozen slice whose
@@ -1090,12 +1160,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// cracking compacts erased objects out of the hot range in passing.
   std::vector<Slice>& Refine(Slice s, const Box<D>& ext, std::size_t limit) {
     const int d = s.level;
-    // The cracks below move rows between the pieces, so any children
-    // describe rows that are no longer theirs. Only a join descent can
-    // leave children on an oversized slice: its pair walk and its
-    // refinement intervals round `lo - h`/`hi + h` differently, so a pair
-    // one float step apart may be walked unrefined.
-    s.children.clear();
     const Scalar qlo = ext.lo[d];
     const Scalar qhi = ext.hi[d];
     std::vector<Slice>& out = refine_scratch_[static_cast<std::size_t>(d)];
@@ -1153,7 +1217,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
   /// Halves a slice at its median key until every piece is at most `limit`
-  /// (its class's level threshold), appending the pieces to `out` in
+  /// (the descent's level threshold), appending the pieces to `out` in
   /// position order. A run of identical keys that cannot be halved is
   /// frozen and accepted oversized (it can still be sliced in later
   /// dimensions). Counters land in the caller's stats shard.
@@ -1236,24 +1300,25 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
   }
 
-  /// Walks one level's slice list: skips slices outside `ext`, refines
-  /// oversized touched slices, and processes the rest and the refinement
-  /// pieces (`Process`: descend, or record a leaf scan) unless the context
-  /// has no query box. Refinement pieces are stitched into a rebuilt list
-  /// in one pass instead of `erase`+`insert` splicing, so a query that
-  /// cracks k slices costs one O(list) rebuild, not k of them.
+  /// Walks one level's slice list: skips slices outside `ext`, refines the
+  /// touched slices that need it (`NeedsRefinement`), and processes the
+  /// rest and the refinement pieces (`Process`: descend, or record a leaf
+  /// scan) unless the context has no query box. Refinement pieces are
+  /// stitched into a rebuilt list in one pass instead of `erase`+`insert`
+  /// splicing, so a query that cracks k slices costs one O(list) rebuild,
+  /// not k of them.
   void Visit(std::vector<Slice>* slices, const BoxExec& ctx, const Box<D>& ext,
              unsigned covered) {
     const int d = slices->front().level;
     const bool process = ctx.q != nullptr;
-    const std::size_t limit = (*ctx.threshold)[static_cast<std::size_t>(d)];
+    const std::size_t limit = ctx.threshold[static_cast<std::size_t>(d)];
     std::vector<Slice>& rebuilt = visit_scratch_[static_cast<std::size_t>(d)];
     bool rebuilding = false;
     for (std::size_t i = 0; i < slices->size(); ++i) {
       Slice& s = (*slices)[i];
       const bool outside =
           s.size() == 0 || s.lo >= ext.hi[d] || s.hi <= ext.lo[d];
-      if (!outside && s.size() > limit && !s.frozen) {
+      if (!outside && NeedsRefinement(s, limit)) {
         if (!rebuilding) {
           rebuilding = true;
           rebuilt.clear();
@@ -1408,8 +1473,8 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// query box, so it cracks and median-splits exactly like a query
   /// descent but processes nothing. Must be called on the index that owns
   /// `slices` (it uses that index's array, scratch, and stats shard);
-  /// `threshold` is the thresholds of the extent class the slices belong
-  /// to.
+  /// `threshold` is the join thresholds of the extent class the slices
+  /// belong to (`JoinThresholds`).
   void RefineForJoin(std::vector<Slice>* slices, Scalar lo, Scalar hi,
                      const Thresholds& threshold) {
     const int d = slices->front().level;
@@ -1417,7 +1482,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     ext.lo[d] = lo;
     ext.hi[d] = hi;
     const BoxExec ctx{nullptr, RangePredicate::kIntersects, nullptr, nullptr,
-                      &threshold};
+                      threshold};
     Visit(slices, ctx, ext, 0u);
   }
 
@@ -1449,15 +1514,15 @@ class QuasiiIndex final : public SpatialIndex<D> {
       const std::vector<std::pair<Scalar, Scalar>> my_iv =
           SliceIntervals(*mine);
       for (const auto& iv : their_iv) {
-        RefineForJoin(mine, iv.first - h, iv.second + h, *pair.mine);
+        RefineForJoin(mine, iv.first - h, iv.second + h, pair.mine);
       }
       for (const auto& iv : my_iv) {
         other->RefineForJoin(theirs, iv.first - h, iv.second + h,
-                             *pair.theirs);
+                             pair.theirs);
       }
     } else {
       for (const auto& iv : their_iv) {
-        RefineForJoin(mine, iv.first - h, iv.second + h, *pair.mine);
+        RefineForJoin(mine, iv.first - h, iv.second + h, pair.mine);
       }
     }
     // At the leaf level nothing mutates any more, so the pair walk only

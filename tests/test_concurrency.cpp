@@ -592,28 +592,46 @@ void TestQuasiiConvergedForTracksRefinementAndMutations() {
 
 /// Skewed extents: converged shared-mode reads whose answers span both of
 /// QUASII's extent classes run beside a writer inserting large objects,
-/// which land in the large-object class and widen its half extent. Each
-/// read must return its initial answer plus only inserted objects that
-/// match it; the final state must match a brute-force pass.
+/// which land in the large-object class and widen its half extent. The
+/// reads mix points, ranges of 1e-2 of the data volume and random ranges,
+/// which QUASII refines to different leaf limits (`LeafThresholds`), so
+/// converged reads with different limits run side by side. Each read must
+/// return its initial answer plus only inserted objects that match it; the
+/// final state must match a brute-force pass.
 void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
   quasii::datagen::UniformDatasetParams dp;
-  dp.count = 8000;
+  dp.count = 1 << 15;
   dp.universe_size = 1000;
   dp.seed = 43;
   const Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
-  QuasiiIndex<3>::Params params;
-  params.leaf_threshold = 64;
-  QuasiiIndex<3> index(data, params);
+  QuasiiIndex<3> index(data);
   Box3 universe;
   for (int d = 0; d < 3; ++d) {
     universe.lo[d] = 0;
     universe.hi[d] = 1000;
   }
   Rng rng(47);
+  const Box3 bounds = index.store().bounds();
   std::vector<Box3> reads;
   for (int i = 0; i < 48; ++i) {
-    reads.push_back(RandomBox<3>(&rng, universe, 0.3));
+    const Box3 b = RandomBox<3>(&rng, universe, 0.3);
+    if (i % 3 == 0) {
+      reads.emplace_back(b.Center(), b.Center());  // a point read
+    } else if (i % 3 == 1) {
+      Box3 r;  // 1e-2 of the data volume around `b`'s centre
+      for (int d = 0; d < 3; ++d) {
+        const Scalar half = 0.1077f * (bounds.hi[d] - bounds.lo[d]);
+        r.lo[d] = b.Center()[d] - half;
+        r.hi[d] = b.Center()[d] + half;
+      }
+      reads.push_back(r);
+    } else {
+      reads.push_back(b);
+    }
   }
+  const auto read_query = [](const Box3& b) {
+    return b.lo == b.hi ? PointQuery<3>(b.lo) : RangeQuery<3>(b);
+  };
   const auto brute = [](const std::vector<Box3>& boxes, ObjectId first,
                         const Box3& q, std::vector<ObjectId>* out) {
     for (std::size_t i = 0; i < boxes.size(); ++i) {
@@ -634,8 +652,8 @@ void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
     for (std::size_t i = 0; i < reads.size(); ++i) {
       std::vector<ObjectId> got;
       VectorSink sink(&got);
-      index.Execute(RangeQuery<3>(reads[i]), sink);
-      if (pass == 1) CHECK(index.ConvergedFor(RangeQuery<3>(reads[i])));
+      index.Execute(read_query(reads[i]), sink);
+      if (pass == 1) CHECK(index.ConvergedFor(read_query(reads[i])));
       std::sort(got.begin(), got.end());
       expected[i].clear();
       brute(data, 0, reads[i], &expected[i]);
@@ -647,6 +665,12 @@ void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
   }
   CHECK_EQ(index.class_count(), 2u);
   CHECK(small_hit && large_hit);
+  std::vector<std::size_t> limits;
+  for (const Box3& b : reads) {
+    limits.push_back(index.LeafThresholds(index.extent_class(0), b)[2]);
+  }
+  std::sort(limits.begin(), limits.end());
+  CHECK_LT(limits.front(), limits.back());
 
   // Large inserts: sides 200-600, the later ones larger than any object so
   // far, so the large class's half extent grows while reads run.
@@ -673,7 +697,7 @@ void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
               (k + static_cast<std::size_t>(t) * 7) % reads.size();
           std::vector<ObjectId> got;
           VectorSink sink(&got);
-          index.Execute(RangeQuery<3>(reads[i]), sink);
+          index.Execute(read_query(reads[i]), sink);
           std::sort(got.begin(), got.end());
           std::vector<ObjectId> extra;
           std::set_difference(got.begin(), got.end(), expected[i].begin(),
@@ -708,7 +732,7 @@ void TestQuasiiSkewedExtentReadsBesideLargeInserts() {
     brute(inserts, first, reads[i], &want);
     std::vector<ObjectId> got;
     VectorSink sink(&got);
-    index.Execute(RangeQuery<3>(reads[i]), sink);
+    index.Execute(read_query(reads[i]), sink);
     std::sort(got.begin(), got.end());
     CHECK(got == want);
   }

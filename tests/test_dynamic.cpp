@@ -567,14 +567,16 @@ void TestQuasiiThresholdMaintenance() {
   const auto level0 = [&index] {
     std::vector<std::size_t> t;
     for (std::size_t c = 0; c < index.class_count(); ++c) {
-      t.push_back(index.extent_class(c).threshold[0]);
+      t.push_back(index.LeafThresholds(index.extent_class(c),
+                                       Box3::Infinite())[0]);
     }
     return t;
   };
   const std::vector<std::size_t> before = level0();
   std::size_t biggest = 0;
   for (std::size_t c = 0; c < index.class_count(); ++c) {
-    CHECK_EQ(index.extent_class(c).threshold[2], 64u);
+    CHECK_EQ(index.LeafThresholds(index.extent_class(c), Box3::Infinite())[2],
+             64u);
     if (index.extent_class(c).live > index.extent_class(biggest).live) {
       biggest = c;
     }

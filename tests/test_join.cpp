@@ -505,6 +505,33 @@ void TestQuasiiJoinConvergenceInvariants() {
     CHECK_EQ(q.stats().cracks, cracks_after_first);
     CHECK_EQ(q.stats().objects_moved, moved_after_first);
     CHECK(q.ConvergedFor(self));
+
+    // A join refines to the finest leaf any box query refines to, so a
+    // join-converged index is converged for every box query too: a stream
+    // join (whose probes run as box queries), points, small and large
+    // ranges and counts are all approved and crack nothing.
+    quasii::datagen::UniformQueryParams qp;
+    qp.count = 20;
+    qp.seed = 61;
+    for (const double sel : {1e-6, 1e-3, 1e-1}) {
+      qp.selectivity = sel;
+      const std::vector<Box3> boxes =
+          quasii::datagen::MakeUniformQueries(universe, qp);
+      const quasii::Query3 stream = JoinQuery<3>(boxes);
+      CHECK(q.ConvergedFor(stream));
+      quasii::CountPairSink pairs;
+      q.Execute(stream, pairs);
+      for (const Box3& box : boxes) {
+        for (const quasii::Query3& read :
+             {RangeQuery<3>(box), quasii::CountQuery<3>(box),
+              quasii::PointQuery<3>(box.Center())}) {
+          CHECK(q.ConvergedFor(read));
+          quasii::CountSink sink;
+          q.Execute(read, sink);
+        }
+      }
+    }
+    CHECK_EQ(q.stats().cracks, cracks_after_first);
   }
 
   // Two-index join: both hierarchies converge from join traffic alone — a

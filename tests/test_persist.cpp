@@ -679,7 +679,8 @@ void TestTwoClassSnapshotConvergedZeroCracks() {
     const auto& got = recovered.extent_class(c);
     CHECK_EQ(got.bound, want.bound);
     CHECK_EQ(got.live, want.live);
-    CHECK(got.threshold == want.threshold);
+    CHECK(recovered.LeafThresholds(got, Box3::Infinite()) ==
+          primary.LeafThresholds(want, Box3::Infinite()));
     CHECK_EQ(got.root.size(), want.root.size());
     for (int d = 0; d < 3; ++d) {
       CHECK_EQ(got.half_extent[d], want.half_extent[d]);

@@ -36,12 +36,14 @@ using quasii::Timer;
 /// children, verifying: sibling ranges tile the parent range in order, value
 /// intervals are ordered and contain their entries' keys, and any slice that
 /// has been descended into (has children) obeys its class's level threshold
+/// for a box that reaches every row (the coarsest any descent refines to)
 /// unless frozen.
 template <int D>
 void CheckSliceList(const QuasiiIndex<D>& index,
                     const typename QuasiiIndex<D>::ExtentClass& cls,
                     const std::vector<typename QuasiiIndex<D>::Slice>& slices,
                     int level, std::size_t begin, std::size_t end) {
+  const auto limits = index.LeafThresholds(cls, quasii::Box<D>::Infinite());
   std::size_t pos = begin;
   Scalar prev_hi = -std::numeric_limits<Scalar>::infinity();
   for (const auto& s : slices) {
@@ -58,8 +60,7 @@ void CheckSliceList(const QuasiiIndex<D>& index,
     }
     if (!s.children.empty()) {
       CHECK_LT(level, D - 1);
-      CHECK(s.frozen ||
-            s.size() <= cls.threshold[static_cast<std::size_t>(level)]);
+      CHECK(s.frozen || s.size() <= limits[static_cast<std::size_t>(level)]);
       CheckSliceList(index, cls, s.children, level + 1, s.begin, s.end);
     }
   }
@@ -112,15 +113,39 @@ void TestThresholdProgression() {
   // 99% of the rows and so gets a strict progression.
   CHECK_EQ(index.class_count(), 2u);
   for (std::size_t c = 0; c < index.class_count(); ++c) {
-    const auto& t = index.extent_class(c).threshold;
+    const auto t = QuasiiIndex<3>::ThresholdsFor(index.extent_class(c).live,
+                                                 1024);
     CHECK_EQ(t[2], 1024u);
     CHECK_GE(t[1], t[2]);
     CHECK_GE(t[0], t[1]);
   }
   const auto& small = index.extent_class(0);
-  CHECK_GT(small.threshold[1], small.threshold[2]);
-  CHECK_GT(small.threshold[0], small.threshold[1]);
-  CHECK_LT(small.threshold[0], small.live);
+  const auto paper = QuasiiIndex<3>::ThresholdsFor(small.live, 1024);
+  CHECK_GT(paper[1], paper[2]);
+  CHECK_GT(paper[0], paper[1]);
+  CHECK_LT(paper[0], small.live);
+
+  // Box queries size the leaf to the rows they reach. The whole data
+  // reaches every row, so it keeps the paper's thresholds. The 100-wide
+  // query box (1% of the data bounds per dimension) and a point reach less
+  // than one small object, so they get the finest leaf, with every level
+  // above at most the paper's. A box of 15% per dimension reaches
+  // 0.15^3 · 99k ≈ 330 rows, so its leaf is the next power of two, 512.
+  Box3 all = Box3::Empty();
+  for (const Box3& b : data) all.ExpandToInclude(b);
+  CHECK(index.LeafThresholds(small, all) == paper);
+  for (const Box3& tiny : {q, Box3(q.lo, q.lo)}) {
+    const auto t = index.LeafThresholds(small, tiny);
+    CHECK_EQ(t[2], QuasiiIndex<3>::kMinLeafRows);
+    CHECK_GT(t[0], t[1]);
+    for (std::size_t d = 0; d < 3; ++d) CHECK_LE(t[d], paper[d]);
+  }
+  Box3 mid = all;
+  for (int d = 0; d < 3; ++d) {
+    mid.hi[d] = all.lo[d] + 0.15f * (all.hi[d] - all.lo[d]) -
+                2 * small.half_extent[d];
+  }
+  CHECK_EQ(index.LeafThresholds(small, mid)[2], 512u);
 }
 
 void TestInvariantsAfterQueries() {

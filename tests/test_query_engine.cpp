@@ -37,6 +37,8 @@
 namespace {
 
 using quasii::Box3;
+using quasii::ConjunctiveQuery;
+using quasii::ConjunctiveTerm;
 using quasii::CountQuery;
 using quasii::CountSink;
 using quasii::Dataset3;
@@ -464,7 +466,11 @@ void TestFactoryValidation() {
   CHECK(stream_join->join_stream() == &stream);
 
   CHECK(!Query3::TryConjunction({}).has_value());
+  // Default-constructed terms hold the sentinel empty box, whose infinite
+  // bounds every factory refuses like any other non-finite geometry.
   std::vector<quasii::ConjunctiveTerm<3>> terms(2);
+  CHECK(!Query3::TryConjunction(terms).has_value());
+  for (quasii::ConjunctiveTerm<3>& t : terms) t.box = Box3(pt, pt);
   const auto conj = Query3::TryConjunction(terms);
   CHECK(conj.has_value());
   CHECK(conj->type() == QueryType::kConjunction);
@@ -506,21 +512,46 @@ std::string AbortMessage(const Fn& make) {
   return message;
 }
 
-/// `MakeKNearest` aborts on k == 0 and on a non-finite point, and its
-/// message names whichever of the two it was.
-void TestMakeKNearestAbortNamesCause() {
-  const std::string zero_k =
-      AbortMessage([] { KNearestQuery<3>(Point3{}, 0); });
-  CHECK(zero_k.find("k >= 1") != std::string::npos);
+bool Names(const std::string& message, const char* cause) {
+  return message.find(cause) != std::string::npos;
+}
+
+/// Every `Make*` factory aborts on an invalid description with a message
+/// that names the cause: `k == 0` for kNN, no terms for a conjunction, and
+/// a NaN or infinite coordinate for range, point, count, kNN and every
+/// conjunction term.
+void TestMakeFactoriesAbortNamesCause() {
+  CHECK(Names(AbortMessage([] { KNearestQuery<3>(Point3{}, 0); }), "k >= 1"));
+  CHECK(Names(AbortMessage([] { ConjunctiveQuery<3>({}); }),
+              "at least one term"));
+  Box3 unit;
+  for (int d = 0; d < 3; ++d) {
+    unit.lo[d] = 0;
+    unit.hi[d] = 1;
+  }
   for (const quasii::Scalar bad :
        {std::numeric_limits<quasii::Scalar>::quiet_NaN(),
-        std::numeric_limits<quasii::Scalar>::infinity()}) {
+        std::numeric_limits<quasii::Scalar>::infinity(),
+        -std::numeric_limits<quasii::Scalar>::infinity()}) {
     Point3 pt{};
     pt[1] = bad;
-    const std::string message =
-        AbortMessage([pt] { KNearestQuery<3>(pt, 4); });
-    CHECK(message.find("finite point") != std::string::npos);
-    CHECK(message.find("k >= 1") == std::string::npos);
+    const std::string knn = AbortMessage([pt] { KNearestQuery<3>(pt, 4); });
+    CHECK(Names(knn, "finite point"));
+    CHECK(!Names(knn, "k >= 1"));
+    CHECK(Names(AbortMessage([pt] { PointQuery<3>(pt); }),
+                "point query requires a finite point"));
+    Box3 bad_box = unit;
+    bad_box.hi[2] = bad;
+    CHECK(Names(AbortMessage([bad_box] { RangeQuery<3>(bad_box); }),
+                "range query requires a finite box"));
+    CHECK(Names(AbortMessage([bad_box] { CountQuery<3>(bad_box); }),
+                "count query requires a finite box"));
+    const std::vector<ConjunctiveTerm<3>> terms = {
+        {unit, RangePredicate::kIntersects},
+        {bad_box, RangePredicate::kContainedBy}};
+    CHECK(Names(AbortMessage([terms] { ConjunctiveQuery<3>(terms); }),
+                "conjunctive query requires finite term boxes"));
+    CHECK(!Query3::TryConjunction(terms).has_value());
   }
 }
 
@@ -529,7 +560,7 @@ void TestMakeKNearestAbortNamesCause() {
 int main() {
   RUN_TEST(TestTopKSink);
   RUN_TEST(TestFactoryValidation);
-  RUN_TEST(TestMakeKNearestAbortNamesCause);
+  RUN_TEST(TestMakeFactoriesAbortNamesCause);
   RUN_TEST(TestAllTypesMatchBruteForceAcrossRoster);
   RUN_TEST(TestKnnOracle);
   RUN_TEST(TestCountOnlyWorkloadCracksWithoutIds);

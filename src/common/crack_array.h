@@ -22,10 +22,10 @@ namespace quasii {
 
 namespace internal {
 
-/// Thread-local leaf-scan scratch (candidate mask + compacted survivor ids).
-/// Repeated scans on one thread reuse the buffers without reallocating — but
-/// one huge scan must not pin peak-sized buffers on a long-lived pool thread
-/// forever. Shrink policy: once a buffer exceeds `kCapBytes` and
+/// Thread-local leaf-scan scratch: the compacted survivor ids. Repeated
+/// scans on one thread reuse the buffer without reallocating — but one huge
+/// scan must not pin a peak-sized buffer on a long-lived pool thread
+/// forever. Shrink policy: once the buffer exceeds `kCapBytes` and
 /// `kShrinkStreak` consecutive scans each used at most a quarter of its
 /// capacity, it is re-sized down to the latest working size. The streak
 /// requirement keeps an alternating big/small scan mix from thrashing the
@@ -34,29 +34,21 @@ struct ScanScratch {
   static constexpr std::size_t kCapBytes = std::size_t{1} << 20;
   static constexpr int kShrinkStreak = 64;
 
-  std::vector<std::uint8_t> mask;
   std::vector<ObjectId> ids;
-  int mask_streak = 0;
-  int ids_streak = 0;
+  int streak = 0;
 
-  template <typename T>
-  static void MaybeShrink(std::vector<T>* v, std::size_t used, int* streak) {
-    const std::size_t cap_elems = kCapBytes / sizeof(T);
-    if (v->capacity() <= cap_elems || used > v->capacity() / 4) {
-      *streak = 0;
+  /// Called after each scan with the number of ids that scan needed.
+  void Release(std::size_t used) {
+    if (ids.capacity() <= kCapBytes / sizeof(ObjectId) ||
+        used > ids.capacity() / 4) {
+      streak = 0;
       return;
     }
-    if (++*streak < kShrinkStreak) return;
-    *streak = 0;
-    std::vector<T> right_sized;
+    if (++streak < kShrinkStreak) return;
+    streak = 0;
+    std::vector<ObjectId> right_sized;
     right_sized.reserve(used);
-    v->swap(right_sized);
-  }
-
-  /// Called after each scan with the sizes that scan actually needed.
-  void Release(std::size_t mask_used, std::size_t ids_used) {
-    MaybeShrink(&mask, mask_used, &mask_streak);
-    MaybeShrink(&ids, ids_used, &ids_streak);
+    ids.swap(right_sized);
   }
 };
 
@@ -284,8 +276,8 @@ std::size_t ChunkedCrackPartition(KeyAt key, std::size_t begin,
 ///  - `EraseId` tombstones a row in place (`live` byte cleared, O(1) via the
 ///    id → row map). The map is built lazily: a read-only session never
 ///    pays for it, because crack swaps maintain it only once the first
-///    `EraseId` has built it in one pass over the live rows. Leaf scans fold
-///    the live column into their candidate mask branchlessly, and
+///    `EraseId` has built it in one pass over the live rows. Leaf scans AND
+///    the live bytes into their filter branchlessly, and
 ///    `PartitionLiveFirst` lets crack steps sweep the dead rows of a range
 ///    aside in passing.
 template <int D>
@@ -433,29 +425,28 @@ class CrackArray {
   }
 
   /// Leaf scan of rows `[begin, end)` against `(q, predicate)`, streaming
-  /// the matches into `emit`: per dimension one explicit-SIMD pass
-  /// (`simd::MaskLeGe`, dispatched scalar/AVX2 at runtime) ANDs the
-  /// predicate's interval test over the dense bound columns into a candidate
-  /// mask — dimension-wise the tests *are* `Box::Intersects` / `ContainsBox`,
-  /// so mask survivors are exact results and no box is ever materialized.
-  /// Survivor ids are compressed into a dense run (`simd::CompactIds`,
-  /// movemask + 8-lane permute on AVX2, branchless scalar elsewhere) and
-  /// handed over as one `AddRun` (one virtual call per scan, not per object)
-  /// — or, on count-only executions, only their number is accumulated and
-  /// the id column is never read.
+  /// the matches into `emit`, in one pass of the fused explicit-SIMD kernel
+  /// (`simd::FilterRows`, dispatched scalar/AVX2 at runtime): per block of
+  /// rows it ANDs the predicate's interval test of every tested dimension
+  /// over the dense bound columns — dimension-wise the tests *are*
+  /// `Box::Intersects` / `ContainsBox`, so survivors are exact results and
+  /// no box is ever materialized — then compress-stores the survivor ids
+  /// into a dense run handed over as one `AddRun` (one virtual call per
+  /// scan, not per object), or, on count-only executions, only counts them
+  /// and never reads the id column.
   ///
   /// For `kIntersects`, dimensions set in `covered_dims` are proven
   /// overlapping by the caller's structure (e.g. a QUASII slice whose value
-  /// interval lies inside the query's) and skip their pass; a fully covered
-  /// scan emits its whole range without testing anything. Containment
-  /// predicates ignore the mask: covered centre keys prove intersection,
-  /// not containment.
+  /// interval lies inside the query's) and are not tested; a fully covered
+  /// scan emits its whole range without testing anything. Testing a covered
+  /// dimension anyway changes nothing, which is what lets a caller merge
+  /// adjacent ranges by ANDing their masks. Containment predicates ignore
+  /// the mask: covered centre keys prove intersection, not containment.
   ///
   /// Tombstoned rows never survive: when the scanned range contains any
   /// (one `memchr` over the live bytes decides — a tombstone elsewhere in
-  /// the array costs this range nothing), the candidate mask is seeded from
-  /// the live column (one more branchless AND) instead of all-ones, and the
-  /// full-coverage bulk path is bypassed.
+  /// the array costs this range nothing), the kernel also ANDs in the live
+  /// bytes, and the full-coverage bulk path is bypassed.
   ///
   /// Safe to call concurrently (it reads the columns and writes only
   /// thread-local scratch and the emitter) as long as no thread is
@@ -468,7 +459,6 @@ class CrackArray {
   std::uint64_t StreamScan(std::size_t begin, std::size_t end, const Box<D>& q,
                            RangePredicate predicate, unsigned covered_dims,
                            MatchEmitter* emit) const {
-    internal::ScanScratch& scratch = internal::ScanScratchTLS();
     const std::size_t len = end - begin;
     if (len == 0) return 0;
     if (predicate != RangePredicate::kIntersects) covered_dims = 0;
@@ -483,13 +473,8 @@ class CrackArray {
       }
       return bytes;
     }
-    if (!range_has_dead) {
-      scratch.mask.assign(len, 1);
-    } else {
-      scratch.mask.assign(live_.begin() + static_cast<std::ptrdiff_t>(begin),
-                          live_.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-    std::uint8_t* mask = scratch.mask.data();
+    simd::ColumnTests<D> tests;
+    std::size_t k = 0;
     for (int d = 0; d < D; ++d) {
       if (covered_dims & (1u << d)) continue;
       const Scalar qlo = q.lo[d];
@@ -500,28 +485,31 @@ class CrackArray {
       // pair; only the column/bound pairing differs.
       switch (predicate) {
         case RangePredicate::kIntersects:
-          simd::MaskLeGe(los, qhi, his, qlo, mask, len);
+          tests[k++] = {los, qhi, his, qlo};
           break;
         case RangePredicate::kContains:  // object ⊇ q, per dimension
-          simd::MaskLeGe(los, qlo, his, qhi, mask, len);
+          tests[k++] = {los, qlo, his, qhi};
           break;
         case RangePredicate::kContainedBy:  // object ⊆ q, per dimension
-          simd::MaskLeGe(his, qhi, los, qlo, mask, len);
+          tests[k++] = {his, qhi, los, qlo};
           break;
       }
       bytes += 2 * len * sizeof(Scalar);
     }
+    const std::uint8_t* live = range_has_dead ? live_.data() + begin : nullptr;
+    internal::ScanScratch& scratch = internal::ScanScratchTLS();
     if (emit->count_only()) {
-      emit->AddAnonymous(simd::MaskCount(mask, len));
-      scratch.Release(len, 0);
+      emit->AddAnonymous(
+          simd::FilterRows(tests, k, live, nullptr, len, nullptr));
+      scratch.Release(0);
       return bytes;
     }
     scratch.ids.resize(len);
-    const std::size_t m =
-        simd::CompactIds(ids_.data() + begin, mask, len, scratch.ids.data());
+    const std::size_t m = simd::FilterRows(tests, k, live, ids_.data() + begin,
+                                           len, scratch.ids.data());
     if (m > 0) emit->AddRun(scratch.ids.data(), m);
     bytes += len * sizeof(ObjectId);
-    scratch.Release(len, len);
+    scratch.Release(len);
     return bytes;
   }
 

@@ -16,24 +16,22 @@
 #include <immintrin.h>
 #endif
 
-// Explicit SIMD kernels for the leaf-scan hot path.
+// The explicit SIMD kernel of the leaf-scan hot path.
 //
-// Every kernel exists in a portable scalar form plus (where the target
+// The kernel exists in a portable scalar form plus (where the target
 // supports it) a vector form: AVX2 on x86-64, compiled via function-level
 // `target` attributes so the rest of the binary stays baseline. Other
 // targets run the scalar reference tier. Which form runs is decided
 // once at startup from cpuid — `__builtin_cpu_supports("avx2")` — and cached;
 // `QUASII_FORCE_SCALAR=1` in the environment pins the scalar tier, and
 // `ForceTier()` lets tests and the microbench A/B harness flip tiers at
-// runtime. All tiers are bit-identical: the vector kernels use ordered-quiet
+// runtime. All tiers are bit-identical: the vector kernel uses ordered-quiet
 // float compares, which agree with the scalar `<=`/`>=` on every non-NaN
-// input, and the compaction kernel preserves id order exactly.
+// input, and its compress-store preserves id order exactly.
 //
-// The kernels deliberately mirror the three shapes `CrackArray::StreamScan`
-// needs and nothing more:
-//   MaskLeGe    mask[i] &= (le_col[i] <= le_bound) & (ge_col[i] >= ge_bound)
-//   MaskCount   sum of 0/1 mask bytes
-//   CompactIds  order-preserving gather of ids[i] where mask[i] != 0
+// The kernel is the one shape `CrackArray::StreamScan` needs: `FilterRows`
+// tests a run of rows against up to D (le, ge) column pairs and the live
+// bytes in one pass, and counts the matches or compacts their ids.
 
 namespace quasii::simd {
 
@@ -90,34 +88,61 @@ inline Tier ForceTier(Tier t) {
   return t;
 }
 
+/// One per-dimension bound test of the fused filter: a row passes when
+/// `le[i] <= le_bound` and `ge[i] >= ge_bound`. Every range predicate is one
+/// such pair per dimension; only the column/bound pairing differs.
+struct ColumnTest {
+  const Scalar* le = nullptr;
+  Scalar le_bound = 0;
+  const Scalar* ge = nullptr;
+  Scalar ge_bound = 0;
+};
+
+/// Up to `N` column tests, of which the first `k` apply.
+template <std::size_t N>
+using ColumnTests = std::array<ColumnTest, N>;
+
 // ---------------------------------------------------------------------------
-// Scalar reference kernels. These are the semantics; vector tiers must match
-// them bit-for-bit.
+// Scalar reference kernel. This is the semantics; vector tiers must match it
+// bit-for-bit.
 
-inline void MaskLeGeScalar(const Scalar* le_col, Scalar le_bound,
-                           const Scalar* ge_col, Scalar ge_bound,
-                           std::uint8_t* mask, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    mask[i] &= static_cast<std::uint8_t>((le_col[i] <= le_bound) &
-                                         (ge_col[i] >= ge_bound));
-  }
-}
+namespace internal {
 
-inline std::uint64_t MaskCountScalar(const std::uint8_t* mask, std::size_t n) {
-  std::uint64_t matches = 0;
-  for (std::size_t i = 0; i < n; ++i) matches += mask[i];
-  return matches;
-}
-
-inline std::size_t CompactIdsScalar(const ObjectId* ids,
-                                    const std::uint8_t* mask, std::size_t n,
-                                    ObjectId* out) {
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[m] = ids[i];
-    m += mask[i];
+/// Rows `[i, n)` of the fused filter, appending to `out` from `m` on; returns
+/// the new match count. Shared by the scalar tier and the vector tails. The
+/// tests are taken by value, so the id stores cannot alias them and the
+/// columns and bounds stay in registers.
+template <std::size_t N>
+std::size_t FilterRowsFrom(const ColumnTests<N> tests, std::size_t k,
+                           const std::uint8_t* live, const ObjectId* ids,
+                           std::size_t i, std::size_t n, ObjectId* out,
+                           std::size_t m) {
+  for (; i < n; ++i) {
+    unsigned hit = live == nullptr || live[i] != 0;
+    for (std::size_t t = 0; t < k; ++t) {
+      const ColumnTest& c = tests[t];
+      hit &= static_cast<unsigned>((c.le[i] <= c.le_bound) &
+                                   (c.ge[i] >= c.ge_bound));
+    }
+    if (out != nullptr) out[m] = ids[i];
+    m += hit;
   }
   return m;
+}
+
+}  // namespace internal
+
+/// The fused leaf-scan filter over rows `[0, n)`: a row matches when it is
+/// live (`live == nullptr` means every row is) and passes each of the first
+/// `k` column tests. Returns the number of matches; with `out != nullptr` it
+/// also writes their ids, in row order, to `out`, which must hold `n` ids
+/// (the tail past the returned count is scratch). With `out == nullptr`
+/// `ids` is never read.
+template <std::size_t N>
+std::size_t FilterRowsScalar(const ColumnTests<N>& tests, std::size_t k,
+                             const std::uint8_t* live, const ObjectId* ids,
+                             std::size_t n, ObjectId* out) {
+  return internal::FilterRowsFrom(tests, k, live, ids, 0, n, out, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,17 +153,6 @@ inline std::size_t CompactIdsScalar(const ObjectId* ids,
 #if defined(QUASII_SIMD_X86)
 
 namespace internal {
-
-/// Packs the eight 32-bit lane masks of `m32` (0 / 0xFFFFFFFF) into eight
-/// bytes of 0 / 1, in lane order.
-__attribute__((target("avx2"))) inline __m128i PackLaneMaskToBytes(
-    __m256i m32) {
-  const __m128i lo = _mm256_castsi256_si128(m32);
-  const __m128i hi = _mm256_extracti128_si256(m32, 1);
-  const __m128i p16 = _mm_packs_epi32(lo, hi);
-  const __m128i p8 = _mm_packs_epi16(p16, _mm_setzero_si128());
-  return _mm_and_si128(p8, _mm_set1_epi8(1));
-}
 
 /// Shuffle table for the 8-lane compress: entry `m` lists, in order, the lane
 /// indices whose mask bit is set (padding is irrelevant — padded lanes land
@@ -158,106 +172,79 @@ inline constexpr auto kCompressIdx = [] {
 
 }  // namespace internal
 
-__attribute__((target("avx2"))) inline void MaskLeGeAvx2(
-    const Scalar* le_col, Scalar le_bound, const Scalar* ge_col,
-    Scalar ge_bound, std::uint8_t* mask, std::size_t n) {
+/// `FilterRowsScalar` on AVX2, one pass per block of 8 rows: the block's
+/// lanes AND both compares of every column test, its match bits (one
+/// movemask) AND the live bytes when there are any, and then the block
+/// either only advances the count or compress-stores the matching ids
+/// (8-lane permute). Bounds are broadcast and column pointers hoisted once
+/// per call.
+template <std::size_t N>
+__attribute__((target("avx2"))) std::size_t FilterRowsAvx2(
+    const ColumnTests<N>& tests, std::size_t k, const std::uint8_t* live,
+    const ObjectId* ids, std::size_t n, ObjectId* out) {
   static_assert(sizeof(Scalar) == 4, "AVX2 kernels assume float columns");
-  const __m256 le_b = _mm256_set1_ps(le_bound);
-  const __m256 ge_b = _mm256_set1_ps(ge_bound);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_loadu_ps(le_col + i);
-    const __m256 b = _mm256_loadu_ps(ge_col + i);
-    const __m256 ca = _mm256_cmp_ps(a, le_b, _CMP_LE_OQ);
-    const __m256 cb = _mm256_cmp_ps(b, ge_b, _CMP_GE_OQ);
-    const __m256i m32 = _mm256_castps_si256(_mm256_and_ps(ca, cb));
-    const __m128i hit = internal::PackLaneMaskToBytes(m32);
-    const __m128i old =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(mask + i));
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(mask + i),
-                     _mm_and_si128(old, hit));
-  }
-  MaskLeGeScalar(le_col + i, le_bound, ge_col + i, ge_bound, mask + i, n - i);
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t MaskCountAvx2(
-    const std::uint8_t* mask, std::size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = zero;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
-         MaskCountScalar(mask + i, n - i);
-}
-
-__attribute__((target("avx2"))) inline std::size_t CompactIdsAvx2(
-    const ObjectId* ids, const std::uint8_t* mask, std::size_t n,
-    ObjectId* out) {
   static_assert(sizeof(ObjectId) == 4, "compress kernel assumes 32-bit ids");
+  const Scalar* le_col[N];
+  const Scalar* ge_col[N];
+  __m256 le_bound[N];
+  __m256 ge_bound[N];
+  for (std::size_t t = 0; t < k; ++t) {
+    le_col[t] = tests[t].le;
+    ge_col[t] = tests[t].ge;
+    le_bound[t] = _mm256_set1_ps(tests[t].le_bound);
+    ge_bound[t] = _mm256_set1_ps(tests[t].ge_bound);
+  }
   std::size_t m = 0;
   std::size_t i = 0;
-  const __m128i zero = _mm_setzero_si128();
   for (; i + 8 <= n; i += 8) {
-    const __m128i mb =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(mask + i));
-    const unsigned bits =
-        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpgt_epi8(mb, zero))) &
-        0xFFu;
-    const __m128i idx8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
-        internal::kCompressIdx[bits].data()));
-    const __m256i idx = _mm256_cvtepu8_epi32(idx8);
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    // The store writes a full 8-lane block at out+m; because m <= i, it stays
-    // inside an `out` buffer sized n, and the tail lanes are overwritten by
-    // the next block (or are past the returned count).
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + m),
-                        _mm256_permutevar8x32_epi32(v, idx));
+    __m256 hit = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+    for (std::size_t t = 0; t < k; ++t) {
+      const __m256 le = _mm256_cmp_ps(_mm256_loadu_ps(le_col[t] + i),
+                                      le_bound[t], _CMP_LE_OQ);
+      const __m256 ge = _mm256_cmp_ps(_mm256_loadu_ps(ge_col[t] + i),
+                                      ge_bound[t], _CMP_GE_OQ);
+      hit = _mm256_and_ps(hit, _mm256_and_ps(le, ge));
+    }
+    unsigned bits = static_cast<unsigned>(_mm256_movemask_ps(hit));
+    if (live != nullptr) {
+      const __m128i dead = _mm_cmpeq_epi8(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(live + i)),
+          _mm_setzero_si128());
+      bits &= ~static_cast<unsigned>(_mm_movemask_epi8(dead));
+    }
+    if (out != nullptr) {
+      const __m256i idx = _mm256_cvtepu8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
+              internal::kCompressIdx[bits].data())));
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
+      // The store writes a full 8-lane block at out+m; because m <= i, it
+      // stays inside an `out` buffer sized n, and the tail lanes are
+      // overwritten by the next block (or are past the returned count).
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + m),
+                          _mm256_permutevar8x32_epi32(v, idx));
+    }
     m += static_cast<std::size_t>(std::popcount(bits));
   }
-  return m + CompactIdsScalar(ids + i, mask + i, n - i, out + m);
+  return internal::FilterRowsFrom(tests, k, live, ids, i, n, out, m);
 }
 
 #endif  // QUASII_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// Dispatching entry points. One relaxed atomic load and a predictable branch
+// Dispatching entry point. One relaxed atomic load and a predictable branch
 // per kernel call — noise against the O(n) body.
 
-inline void MaskLeGe(const Scalar* le_col, Scalar le_bound,
-                     const Scalar* ge_col, Scalar ge_bound, std::uint8_t* mask,
-                     std::size_t n) {
-  switch (ActiveTier()) {
+template <std::size_t N>
+std::size_t FilterRows(const ColumnTests<N>& tests, std::size_t k,
+                       const std::uint8_t* live, const ObjectId* ids,
+                       std::size_t n, ObjectId* out) {
 #if defined(QUASII_SIMD_X86)
-    case Tier::kAvx2:
-      MaskLeGeAvx2(le_col, le_bound, ge_col, ge_bound, mask, n);
-      return;
-#endif
-    default:
-      MaskLeGeScalar(le_col, le_bound, ge_col, ge_bound, mask, n);
-      return;
+  if (ActiveTier() == Tier::kAvx2) {
+    return FilterRowsAvx2(tests, k, live, ids, n, out);
   }
-}
-
-inline std::uint64_t MaskCount(const std::uint8_t* mask, std::size_t n) {
-#if defined(QUASII_SIMD_X86)
-  if (ActiveTier() == Tier::kAvx2) return MaskCountAvx2(mask, n);
 #endif
-  return MaskCountScalar(mask, n);
-}
-
-inline std::size_t CompactIds(const ObjectId* ids, const std::uint8_t* mask,
-                              std::size_t n, ObjectId* out) {
-#if defined(QUASII_SIMD_X86)
-  if (ActiveTier() == Tier::kAvx2) return CompactIdsAvx2(ids, mask, n, out);
-#endif
-  return CompactIdsScalar(ids, mask, n, out);
+  return FilterRowsScalar(tests, k, live, ids, n, out);
 }
 
 }  // namespace quasii::simd

@@ -72,9 +72,9 @@ namespace quasii {
 /// Storage is the shared structure-of-arrays `CrackArray` core: cracks and
 /// median splits compare centre keys derived from one dimension's dense
 /// `lo`/`hi` columns instead of loading whole entry structs, and leaf scans
-/// are `CrackArray::StreamScan` — branchless vectorizable passes over the
-/// same bound columns that stream the survivors straight into the query's
-/// `Sink`.
+/// are `CrackArray::StreamScan` — one fused SIMD pass over the same bound
+/// columns per run of adjacent leaves (the descent merges them), streaming
+/// the survivors straight into the query's `Sink`.
 ///
 /// Every query type of the engine drives cracking:
 ///  - point queries are zero-extent ranges and refine the slices around the
@@ -417,7 +417,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
     PrepareArray();
     if (array_.empty()) return;
     MatchEmitter emit(count_only, &sink);
+    // The job list lives in a thread-local buffer, taken by swap and given
+    // back at the end: it allocates nothing once its thread has recorded as
+    // many jobs before, and an execution nested on the same thread (a task
+    // that `Group::Wait` helps run, or a sink that queries) finds the buffer
+    // taken and uses a fresh one instead of clobbering this one.
     std::vector<LeafScanJob> jobs;
+    jobs.swap(LeafScanJobsTLS());
+    jobs.clear();
     BoxExec ctx{&q, predicate, &emit, &jobs};
     for (ExtentClass& c : classes_) {
       if (c.root.empty()) continue;
@@ -426,6 +433,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
     RunLeafScans(jobs, ctx, &IntraQueryScheduler());
     emit.Flush();
+    jobs.swap(LeafScanJobsTLS());
   }
 
   /// Expanding-ring kNN: range probes of doubling radius run through the
@@ -480,12 +488,19 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// pointers dangle the moment a later refinement rebuilds a slice list,
   /// but the row range of a processed leaf never moves within one query
   /// (subsequent refinements reorganize only other, disjoint ranges), so
-  /// (begin, end, covered) is all a scan needs.
+  /// (begin, end, covered) is all a scan needs. A job may span several
+  /// adjacent leaves (`Process` merges them).
   struct LeafScanJob {
     std::size_t begin = 0;
     std::size_t end = 0;
     unsigned covered = 0;
   };
+
+  /// The calling thread's cached job-list buffer (see `ExecuteBox`).
+  static std::vector<LeafScanJob>& LeafScanJobsTLS() {
+    static thread_local std::vector<LeafScanJob> jobs;
+    return jobs;
+  }
 
   /// Box-execution context (see `SpatialIndex::ExecuteBox` for the shared
   /// contract); threaded through the recursive slice descent. Leaf scans
@@ -1350,7 +1365,10 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// `q`, which (as `box.lo <= centre <= box.hi`) already proves the box
   /// overlaps `q` in that dimension, so the leaf scan skips its bound test
   /// (intersection predicate only; `StreamScan` ignores the mask for
-  /// containment).
+  /// containment). A leaf that starts where the last recorded job ends
+  /// extends that job, whose mask becomes the AND of both: a dropped bit
+  /// only tests a dimension every row passes, so the ids and their order
+  /// stay the same and a run of adjacent leaves costs one scan call.
   void Process(Slice* s, const BoxExec& ctx, const Box<D>& ext,
                unsigned covered) {
     const int d = s->level;
@@ -1359,7 +1377,12 @@ class QuasiiIndex final : public SpatialIndex<D> {
     ++this->Stats().partitions_visited;
     if (d == D - 1) {
       this->Stats().objects_tested += s->size();
-      ctx.jobs->push_back(LeafScanJob{s->begin, s->end, covered});
+      if (!ctx.jobs->empty() && ctx.jobs->back().end == s->begin) {
+        ctx.jobs->back().end = s->end;
+        ctx.jobs->back().covered &= covered;
+      } else {
+        ctx.jobs->push_back(LeafScanJob{s->begin, s->end, covered});
+      }
       return;
     }
     EnsureChild(s);
@@ -1367,30 +1390,22 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
   /// Runs a query's recorded leaf scans, the only scan runner. When the
-  /// scheduler has workers, the jobs are cut into batches of consecutive
-  /// jobs holding at least a grain of rows each. With one batch, or with
-  /// no workers, the caller scans the jobs in CAPTURE (= visit) order
-  /// straight into the query's emitter.
-  /// Otherwise every batch runs the same `StreamScan` kernels into its own
-  /// per-job buffers on some worker, and the buffers drain into the
-  /// emitter in capture order — so the sink observes the identical id
-  /// stream either way, and count-only runs the identical total. Byte
-  /// counters merge into the caller's shard here; the tasks never touch
-  /// index stats.
+  /// scheduler has workers and the jobs hold more than a grain of rows,
+  /// their rows, taken in capture (= visit) order, are cut into windows of
+  /// one grain each (a job may straddle two windows), and each window runs
+  /// the same `StreamScan` kernel into its own buffer on some worker; the
+  /// buffers drain into the emitter in window order. Otherwise the caller
+  /// scans the jobs in capture order straight into the query's emitter.
+  /// Either way the sink observes the identical id stream, count-only runs
+  /// the identical total, and the byte counter (linear in the rows of each
+  /// call) the identical sum. Byte counters merge into the caller's shard
+  /// here; the tasks never touch index stats.
   void RunLeafScans(const std::vector<LeafScanJob>& jobs, const BoxExec& ctx,
                     TaskScheduler* exec) {
-    std::vector<std::size_t> starts;  // first job of each batch
-    if (exec->parallel()) {
-      std::size_t rows = 0;
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (i == 0 || rows >= MorselGrain()) {
-          starts.push_back(i);
-          rows = 0;
-        }
-        rows += jobs[i].end - jobs[i].begin;
-      }
-    }
-    if (starts.size() <= 1) {
+    const std::size_t grain = MorselGrain();
+    std::size_t rows = 0;
+    for (const LeafScanJob& job : jobs) rows += job.end - job.begin;
+    if (!exec->parallel() || rows <= grain) {
       for (const LeafScanJob& job : jobs) {
         this->Stats().bytes_scanned +=
             array_.StreamScan(job.begin, job.end, *ctx.q, ctx.predicate,
@@ -1398,42 +1413,51 @@ class QuasiiIndex final : public SpatialIndex<D> {
       }
       return;
     }
-    struct JobOut {
+    // Window w scans pieces[starts[w], starts[w + 1]).
+    std::vector<LeafScanJob> pieces;
+    std::vector<std::size_t> starts;
+    std::size_t room = 0;  // rows the current window still takes
+    for (const LeafScanJob& job : jobs) {
+      for (std::size_t b = job.begin; b < job.end;) {
+        if (room == 0) {
+          starts.push_back(pieces.size());
+          room = grain;
+        }
+        const std::size_t e = std::min(job.end, b + room);
+        pieces.push_back(LeafScanJob{b, e, job.covered});
+        room -= e - b;
+        b = e;
+      }
+    }
+    starts.push_back(pieces.size());
+    struct WindowOut {
       std::vector<ObjectId> ids;
       std::uint64_t count = 0;
       std::uint64_t bytes = 0;
     };
-    std::vector<JobOut> results(jobs.size());
+    std::vector<WindowOut> results(starts.size() - 1);
     const bool count_only = ctx.emit->count_only();
     {
       TaskScheduler::Group g(exec);
-      for (std::size_t b = 0; b < starts.size(); ++b) {
-        const std::size_t jb = starts[b];
-        const std::size_t je =
-            b + 1 < starts.size() ? starts[b + 1] : jobs.size();
-        g.Run([this, &jobs, &results, &ctx, count_only, jb, je] {
-          for (std::size_t j = jb; j < je; ++j) {
-            const LeafScanJob& job = jobs[j];
-            JobOut& out = results[j];
-            if (count_only) {
-              CountSink cs;
-              MatchEmitter me(/*count_only=*/true, &cs);
-              out.bytes = array_.StreamScan(job.begin, job.end, *ctx.q,
-                                            ctx.predicate, job.covered, &me);
-              me.Flush();
-              out.count = cs.count();
-            } else {
-              VectorSink vs(&out.ids);
-              MatchEmitter me(/*count_only=*/false, &vs);
-              out.bytes = array_.StreamScan(job.begin, job.end, *ctx.q,
-                                            ctx.predicate, job.covered, &me);
-            }
+      for (std::size_t w = 0; w < results.size(); ++w) {
+        g.Run([this, &pieces, &starts, &results, &ctx, count_only, w] {
+          WindowOut& out = results[w];
+          CountSink cs;
+          VectorSink vs(&out.ids);
+          MatchEmitter me(count_only, count_only ? static_cast<Sink*>(&cs)
+                                                 : static_cast<Sink*>(&vs));
+          for (std::size_t p = starts[w]; p < starts[w + 1]; ++p) {
+            out.bytes +=
+                array_.StreamScan(pieces[p].begin, pieces[p].end, *ctx.q,
+                                  ctx.predicate, pieces[p].covered, &me);
           }
+          me.Flush();
+          out.count = cs.count();
         });
       }
       g.Wait();
     }
-    for (JobOut& out : results) {
+    for (WindowOut& out : results) {
       if (count_only) {
         ctx.emit->AddAnonymous(out.count);
       } else if (!out.ids.empty()) {

@@ -5,14 +5,19 @@
 // same cold query stream must produce bit-identical columns and slice
 // lists, identical work counters, and identical result streams, for range
 // and count queries, duplicate-heavy data, and crack-driven joins alike.
+// Converged reads whose adjacent leaves merge into one scan (fully covered
+// leaves next to partly covered ones, and runs longer than a grain) must
+// emit the same ordered ids at 1 and 4 threads, and the Scan oracle's set.
 // The final stress test races parallel scans/cracks against roster
 // mutations and is the CI TSan leg's fodder.
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -26,6 +31,7 @@
 #include "datagen/queries.h"
 #include "datagen/synthetic.h"
 #include "quasii/quasii_index.h"
+#include "scan/scan_index.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -39,10 +45,14 @@ using quasii::JoinQuery;
 using quasii::MorselGrain;
 using quasii::ObjectId;
 using quasii::ParallelFor;
+using quasii::PointQuery;
 using quasii::QuasiiIndex;
+using quasii::Query;
 using quasii::QueryStats;
+using quasii::RangePredicate;
 using quasii::RangeQuery;
 using quasii::Scalar;
+using quasii::ScanIndex;
 using quasii::SetIntraQueryThreads;
 using quasii::TaskScheduler;
 using quasii::VectorPairSink;
@@ -373,6 +383,196 @@ void TestParallelJoinMatchesSerial() {
   }
 }
 
+/// One leaf a box query visits, in visit order: its rows and the bitmask
+/// of dimensions its slice path proves covered.
+struct VisitedLeaf {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  unsigned covered = 0;
+};
+
+/// Mirrors QUASII's read descent over a converged hierarchy (slices that
+/// overlap the query box widened by the class's half extents, covered
+/// bits where a slice's value interval lies inside the query's) and lists
+/// the leaves it visits, before any merging.
+void CollectLeaves(const std::vector<QuasiiIndex<3>::Slice>& slices,
+                   const Box3& q, const Box3& ext, unsigned covered,
+                   std::vector<VisitedLeaf>* out) {
+  for (const QuasiiIndex<3>::Slice& s : slices) {
+    const int d = s.level;
+    if (s.size() == 0 || s.lo >= ext.hi[d] || s.hi <= ext.lo[d]) continue;
+    unsigned c = covered;
+    if (q.lo[d] <= s.lo && s.hi <= q.hi[d]) c |= 1u << d;
+    if (d == 2) {
+      out->push_back(VisitedLeaf{s.begin, s.end, c});
+    } else {
+      CollectLeaves(s.children, q, ext, c, out);
+    }
+  }
+}
+
+std::vector<VisitedLeaf> VisitedLeaves(const QuasiiIndex<3>& index,
+                                       const Box3& q) {
+  std::vector<VisitedLeaf> leaves;
+  for (std::size_t c = 0; c < index.class_count(); ++c) {
+    const auto& cls = index.extent_class(c);
+    Box3 ext;
+    for (int d = 0; d < 3; ++d) {
+      ext.lo[d] = q.lo[d] - cls.half_extent[d];
+      ext.hi[d] = std::nextafter(q.hi[d] + cls.half_extent[d],
+                                 std::numeric_limits<Scalar>::infinity());
+    }
+    CollectLeaves(cls.root, q, ext, 0u, &leaves);
+  }
+  return leaves;
+}
+
+/// The ordered id stream of one query at the current thread count, or for
+/// a count query its count as the only element.
+std::vector<ObjectId> Answer(quasii::SpatialIndex<3>* index,
+                             const Query<3>& query) {
+  std::vector<ObjectId> got;
+  if (query.type() == quasii::QueryType::kCount) {
+    CountSink sink;
+    index->Execute(query, sink);
+    got.push_back(static_cast<ObjectId>(sink.count()));
+  } else {
+    VectorSink sink(&got);
+    index->Execute(query, sink);
+  }
+  return got;
+}
+
+std::vector<ObjectId> Sorted(std::vector<ObjectId> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// What the runs of adjacent leaves `q` visits (the scans QUASII merges)
+/// hold: the rows of the longest run, and whether some run holds a leaf
+/// that lacks a covered bit of the run's first (or last) leaf and holds a
+/// live row outside `q`. A merged scan that kept the first (or the last)
+/// leaf's mask would emit that row.
+struct LeafRuns {
+  std::size_t longest = 0;
+  bool first_mask_wrong = false;
+  bool last_mask_wrong = false;
+};
+
+LeafRuns RunsOf(const QuasiiIndex<3>& index, const Box3& q) {
+  const std::vector<VisitedLeaf> leaves = VisitedLeaves(index, q);
+  LeafRuns runs;
+  std::size_t e = 0;
+  for (std::size_t i = 0; i < leaves.size(); i = e) {
+    e = i + 1;
+    while (e < leaves.size() && leaves[e - 1].end == leaves[e].begin) ++e;
+    std::size_t rows = 0;
+    for (std::size_t l = i; l < e; ++l) {
+      const VisitedLeaf& leaf = leaves[l];
+      rows += leaf.end - leaf.begin;
+      bool outside = false;
+      for (std::size_t r = leaf.begin; r < leaf.end; ++r) {
+        outside |=
+            index.array().live(r) && !index.array().box(r).Intersects(q);
+      }
+      runs.first_mask_wrong |=
+          outside && (leaves[i].covered & ~leaf.covered) != 0;
+      runs.last_mask_wrong |=
+          outside && (leaves[e - 1].covered & ~leaf.covered) != 0;
+    }
+    runs.longest = std::max(runs.longest, rows);
+  }
+  return runs;
+}
+
+void TestMergedLeafScansMatchAcrossThreads() {
+  // An index over 2^16 rows; after its first query every 97th row is
+  // erased, so merged runs carry tombstones and refinement parks dead rows
+  // between live slices. The queries: random boxes, whose runs of adjacent
+  // leaves mix covered masks; a slab spanning the whole universe in y and
+  // z, whose visited leaves form runs longer than a grain, so the 4-thread
+  // leaf scan forks; and points. For every range predicate, for counts and
+  // for points, the ordered ids at 1 and 4 threads must be identical and
+  // equal Scan's as a set.
+  quasii::datagen::UniformDatasetParams dp;
+  dp.count = 1u << 16;
+  dp.seed = 23;
+  const Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
+  const Box3 universe = quasii::datagen::UniformUniverse(dp);
+  quasii::datagen::UniformQueryParams qp;
+  qp.count = 24;
+  qp.selectivity = 2e-2;
+  qp.seed = 61;
+  std::vector<Box3> boxes = quasii::datagen::MakeUniformQueries(universe, qp);
+  Box3 slab = universe;
+  slab.lo[0] = universe.lo[0] + (universe.hi[0] - universe.lo[0]) / 4;
+  slab.hi[0] = universe.lo[0] + (universe.hi[0] - universe.lo[0]) / 2;
+  boxes.push_back(slab);  // last: its queries are the ones that must fork
+
+  std::vector<Query<3>> queries;
+  for (const Box3& b : boxes) {
+    for (const RangePredicate pred :
+         {RangePredicate::kIntersects, RangePredicate::kContains,
+          RangePredicate::kContainedBy}) {
+      queries.push_back(RangeQuery<3>(b, pred));
+      queries.push_back(CountQuery<3>(b, pred));
+    }
+  }
+  const std::size_t first_slab_query = queries.size() - 6;
+  for (ObjectId id = 0; id < 16; ++id) {
+    queries.push_back(PointQuery<3>(data[id * 4001].Center()));
+  }
+
+  QuasiiIndex<3> index(data);
+  ScanIndex<3> scan(data);
+  std::vector<std::vector<ObjectId>> serial;
+  {
+    ScopedThreads guard(1);
+    Answer(&index, queries.front());
+    for (ObjectId id = 0; id < data.size(); id += 97) {
+      CHECK(index.Erase(id));
+      CHECK(scan.Erase(id));
+    }
+    for (const Query<3>& query : queries) Answer(&index, query);  // converge
+    for (const Query<3>& query : queries) {
+      serial.push_back(Answer(&index, query));
+    }
+  }
+  const std::uint64_t cracks = index.stats().cracks;
+
+  // The merge cases are really there.
+  CHECK_GT(index.array().tombstones(), 0u);
+  LeafRuns all;
+  for (const Box3& b : boxes) {
+    const LeafRuns runs = RunsOf(index, b);
+    all.first_mask_wrong |= runs.first_mask_wrong;
+    all.last_mask_wrong |= runs.last_mask_wrong;
+  }
+  CHECK(all.first_mask_wrong);
+  CHECK(all.last_mask_wrong);
+  CHECK_GT(RunsOf(index, slab).longest, MorselGrain());
+
+  ScopedThreads guard(4);
+  TaskScheduler& exec = quasii::IntraQueryScheduler();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const TaskScheduler::Stats before = exec.stats();
+    CHECK(Answer(&index, queries[i]) == serial[i]);
+    const TaskScheduler::Stats after = exec.stats();
+    // Without workers (the force-serial leg caps the thread count) nothing
+    // forks; with them, every slab query's leaf scan does.
+    if (exec.parallel() && i >= first_slab_query && i < first_slab_query + 6) {
+      CHECK_GT(after.executed + after.helped, before.executed + before.helped);
+    }
+    if (queries[i].type() == quasii::QueryType::kCount) {
+      CHECK(serial[i] == Answer(&scan, queries[i]));
+    } else {
+      CHECK(Sorted(serial[i]) == Sorted(Answer(&scan, queries[i])));
+    }
+  }
+  CHECK_EQ(index.stats().cracks, cracks);
+  CHECK(index.CheckInvariants());
+}
+
 void TestParallelScansRaceRosterMutations() {
   // TSan stress: with intra-query workers active, several reader threads
   // drive range queries (deferred parallel scans, parallel cracking inside
@@ -436,6 +636,7 @@ int main() {
   RUN_TEST(TestColdStartSerialParallelIdentical);
   RUN_TEST(TestDuplicateHeavySerialParallelIdentical);
   RUN_TEST(TestParallelJoinMatchesSerial);
+  RUN_TEST(TestMergedLeafScansMatchAcrossThreads);
   RUN_TEST(TestParallelScansRaceRosterMutations);
   return 0;
 }

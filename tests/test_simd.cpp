@@ -1,9 +1,11 @@
-// SIMD kernel tests: every vector tier must match the scalar reference
-// bit-for-bit at boundary lengths (0, 1, lane-width +/- 1), `StreamScan` must
-// return exactly the rows a brute-force `Box` predicate loop accepts for all
-// predicates and covered-dimension masks (2D and 3D, duplicate-heavy and
-// all-dead rows included), and the thread-local scan scratch must shrink
-// back after a burst of large scans.
+// SIMD kernel tests: the fused leaf-scan filter's vector tier must match
+// the scalar reference bit-for-bit, and both must match a per-row box
+// predicate, at boundary lengths around the 8-row block, for every
+// predicate, covered-dimension mask and tombstone pattern, on the id and the
+// count-only path; `StreamScan` must return exactly the rows a brute-force
+// `Box` predicate loop accepts for all predicates and covered-dimension masks
+// (2D and 3D, duplicate-heavy and all-dead rows included), and the
+// thread-local scan scratch must shrink back after a burst of large scans.
 
 #include <algorithm>
 #include <cstdint>
@@ -35,8 +37,11 @@ namespace simd = quasii::simd;
 
 constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
 
-// Lengths straddling every lane boundary of the 8-wide kernels (and the
-// 16-wide mask passes inside CompactIds).
+// Row counts of the fused kernel test: around the vector kernel's 8-row
+// block and around a 256-row leaf.
+const std::vector<std::size_t> kKernelLens = {0,  1,  7,   8,   9,  15,
+                                              16, 17, 255, 256, 257};
+// Row counts of the StreamScan brute-force tests.
 const std::vector<std::size_t> kLens = {0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100};
 
 /// Random column with duplicates, signed zeros and infinities sprinkled in.
@@ -64,14 +69,6 @@ std::vector<Scalar> RandomColumn(std::size_t n, Rng* rng) {
   return v;
 }
 
-std::vector<std::uint8_t> RandomMask(std::size_t n, Rng* rng) {
-  std::vector<std::uint8_t> m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m[i] = static_cast<std::uint8_t>(rng->UniformInt(0, 1));
-  }
-  return m;
-}
-
 /// Runs `fn` once under the machine's native tier and once forced scalar.
 template <typename Fn>
 void ForEachTier(Fn fn) {
@@ -94,64 +91,122 @@ void TestTierControls() {
   CHECK_EQ(simd::ActiveTier(), native);
 }
 
-void TestMaskLeGeMatchesScalar() {
-  Rng rng(11);
-  for (std::size_t n : kLens) {
-    for (int rep = 0; rep < 8; ++rep) {
-      const std::vector<Scalar> le_col = RandomColumn(n, &rng);
-      const std::vector<Scalar> ge_col = RandomColumn(n, &rng);
-      const Scalar le_b = rng.UniformScalar(-120, 120);
-      const Scalar ge_b = rng.UniformScalar(-120, 120);
-      const std::vector<std::uint8_t> init = RandomMask(n, &rng);
-      std::vector<std::uint8_t> want = init;
-      simd::MaskLeGeScalar(le_col.data(), le_b, ge_col.data(), ge_b,
-                           want.data(), n);
-      ForEachTier([&] {
-        std::vector<std::uint8_t> got = init;
-        simd::MaskLeGe(le_col.data(), le_b, ge_col.data(), ge_b, got.data(),
-                       n);
-        CHECK(got == want);
-      });
+/// The fused filter's inputs for one predicate over `D` random bound
+/// columns: the (le, ge) column pairs of the dimensions not in `covered`,
+/// paired exactly as `StreamScan` pairs them.
+template <int D>
+simd::ColumnTests<D> ColumnTestsFor(const std::vector<std::vector<Scalar>>& los,
+                                    const std::vector<std::vector<Scalar>>& his,
+                                    const Box<D>& q, RangePredicate pred,
+                                    unsigned covered, std::size_t* k) {
+  simd::ColumnTests<D> tests;
+  *k = 0;
+  for (int d = 0; d < D; ++d) {
+    if (covered & (1u << d)) continue;
+    const std::size_t dd = static_cast<std::size_t>(d);
+    switch (pred) {
+      case RangePredicate::kIntersects:
+        tests[(*k)++] = {los[dd].data(), q.hi[d], his[dd].data(), q.lo[d]};
+        break;
+      case RangePredicate::kContains:
+        tests[(*k)++] = {los[dd].data(), q.lo[d], his[dd].data(), q.hi[d]};
+        break;
+      case RangePredicate::kContainedBy:
+        tests[(*k)++] = {his[dd].data(), q.hi[d], los[dd].data(), q.lo[d]};
+        break;
+    }
+  }
+  return tests;
+}
+
+/// One random draw of the fused kernel test at `n` rows: every tier must
+/// emit exactly the ids a per-row predicate accepts, for every predicate,
+/// covered-dimension mask and tombstone pattern, and count them alike.
+void CheckFilterRows(std::size_t n, Rng* rng) {
+  constexpr int D = 3;
+  std::vector<std::vector<Scalar>> los(D), his(D);
+  for (int d = 0; d < D; ++d) {
+    los[static_cast<std::size_t>(d)] = RandomColumn(n, rng);
+    his[static_cast<std::size_t>(d)] = RandomColumn(n, rng);
+  }
+  std::vector<ObjectId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ids[i] = static_cast<ObjectId>(rng->UniformInt(0, 1 << 20));
+  }
+  // No dead rows (no live bytes passed), some dead rows, all rows dead.
+  std::vector<std::uint8_t> some(n), none(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    some[i] = static_cast<std::uint8_t>(rng->UniformInt(0, 3) != 0);
+  }
+  // Bounds taken from the columns, so rows equal to a bound test the
+  // closed ends of every compare.
+  Box<D> q;
+  for (int d = 0; d < D; ++d) {
+    const std::size_t dd = static_cast<std::size_t>(d);
+    const auto pick = [&](const std::vector<Scalar>& col) {
+      return n == 0 ? rng->UniformScalar(-120, 120)
+                    : col[static_cast<std::size_t>(rng->UniformInt(
+                          0, static_cast<std::int64_t>(n) - 1))];
+    };
+    const Scalar a = pick(los[dd]);
+    const Scalar b = pick(his[dd]);
+    q.lo[d] = std::min(a, b);
+    q.hi[d] = std::max(a, b);
+  }
+  for (const std::uint8_t* live :
+       {static_cast<const std::uint8_t*>(nullptr),
+        static_cast<const std::uint8_t*>(some.data()),
+        static_cast<const std::uint8_t*>(none.data())}) {
+    for (const RangePredicate pred :
+         {RangePredicate::kIntersects, RangePredicate::kContains,
+          RangePredicate::kContainedBy}) {
+      for (unsigned covered = 0; covered < (1u << D); ++covered) {
+        std::size_t k = 0;
+        const simd::ColumnTests<D> tests =
+            ColumnTestsFor<D>(los, his, q, pred, covered, &k);
+        // The reference: each row's own per-dimension predicate.
+        std::vector<ObjectId> want;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (live != nullptr && live[i] == 0) continue;
+          bool match = true;
+          for (int d = 0; d < D; ++d) {
+            if (covered & (1u << d)) continue;
+            const Scalar lo = los[static_cast<std::size_t>(d)][i];
+            const Scalar hi = his[static_cast<std::size_t>(d)][i];
+            switch (pred) {
+              case RangePredicate::kIntersects:
+                match &= lo <= q.hi[d] && hi >= q.lo[d];
+                break;
+              case RangePredicate::kContains:
+                match &= lo <= q.lo[d] && hi >= q.hi[d];
+                break;
+              case RangePredicate::kContainedBy:
+                match &= lo >= q.lo[d] && hi <= q.hi[d];
+                break;
+            }
+          }
+          if (match) want.push_back(ids[i]);
+        }
+        ForEachTier([&] {
+          std::vector<ObjectId> got(n + 1, 0xdeadbeef);
+          const std::size_t m =
+              simd::FilterRows(tests, k, live, ids.data(), n, got.data());
+          CHECK_EQ(m, want.size());
+          CHECK(std::equal(want.begin(), want.end(), got.begin()));
+          CHECK_EQ(got[n], ObjectId{0xdeadbeef});  // never writes past n
+          // Count-only: no id column and no output buffer.
+          CHECK_EQ(simd::FilterRows(tests, k, live, nullptr, n, nullptr),
+                   want.size());
+        });
+      }
     }
   }
 }
 
-void TestMaskCountAndCompactMatchScalar() {
-  Rng rng(12);
-  for (std::size_t n : kLens) {
-    for (int rep = 0; rep < 8; ++rep) {
-      const std::vector<std::uint8_t> mask = RandomMask(n, &rng);
-      std::vector<ObjectId> ids(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ids[i] = static_cast<ObjectId>(rng.UniformInt(0, 1 << 20));
-      }
-      const std::uint64_t want_count = simd::MaskCountScalar(mask.data(), n);
-      std::vector<ObjectId> want_ids(n + 1, 0xdeadbeef);
-      const std::size_t want_m =
-          simd::CompactIdsScalar(ids.data(), mask.data(), n, want_ids.data());
-      CHECK_EQ(want_count, want_m);
-      ForEachTier([&] {
-        CHECK_EQ(simd::MaskCount(mask.data(), n), want_count);
-        std::vector<ObjectId> got_ids(n + 1, 0xdeadbeef);
-        const std::size_t got_m =
-            simd::CompactIds(ids.data(), mask.data(), n, got_ids.data());
-        CHECK_EQ(got_m, want_m);
-        CHECK(std::equal(got_ids.begin(), got_ids.begin() + got_m,
-                         want_ids.begin()));
-      });
-      // All-set and all-clear masks.
-      const std::vector<std::uint8_t> ones(n, 1);
-      const std::vector<std::uint8_t> zeros(n, 0);
-      ForEachTier([&] {
-        CHECK_EQ(simd::MaskCount(ones.data(), n), n);
-        CHECK_EQ(simd::MaskCount(zeros.data(), n), 0u);
-        std::vector<ObjectId> out(n + 1);
-        CHECK_EQ(simd::CompactIds(ids.data(), ones.data(), n, out.data()), n);
-        CHECK(std::equal(out.begin(), out.begin() + n, ids.begin()));
-        CHECK_EQ(simd::CompactIds(ids.data(), zeros.data(), n, out.data()),
-                 0u);
-      });
-    }
+void TestFilterRowsMatchesReference() {
+  Rng rng(11);
+  for (const std::size_t n : kKernelLens) {
+    for (int rep = 0; rep < 4; ++rep) CheckFilterRows(n, &rng);
   }
 }
 
@@ -280,36 +335,33 @@ void TestScanScratchShrinks() {
   ScanScratch s;
   // Grow far past the cap, then report a burst of small scans: capacity
   // must fall back to roughly the working size after kShrinkStreak scans.
-  s.mask.assign(4u << 20, 1);
   s.ids.assign(1u << 21, 0);
-  CHECK_GT(s.mask.capacity(), ScanScratch::kCapBytes);
   CHECK_GT(s.ids.capacity() * sizeof(ObjectId), ScanScratch::kCapBytes);
   for (int i = 0; i < ScanScratch::kShrinkStreak - 1; ++i) {
-    s.Release(1024, 256);
-    CHECK_GT(s.mask.capacity(), ScanScratch::kCapBytes);  // not yet
+    s.Release(256);
+    CHECK_GT(s.ids.capacity() * sizeof(ObjectId),
+             ScanScratch::kCapBytes);  // not yet
   }
   // One big scan resets the streak...
-  s.Release(s.mask.capacity(), s.ids.capacity());
+  s.Release(s.ids.capacity());
   for (int i = 0; i < ScanScratch::kShrinkStreak - 1; ++i) {
-    s.Release(1024, 256);
-    CHECK_GT(s.mask.capacity(), ScanScratch::kCapBytes);
+    s.Release(256);
+    CHECK_GT(s.ids.capacity() * sizeof(ObjectId), ScanScratch::kCapBytes);
   }
   // ...and the streak's final small scan triggers the shrink.
-  s.Release(1024, 256);
-  CHECK_LE(s.mask.capacity(), ScanScratch::kCapBytes);
+  s.Release(256);
   CHECK_LE(s.ids.capacity() * sizeof(ObjectId), ScanScratch::kCapBytes);
   // Below-cap scratch is left alone no matter the streak.
-  const std::size_t cap_before = s.mask.capacity();
-  for (int i = 0; i < 2 * ScanScratch::kShrinkStreak; ++i) s.Release(1, 1);
-  CHECK_EQ(s.mask.capacity(), cap_before);
+  const std::size_t cap_before = s.ids.capacity();
+  for (int i = 0; i < 2 * ScanScratch::kShrinkStreak; ++i) s.Release(1);
+  CHECK_EQ(s.ids.capacity(), cap_before);
 }
 
 }  // namespace
 
 int main() {
   RUN_TEST(TestTierControls);
-  RUN_TEST(TestMaskLeGeMatchesScalar);
-  RUN_TEST(TestMaskCountAndCompactMatchScalar);
+  RUN_TEST(TestFilterRowsMatchesReference);
   RUN_TEST(TestStreamScanVsBruteForce2D);
   RUN_TEST(TestStreamScanVsBruteForce3D);
   RUN_TEST(TestStreamScanDuplicateHeavy);

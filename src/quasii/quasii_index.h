@@ -411,12 +411,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
     --c.live;
   }
 
-  /// Descends every class at the thresholds `LeafThresholds` sizes to `q`.
+  /// Descends every class at the thresholds `LeafThresholds` sizes to `q`,
+  /// then runs the recorded leaf scans on the calling thread, in capture
+  /// (= visit) order, straight into the query's emitter. Only the cracking
+  /// steps of the descent fork; a converged read runs no task.
   void ExecuteBox(const Box<D>& q, RangePredicate predicate, bool count_only,
                   Sink& sink) override {
     PrepareArray();
     if (array_.empty()) return;
-    MatchEmitter emit(count_only, &sink);
     // The job list lives in a thread-local buffer, taken by swap and given
     // back at the end: it allocates nothing once its thread has recorded as
     // many jobs before, and an execution nested on the same thread (a task
@@ -425,13 +427,17 @@ class QuasiiIndex final : public SpatialIndex<D> {
     std::vector<LeafScanJob> jobs;
     jobs.swap(LeafScanJobsTLS());
     jobs.clear();
-    BoxExec ctx{&q, predicate, &emit, &jobs};
+    BoxExec ctx{&q, &jobs};
     for (ExtentClass& c : classes_) {
       if (c.root.empty()) continue;
       ctx.threshold = LeafThresholds(c, q);
       Visit(&c.root, ctx, ExtendedBox(q, c.half_extent), 0u);
     }
-    RunLeafScans(jobs, ctx, &IntraQueryScheduler());
+    MatchEmitter emit(count_only, &sink);
+    for (const LeafScanJob& job : jobs) {
+      this->Stats().bytes_scanned += array_.StreamScan(
+          job.begin, job.end, q, predicate, job.covered, &emit);
+    }
     emit.Flush();
     jobs.swap(LeafScanJobsTLS());
   }
@@ -483,10 +489,11 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
  private:
-  /// One leaf scan, recorded during the descent and run after it
-  /// (`RunLeafScans`), at every thread count. Captured BY VALUE — `Slice`
-  /// pointers dangle the moment a later refinement rebuilds a slice list,
-  /// but the row range of a processed leaf never moves within one query
+  /// One leaf scan, recorded during the descent and run by `ExecuteBox`
+  /// after it, so nothing reaches the sink before the descent (and every
+  /// refinement in it) has ended. Captured BY VALUE — `Slice` pointers
+  /// dangle the moment a later refinement rebuilds a slice list, but the
+  /// row range of a processed leaf never moves within one query
   /// (subsequent refinements reorganize only other, disjoint ranges), so
   /// (begin, end, covered) is all a scan needs. A job may span several
   /// adjacent leaves (`Process` merges them).
@@ -502,17 +509,14 @@ class QuasiiIndex final : public SpatialIndex<D> {
     return jobs;
   }
 
-  /// Box-execution context (see `SpatialIndex::ExecuteBox` for the shared
-  /// contract); threaded through the recursive slice descent. Leaf scans
-  /// are recorded in `jobs` in visit order and run after the descent
-  /// completes. A context without a query box (`q == nullptr`, as the join
-  /// descent uses) only refines: `Visit` then processes nothing, so `emit`
-  /// and `jobs` stay unused. `threshold` is the level thresholds the
-  /// extent class being descended is refined to.
+  /// Descent context, threaded through the recursive slice walk. Leaf
+  /// scans are recorded in `jobs` in visit order; `ExecuteBox` runs them
+  /// once the descent completes. A context without a query box
+  /// (`q == nullptr`, as the join descent uses) only refines: `Visit` then
+  /// processes nothing, so `jobs` stays unused. `threshold` is the level
+  /// thresholds the extent class being descended is refined to.
   struct BoxExec {
     const Box<D>* q;
-    RangePredicate predicate;
-    MatchEmitter* emit;
     std::vector<LeafScanJob>* jobs = nullptr;
     Thresholds threshold{};
   };
@@ -527,22 +531,20 @@ class QuasiiIndex final : public SpatialIndex<D> {
   };
 
   /// Adapts a partner-slice `StreamScan` into join pairs: every id the scan
-  /// emits pairs with the currently fixed left-side object, collected into
-  /// a task-local buffer, so leaf-pair scans stay off the shared
-  /// `JoinEmitter` until their deterministic merge.
+  /// emits pairs with the currently fixed left-side object and goes straight
+  /// to the join's `JoinEmitter`, which canonicalizes at its flush.
   class PairListSink final : public Sink {
    public:
-    explicit PairListSink(std::vector<std::pair<ObjectId, ObjectId>>* out)
-        : out_(out) {}
+    explicit PairListSink(JoinEmitter* emit) : emit_(emit) {}
     void set_left(ObjectId left) { left_ = left; }
-    void Emit(ObjectId id) override { out_->emplace_back(left_, id); }
+    void Emit(ObjectId id) override { emit_->Add(left_, id); }
     void EmitRun(const ObjectId* ids, std::size_t n) override {
-      for (std::size_t i = 0; i < n; ++i) out_->emplace_back(left_, ids[i]);
+      for (std::size_t i = 0; i < n; ++i) emit_->Add(left_, ids[i]);
     }
     void AddMatches(std::uint64_t) override {}
 
    private:
-    std::vector<std::pair<ObjectId, ObjectId>>* out_;
+    JoinEmitter* emit_;
     ObjectId left_ = 0;
   };
 
@@ -1389,84 +1391,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
     Visit(&s->children, ctx, ext, covered);
   }
 
-  /// Runs a query's recorded leaf scans, the only scan runner. When the
-  /// scheduler has workers and the jobs hold more than a grain of rows,
-  /// their rows, taken in capture (= visit) order, are cut into windows of
-  /// one grain each (a job may straddle two windows), and each window runs
-  /// the same `StreamScan` kernel into its own buffer on some worker; the
-  /// buffers drain into the emitter in window order. Otherwise the caller
-  /// scans the jobs in capture order straight into the query's emitter.
-  /// Either way the sink observes the identical id stream, count-only runs
-  /// the identical total, and the byte counter (linear in the rows of each
-  /// call) the identical sum. Byte counters merge into the caller's shard
-  /// here; the tasks never touch index stats.
-  void RunLeafScans(const std::vector<LeafScanJob>& jobs, const BoxExec& ctx,
-                    TaskScheduler* exec) {
-    const std::size_t grain = MorselGrain();
-    std::size_t rows = 0;
-    for (const LeafScanJob& job : jobs) rows += job.end - job.begin;
-    if (!exec->parallel() || rows <= grain) {
-      for (const LeafScanJob& job : jobs) {
-        this->Stats().bytes_scanned +=
-            array_.StreamScan(job.begin, job.end, *ctx.q, ctx.predicate,
-                              job.covered, ctx.emit);
-      }
-      return;
-    }
-    // Window w scans pieces[starts[w], starts[w + 1]).
-    std::vector<LeafScanJob> pieces;
-    std::vector<std::size_t> starts;
-    std::size_t room = 0;  // rows the current window still takes
-    for (const LeafScanJob& job : jobs) {
-      for (std::size_t b = job.begin; b < job.end;) {
-        if (room == 0) {
-          starts.push_back(pieces.size());
-          room = grain;
-        }
-        const std::size_t e = std::min(job.end, b + room);
-        pieces.push_back(LeafScanJob{b, e, job.covered});
-        room -= e - b;
-        b = e;
-      }
-    }
-    starts.push_back(pieces.size());
-    struct WindowOut {
-      std::vector<ObjectId> ids;
-      std::uint64_t count = 0;
-      std::uint64_t bytes = 0;
-    };
-    std::vector<WindowOut> results(starts.size() - 1);
-    const bool count_only = ctx.emit->count_only();
-    {
-      TaskScheduler::Group g(exec);
-      for (std::size_t w = 0; w < results.size(); ++w) {
-        g.Run([this, &pieces, &starts, &results, &ctx, count_only, w] {
-          WindowOut& out = results[w];
-          CountSink cs;
-          VectorSink vs(&out.ids);
-          MatchEmitter me(count_only, count_only ? static_cast<Sink*>(&cs)
-                                                 : static_cast<Sink*>(&vs));
-          for (std::size_t p = starts[w]; p < starts[w + 1]; ++p) {
-            out.bytes +=
-                array_.StreamScan(pieces[p].begin, pieces[p].end, *ctx.q,
-                                  ctx.predicate, pieces[p].covered, &me);
-          }
-          me.Flush();
-          out.count = cs.count();
-        });
-      }
-      g.Wait();
-    }
-    for (WindowOut& out : results) {
-      if (count_only) {
-        ctx.emit->AddAnonymous(out.count);
-      } else if (!out.ids.empty()) {
-        ctx.emit->AddRun(out.ids.data(), out.ids.size());
-      }
-      this->Stats().bytes_scanned += out.bytes;
-    }
-  }
-
   /// Materializes a non-leaf slice's single open child (the lazy first
   /// level-(d+1) slice covering the whole range) if none exists yet. Only
   /// reorganizing (exclusive-lock) executions ever create one —
@@ -1505,8 +1429,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     Box<D> ext = Box<D>::Infinite();
     ext.lo[d] = lo;
     ext.hi[d] = hi;
-    const BoxExec ctx{nullptr, RangePredicate::kIntersects, nullptr, nullptr,
-                      threshold};
+    const BoxExec ctx{nullptr, nullptr, threshold};
     Visit(slices, ctx, ext, 0u);
   }
 
@@ -1517,9 +1440,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// from chasing the partner's freshly carved slices, and makes the
   /// self-join refine once instead of twice. Then every overlapping slice
   /// pair is walked once: inner pairs descend into their child lists, leaf
-  /// pairs are collected and scanned by `RunLeafJoins`. Two slices can
-  /// hold intersecting objects only when their value intervals come within
-  /// the class pair's summed half extents `h` of each other — and
+  /// pairs are scanned where the walk finds them (`LeafJoinScan`). Two
+  /// slices can hold intersecting objects only when their value intervals
+  /// come within the class pair's summed half extents `h` of each other — and
   /// `sa.hi > sb.lo - h && sb.hi > sa.lo - h` is false for the parked dead
   /// slices (`lo == hi == +inf`), so they are skipped for free. On a
   /// self-join over one list the inner walk starts at `j = i`: the pair
@@ -1549,10 +1472,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
         RefineForJoin(mine, iv.first - h, iv.second + h, pair.mine);
       }
     }
-    // At the leaf level nothing mutates any more, so the pair walk only
-    // collects the pairs (the slice lists, and so the pointers, are stable
-    // until the scans ran).
-    std::vector<std::pair<const Slice*, const Slice*>> leaf_pairs;
     for (std::size_t i = 0; i < mine->size(); ++i) {
       Slice& sa = (*mine)[i];
       if (sa.size() == 0) continue;
@@ -1562,7 +1481,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
         if (!(sa.hi > sb.lo - h && sb.hi > sa.lo - h)) continue;
         ++this->Stats().partitions_visited;
         if (d == D - 1) {
-          leaf_pairs.emplace_back(&sa, &sb);
+          LeafJoinScan(other, sa, sb, &emit);
         } else {
           EnsureChild(&sa);
           other->EnsureChild(&sb);
@@ -1570,82 +1489,26 @@ class QuasiiIndex final : public SpatialIndex<D> {
         }
       }
     }
-    if (!leaf_pairs.empty()) {
-      RunLeafJoins(other, leaf_pairs, emit, &IntraQueryScheduler());
-    }
   }
 
-  /// Scans one leaf-slice pair: each live row of this side's slice streams
-  /// through the partner slice's bound columns (`StreamScan` is the exact
-  /// box-intersection filter and skips the partner's tombstones itself).
-  /// Pairs land in `sink`, counters in `st`, both local to the calling
-  /// task.
+  /// Scans one leaf-slice pair on the calling thread: each live row of this
+  /// side's slice streams through the partner slice's bound columns
+  /// (`StreamScan` is the exact box-intersection filter and skips the
+  /// partner's tombstones itself), and every match goes to `emit`. A pure
+  /// read: at the leaf level `RefineForJoin` has already run.
   void LeafJoinScan(QuasiiIndex<D>* other, const Slice& sa, const Slice& sb,
-                    PairListSink* sink, QueryStats* st) {
-    MatchEmitter me(/*count_only=*/false, sink);
+                    JoinEmitter* emit) {
+    QueryStats& st = this->Stats();
+    PairListSink sink(emit);
+    MatchEmitter me(/*count_only=*/false, &sink);
     for (std::size_t r = sa.begin; r < sa.end; ++r) {
       if (!array_.live(r)) continue;
-      sink->set_left(array_.id(r));
-      st->objects_tested += sb.size();
+      sink.set_left(array_.id(r));
+      st.objects_tested += sb.size();
       const Box<D> probe = array_.box(r);
-      st->bytes_scanned += other->array_.StreamScan(
+      st.bytes_scanned += other->array_.StreamScan(
           sb.begin, sb.end, probe, RangePredicate::kIntersects,
           /*covered_dims=*/0u, &me);
-    }
-  }
-
-  /// Scans one leaf level's collected pairs, at every thread count: a
-  /// batch of consecutive pairs per task (inline on a scheduler without
-  /// workers), each task collecting its pairs and counters locally; the
-  /// caller drains the buffers into the real emitter in pair-capture order
-  /// and merges the counters into its own shard. Safe because at the leaf
-  /// level nothing mutates: `RefineForJoin` already ran, `LeafJoinScan` is
-  /// a pure read, and the slice lists (and so the captured `Slice*`) are
-  /// stable for the duration of the walk. Result sets are unaffected by
-  /// the batching — the emitter canonicalizes (sorts, dedups) at Flush.
-  void RunLeafJoins(
-      QuasiiIndex<D>* other,
-      const std::vector<std::pair<const Slice*, const Slice*>>& pairs,
-      JoinEmitter& emit, TaskScheduler* exec) {
-    struct TaskOut {
-      std::vector<std::pair<ObjectId, ObjectId>> found;
-      QueryStats stats;
-    };
-    // Batch consecutive pairs by probe work (rows scanned ≈ |a| · |b|)
-    // until a batch carries enough to amortize its dispatch.
-    std::vector<std::size_t> starts;
-    starts.push_back(0);
-    std::uint64_t work = 0;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      work += static_cast<std::uint64_t>(pairs[i].first->size()) *
-              std::max<std::uint64_t>(1, pairs[i].second->size());
-      if (work >= kJoinBatchWork && i + 1 < pairs.size()) {
-        starts.push_back(i + 1);
-        work = 0;
-      }
-    }
-    std::vector<TaskOut> results(starts.size());
-    {
-      TaskScheduler::Group g(exec);
-      for (std::size_t b = 0; b < starts.size(); ++b) {
-        const std::size_t pb = starts[b];
-        const std::size_t pe =
-            b + 1 < starts.size() ? starts[b + 1] : pairs.size();
-        g.Run([this, other, &pairs, &results, b, pb, pe] {
-          TaskOut& out = results[b];
-          PairListSink sink(&out.found);
-          for (std::size_t k = pb; k < pe; ++k) {
-            LeafJoinScan(other, *pairs[k].first, *pairs[k].second, &sink,
-                         &out.stats);
-          }
-        });
-      }
-      g.Wait();
-    }
-    for (TaskOut& out : results) {
-      for (const auto& p : out.found) emit.Add(p.first, p.second);
-      this->Stats().objects_tested += out.stats.objects_tested;
-      this->Stats().bytes_scanned += out.stats.bytes_scanned;
     }
   }
 
@@ -1655,8 +1518,6 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// has workers — a scheduling cutoff only, the split sequence (and so
   /// layout and counters) is identical either way.
   static constexpr std::size_t kParallelSplitMin = std::size_t{1} << 14;
-  /// Probe work (|a| · |b| row products) batched into one leaf-join task.
-  static constexpr std::uint64_t kJoinBatchWork = std::uint64_t{1} << 18;
 
   Params params_;
   bool initialized_ = false;

@@ -76,9 +76,10 @@ class QueryServer {
     /// Intra-query morsel threads (`SetIntraQueryThreads`, applied at
     /// `Start`; a `QUASII_EXEC_THREADS` env cap may clamp it). Default 1:
     /// fully serial intra-query execution, so record/replay determinism
-    /// needs no caveats. Raising it parallelizes cold cracking and frozen
-    /// leaf scans *within* the single exec thread's requests — admission
-    /// order stays the execution order either way.
+    /// needs no caveats. Raising it parallelizes cracking *within* the
+    /// single exec thread's requests (converged reads and leaf scans always
+    /// run on the calling thread) — admission order stays the execution
+    /// order either way.
     int exec_threads = 1;
     /// Workload log path; empty disables recording.
     std::string record_path;

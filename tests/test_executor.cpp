@@ -5,11 +5,12 @@
 // same cold query stream must produce bit-identical columns and slice
 // lists, identical work counters, and identical result streams, for range
 // and count queries, duplicate-heavy data, and crack-driven joins alike.
-// Converged reads whose adjacent leaves merge into one scan (fully covered
-// leaves next to partly covered ones, and runs longer than a grain) must
+// Only cracking forks: crack-free joins and converged reads run no scheduler
+// task, and converged reads whose adjacent leaves merge into one scan (fully
+// covered leaves next to partly covered ones, and runs longer than a grain)
 // emit the same ordered ids at 1 and 4 threads, and the Scan oracle's set.
-// The final stress test races parallel scans/cracks against roster
-// mutations and is the CI TSan leg's fodder.
+// The final stress test races parallel cracks and concurrent reads against
+// roster mutations and is the CI TSan leg's fodder.
 
 #include <algorithm>
 #include <atomic>
@@ -223,6 +224,13 @@ void CheckSameCounters(const QueryStats& a, const QueryStats& b) {
   CHECK_EQ(a.bytes_scanned, b.bytes_scanned);
 }
 
+/// Tasks the intra-query scheduler has run so far, on workers, by helping
+/// waiters or inline.
+std::uint64_t TasksRun() {
+  const TaskScheduler::Stats st = quasii::IntraQueryScheduler().stats();
+  return st.executed + st.helped + st.inlined;
+}
+
 /// Runs range queries, and count queries between them, cold on a fresh
 /// index at the given thread count; records each range query's id stream
 /// in emission order, the counts, the counters and the final structure.
@@ -233,6 +241,9 @@ struct ColdRun {
   std::string structure;
   /// Rows of the largest frozen root slice.
   std::size_t frozen_root_rows = 0;
+  /// Whether the scheduler had workers, and the tasks the run forked.
+  bool parallel = false;
+  std::uint64_t tasks = 0;
 };
 
 ColdRun RunCold(const Dataset3& data, const std::vector<Box3>& ranges,
@@ -240,6 +251,8 @@ ColdRun RunCold(const Dataset3& data, const std::vector<Box3>& ranges,
   ScopedThreads guard(threads);
   QuasiiIndex<3> index(data);
   ColdRun run;
+  run.parallel = quasii::IntraQueryScheduler().parallel();
+  const std::uint64_t tasks_before = TasksRun();
   for (std::size_t i = 0; i < std::max(ranges.size(), counts.size()); ++i) {
     if (i < ranges.size()) {
       std::vector<ObjectId> got;
@@ -253,6 +266,7 @@ ColdRun RunCold(const Dataset3& data, const std::vector<Box3>& ranges,
       run.counts.push_back(sink.count());
     }
   }
+  run.tasks = TasksRun() - tasks_before;
   CHECK(index.CheckInvariants());
   run.stats = index.stats();
   run.structure = StructureOf(index);
@@ -275,11 +289,10 @@ void CheckSameColdRun(const ColdRun& serial, const ColdRun& parallel) {
 
 void TestColdStartSerialParallelIdentical() {
   // n above the chunked-partition threshold (2^16) so the cold first query
-  // exercises the parallel partition, the forked median split, and the
-  // batched leaf scans — and still must match the serial run bit for bit:
-  // same id streams, same counters, same columns and slice lists. The count
-  // queries (wider, so their leaves span several scan batches) take the
-  // count-only batch path.
+  // exercises the parallel partition and the forked median split — and
+  // still must match the serial run bit for bit: same id streams, same
+  // counters, same columns and slice lists. The count queries are wider
+  // and take the count-only scan path.
   quasii::datagen::UniformDatasetParams dp;
   dp.count = 1u << 17;
   dp.seed = 9;
@@ -298,6 +311,9 @@ void TestColdStartSerialParallelIdentical() {
   const ColdRun serial = RunCold(data, ranges, counts, 1);
   const ColdRun parallel = RunCold(data, ranges, counts, 4);
   CheckSameColdRun(serial, parallel);
+  // With workers (the force-serial leg caps the thread count) the cold
+  // cracks fork.
+  if (parallel.parallel) CHECK_GT(parallel.tasks, 0u);
 }
 
 void TestDuplicateHeavySerialParallelIdentical() {
@@ -336,7 +352,9 @@ void TestDuplicateHeavySerialParallelIdentical() {
 }
 
 /// A cold join at the given thread count: of a fresh index over `left_data`
-/// against one over `right_data`, or with itself on a self-join.
+/// against one over `right_data`, or with itself on a self-join. A second,
+/// crack-free join follows and must find the same pairs without running a
+/// scheduler task.
 struct JoinRun {
   std::vector<IdPair> pairs;
   QueryStats left_stats;
@@ -360,6 +378,15 @@ JoinRun RunJoin(const Dataset3& left_data, const Dataset3& right_data,
   run.right_stats = partner.stats();
   run.left_structure = StructureOf(left);
   run.right_structure = StructureOf(partner);
+
+  const std::uint64_t tasks_before = TasksRun();
+  std::vector<IdPair> again;
+  VectorPairSink again_sink(&again);
+  left.Execute(JoinQuery<3>(partner), again_sink);
+  CHECK_EQ(TasksRun(), tasks_before);
+  CHECK(again == run.pairs);
+  CHECK_EQ(left.stats().cracks, run.left_stats.cracks);
+  CHECK_EQ(partner.stats().cracks, run.right_stats.cracks);
   return run;
 }
 
@@ -490,10 +517,10 @@ void TestMergedLeafScansMatchAcrossThreads() {
   // erased, so merged runs carry tombstones and refinement parks dead rows
   // between live slices. The queries: random boxes, whose runs of adjacent
   // leaves mix covered masks; a slab spanning the whole universe in y and
-  // z, whose visited leaves form runs longer than a grain, so the 4-thread
-  // leaf scan forks; and points. For every range predicate, for counts and
-  // for points, the ordered ids at 1 and 4 threads must be identical and
-  // equal Scan's as a set.
+  // z, whose visited leaves form runs longer than a grain; and points. For
+  // every range predicate, for counts and for points, the ordered ids at 1
+  // and 4 threads must be identical and equal Scan's as a set, and no read
+  // runs a scheduler task: converged reads scan on their calling thread.
   quasii::datagen::UniformDatasetParams dp;
   dp.count = 1u << 16;
   dp.seed = 23;
@@ -507,7 +534,7 @@ void TestMergedLeafScansMatchAcrossThreads() {
   Box3 slab = universe;
   slab.lo[0] = universe.lo[0] + (universe.hi[0] - universe.lo[0]) / 4;
   slab.hi[0] = universe.lo[0] + (universe.hi[0] - universe.lo[0]) / 2;
-  boxes.push_back(slab);  // last: its queries are the ones that must fork
+  boxes.push_back(slab);
 
   std::vector<Query<3>> queries;
   for (const Box3& b : boxes) {
@@ -518,7 +545,6 @@ void TestMergedLeafScansMatchAcrossThreads() {
       queries.push_back(CountQuery<3>(b, pred));
     }
   }
-  const std::size_t first_slab_query = queries.size() - 6;
   for (ObjectId id = 0; id < 16; ++id) {
     queries.push_back(PointQuery<3>(data[id * 4001].Center()));
   }
@@ -553,16 +579,10 @@ void TestMergedLeafScansMatchAcrossThreads() {
   CHECK_GT(RunsOf(index, slab).longest, MorselGrain());
 
   ScopedThreads guard(4);
-  TaskScheduler& exec = quasii::IntraQueryScheduler();
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const TaskScheduler::Stats before = exec.stats();
+    const std::uint64_t tasks_before = TasksRun();
     CHECK(Answer(&index, queries[i]) == serial[i]);
-    const TaskScheduler::Stats after = exec.stats();
-    // Without workers (the force-serial leg caps the thread count) nothing
-    // forks; with them, every slab query's leaf scan does.
-    if (exec.parallel() && i >= first_slab_query && i < first_slab_query + 6) {
-      CHECK_GT(after.executed + after.helped, before.executed + before.helped);
-    }
+    CHECK_EQ(TasksRun(), tasks_before);
     if (queries[i].type() == quasii::QueryType::kCount) {
       CHECK(serial[i] == Answer(&scan, queries[i]));
     } else {
@@ -575,10 +595,11 @@ void TestMergedLeafScansMatchAcrossThreads() {
 
 void TestParallelScansRaceRosterMutations() {
   // TSan stress: with intra-query workers active, several reader threads
-  // drive range queries (deferred parallel scans, parallel cracking inside
-  // refinement) while a writer thread churns inserts and erases through
-  // the index's locked mutation path. The lock contract must keep worker
-  // reads and roster writes apart; afterwards the structure must validate.
+  // drive range queries (parallel cracking inside refinement, converged
+  // scans under the shared lock) while a writer thread churns inserts and
+  // erases through the index's locked mutation path. The lock contract must
+  // keep worker reads and roster writes apart; afterwards the structure
+  // must validate.
   quasii::datagen::UniformDatasetParams dp;
   dp.count = 30000;
   dp.seed = 13;

@@ -329,8 +329,8 @@ void TestThreeModeDataThreeClasses() {
 
 void TestPointDataOneClass() { RunDifferential(PointData(3000), 1, 14); }
 
-/// The class routing under intra-query parallelism: leaf scans of every
-/// class fan out as one job list, and the join's leaf pairs too.
+/// The class routing with 4 intra-query threads configured: every answer
+/// and join must still match Scan.
 void TestPaperDataTwoClassesParallel() {
   quasii::SetIntraQueryThreads(4);
   RunDifferential(PaperData(3000), 2, 15);

@@ -89,8 +89,8 @@ bool IsFinite(const Box<D>& b) {
 /// exactly. Any term is a sound driver — containment predicates imply
 /// intersection and each index executes all three predicates exactly — the
 /// volume rule is purely a cost heuristic. Shared by `SpatialIndex`'s
-/// dispatch and by the adaptive indexes' `ConvergedFor` replays so both
-/// route identically.
+/// dispatch, QUASII's shared-lock read and the adaptive indexes'
+/// `ConvergedFor` replays so all of them route identically.
 template <int D>
 std::size_t ConjunctionDriverIndex(
     const std::vector<ConjunctiveTerm<D>>& terms) {

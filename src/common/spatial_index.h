@@ -52,15 +52,17 @@ using Entry3 = Entry<3>;
 /// from any number of threads at once (each concurrently executing thread
 /// must hold a distinct stats slot — every `TaskScheduler` worker holds
 /// one). A reader-writer lock in this base class arbitrates: mutations
-/// and reorganizing executions take the exclusive side; executions the
-/// index declares safe via `ConvergedFor(query)` run concurrently under the
-/// shared side. Static indexes are read-safe as soon as they are built;
-/// adaptive indexes (QUASII, SFCracker, Mosaic) serialize while the query
-/// would still crack/split and downgrade to shared mode once the touched
-/// region has converged. An index-vs-index join locks BOTH indexes (in a
-/// global address order, so concurrent A⋈B and B⋈A cannot deadlock) and
-/// runs shared only when both sides' `ConvergedFor` agree. `Build()` and
-/// the stats accessors are NOT thread-safe — call them while no query is in
+/// and reorganizing executions take the exclusive side; every execution
+/// first makes one attempt under the shared side (`TryExecuteShared`),
+/// which either runs the query without changing index state or declines
+/// before anything reaches the sink, and a declined query runs again under
+/// the exclusive side. Static indexes are read-safe as soon as they are
+/// built; adaptive indexes (QUASII, SFCracker, Mosaic) decline while the
+/// query would still crack/split and run shared once the touched region
+/// has converged. An index-vs-index join locks BOTH indexes (in a global
+/// address order, so concurrent A⋈B and B⋈A cannot deadlock) and runs
+/// shared only when both sides' `ConvergedFor` agree. `Build()` and the
+/// stats accessors are NOT thread-safe — call them while no query is in
 /// flight.
 ///
 /// `Execute` normalizes the query — empty boxes short-circuit (an inverted
@@ -87,14 +89,14 @@ class SpatialIndex {
   virtual void Build() {}
 
   /// Whether executing `query` right now is guaranteed not to change any
-  /// index state (beyond the caller's own stats shard) — the predicate that
-  /// routes `Execute` to the shared (concurrent) side of the lock. Static
-  /// indexes answer true once built; adaptive indexes answer true when the
-  /// query's descent would touch only converged structure. For `kJoin` the
-  /// answer covers only this side's structure — `Execute` asks both
-  /// participants before running a join shared. Only meaningful under at
-  /// least the shared lock (i.e. from inside `Execute`) or while no other
-  /// thread is mutating; conservative `false` is always correct.
+  /// index state (beyond the caller's own stats shard). The default
+  /// `TryExecuteShared` asks it before a shared-lock read, joins ask it of
+  /// both participants, and the server asks it to pick batchable reads.
+  /// Static indexes answer true once built; adaptive indexes answer true
+  /// when the query's descent would touch only converged structure. For
+  /// `kJoin` the answer covers only this side's structure. Only meaningful
+  /// under at least the shared lock (i.e. from inside `Execute`) or while
+  /// no other thread is mutating; conservative `false` is always correct.
   virtual bool ConvergedFor(const Query<D>& query) const {
     (void)query;
     return false;
@@ -180,8 +182,9 @@ class SpatialIndex {
 
   /// Typed query execution: the one entry point every id-producing query
   /// funnels through (joins produce pairs — use the `PairSink` overload).
-  /// Thread-safe (see the class comment): tries the shared lock first and
-  /// falls back to exclusive when `ConvergedFor` declines.
+  /// Thread-safe (see the class comment): attempts the query under the
+  /// shared lock (`TryExecuteShared`) and runs it under the exclusive lock
+  /// when the attempt declines.
   virtual void Execute(const Query<D>& query, Sink& sink) {
     // Degenerate queries resolve to nothing without touching (or locking)
     // any structure: an inverted box matches nothing and must not trigger
@@ -206,27 +209,7 @@ class SpatialIndex {
     }
     {
       std::shared_lock<std::shared_mutex> lock(mutex_);
-      // Holding the shared lock excludes writers, so a true answer stays
-      // true for the whole dispatch.
-      if (ConvergedFor(query)) {
-#ifndef NDEBUG
-        // Drift detector: `ConvergedFor` replays each index's routing
-        // logic, so a future execution-path change that forgets to update
-        // its replay would reorganize under the shared lock — a data race
-        // TSan only catches on the right interleaving. Reorganization
-        // counters of this thread's shard must stay untouched by a
-        // shared-mode dispatch; Debug CI turns drift deterministic.
-        const std::uint64_t cracks_before = stats_.Local().cracks;
-        const std::uint64_t moved_before = stats_.Local().objects_moved;
-#endif
-        Dispatch(query, sink);
-#ifndef NDEBUG
-        assert(stats_.Local().cracks == cracks_before &&
-               stats_.Local().objects_moved == moved_before &&
-               "ConvergedFor approved a query that reorganized");
-#endif
-        return;
-      }
+      if (TryExecuteShared(query, sink)) return;
     }
     std::unique_lock<std::shared_mutex> lock(mutex_);
     Dispatch(query, sink);
@@ -341,6 +324,36 @@ class SpatialIndex {
   virtual void ExecuteKNearest(const Point<D>& pt, std::size_t k,
                                Sink& sink) = 0;
 
+  /// The shared-lock attempt of `Execute` (the caller holds the shared
+  /// lock): either runs `query` into `sink` without changing any index
+  /// state and returns true, or returns false having touched neither the
+  /// sink nor the stats, and `Execute` runs the query under the exclusive
+  /// lock instead. The default asks `ConvergedFor` and then dispatches; an
+  /// index whose own read-only descent can decline (QUASII) overrides it so
+  /// a converged read descends once.
+  virtual bool TryExecuteShared(const Query<D>& query, Sink& sink) {
+    // Holding the shared lock excludes writers, so a true answer stays
+    // true for the whole dispatch.
+    if (!ConvergedFor(query)) return false;
+#ifndef NDEBUG
+    // Drift detector: `ConvergedFor` replays each index's routing logic,
+    // so a future execution-path change that forgets to update its replay
+    // would reorganize under the shared lock — a data race TSan only
+    // catches on the right interleaving. Reorganization counters of this
+    // thread's shard must stay untouched by a shared-mode dispatch; Debug
+    // CI turns drift deterministic.
+    const std::uint64_t cracks_before = stats_.Local().cracks;
+    const std::uint64_t moved_before = stats_.Local().objects_moved;
+#endif
+    Dispatch(query, sink);
+#ifndef NDEBUG
+    assert(stats_.Local().cracks == cracks_before &&
+           stats_.Local().objects_moved == moved_before &&
+           "ConvergedFor approved a query that reorganized");
+#endif
+    return true;
+  }
+
   /// Index-vs-index join body: `Add` every pair (left id from this index,
   /// right id from `other`) whose MBBs intersect. `other` may be `*this`
   /// (self-join); canonicalization — ordering, dedup, diagonal removal —
@@ -407,31 +420,6 @@ class SpatialIndex {
   /// merges them.
   QueryStats& Stats() { return stats_.Local(); }
 
-  ObjectStore<D> store_;
-  ShardedQueryStats stats_;
-
- private:
-  /// Adapts a box execution into join pairs: each emitted id pairs with the
-  /// fixed partner id, on the side `hit_is_left` selects.
-  class ProbePairSink final : public Sink {
-   public:
-    ProbePairSink(JoinEmitter* emit, ObjectId fixed, bool hit_is_left)
-        : emit_(emit), fixed_(fixed), hit_is_left_(hit_is_left) {}
-    void Emit(ObjectId id) override {
-      if (hit_is_left_) {
-        emit_->Add(id, fixed_);
-      } else {
-        emit_->Add(fixed_, id);
-      }
-    }
-    void AddMatches(std::uint64_t) override {}
-
-   private:
-    JoinEmitter* emit_;
-    ObjectId fixed_;
-    bool hit_is_left_;
-  };
-
   /// Filters a driver descent's candidates through the remaining terms of a
   /// conjunctive plan — the exact refinement the driver's own predicate
   /// check does not cover.
@@ -460,6 +448,31 @@ class SpatialIndex {
     Sink* out_;
   };
 
+  ObjectStore<D> store_;
+  ShardedQueryStats stats_;
+
+ private:
+  /// Adapts a box execution into join pairs: each emitted id pairs with the
+  /// fixed partner id, on the side `hit_is_left` selects.
+  class ProbePairSink final : public Sink {
+   public:
+    ProbePairSink(JoinEmitter* emit, ObjectId fixed, bool hit_is_left)
+        : emit_(emit), fixed_(fixed), hit_is_left_(hit_is_left) {}
+    void Emit(ObjectId id) override {
+      if (hit_is_left_) {
+        emit_->Add(id, fixed_);
+      } else {
+        emit_->Add(fixed_, id);
+      }
+    }
+    void AddMatches(std::uint64_t) override {}
+
+   private:
+    JoinEmitter* emit_;
+    ObjectId fixed_;
+    bool hit_is_left_;
+  };
+
   /// Conjunctive plan execution: one descent with the smallest-volume term
   /// (sound for any driver — containment implies intersection and every
   /// index executes all three predicates exactly; the volume rule is just
@@ -480,7 +493,8 @@ class SpatialIndex {
   }
 
   /// The locked body of `Execute`: type dispatch to the per-index
-  /// primitives. The caller holds the lock side `ConvergedFor` selected.
+  /// primitives. The caller holds the exclusive lock, or the shared one
+  /// when `ConvergedFor` approved the query.
   void Dispatch(const Query<D>& query, Sink& sink) {
     switch (query.type()) {
       case QueryType::kRange:

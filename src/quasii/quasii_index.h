@@ -113,12 +113,15 @@ namespace quasii {
 ///    geometric progression keeps tracking its population as it grows and
 ///    shrinks.
 ///
-/// Concurrency (the `SpatialIndex` contract): warm-up queries serialize on
-/// the exclusive lock while they crack; once `ConvergedFor` observes that a
-/// query's descent touches only within-threshold or frozen slices — and no
-/// pending tail or compaction is due — that query runs under the shared
-/// lock with any number of peers, since converged leaf scans write only
-/// thread-local scratch and the caller's stats shard.
+/// Concurrency (the `SpatialIndex` contract): a range, count, point or
+/// conjunction read first runs one read-only descent under the shared lock
+/// (`TryExecuteShared`), which collects its leaf scans and declines at the
+/// first slice the query would refine — or at once when a pending tail or
+/// a compaction is due. A converged read then scans under the shared lock
+/// with any number of peers, writing only thread-local scratch and the
+/// caller's stats shard; a declined one (a warm-up query) runs again under
+/// the exclusive lock, where it cracks. kNN always takes the exclusive
+/// lock.
 template <int D>
 class QuasiiIndex final : public SpatialIndex<D> {
  public:
@@ -219,9 +222,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// uniform over the data bounds `U` like `ClassCost` does,
   /// `E = n_c · Π_d min(1, (q.hi_d - q.lo_d + 2·h_d) / U_d)`, rounded up to
   /// a power of two and clamped to `[min(kMinLeafRows, tau), tau]`; the
-  /// levels above follow from it (`ThresholdsFor`). Pure: `ExecuteBox` and
-  /// `ConvergedFor` call it with the same box, so the replay and the
-  /// descent cannot disagree.
+  /// levels above follow from it (`ThresholdsFor`). Pure: `ExecuteBox`,
+  /// `TryExecuteShared` and `ConvergedFor` call it with the same box, so
+  /// the read-only descent and the reorganizing one cannot disagree.
   Thresholds LeafThresholds(const ExtentClass& c, const Box<D>& q) const {
     const std::size_t tau = params_.leaf_threshold;
     const Box<D>& u = this->store_.bounds();
@@ -354,25 +357,22 @@ class QuasiiIndex final : public SpatialIndex<D> {
 
   /// A query is converged — safe to execute concurrently under the shared
   /// lock — when nothing about its execution can reorganize: the array is
-  /// initialized, has no pending tail to promote and no compaction due,
-  /// and in every extent class a read-only replay of the descent (with the
-  /// box widened by that class's half extent, `ExtendedBox`) touches only
-  /// slices that `ExecuteBox` would not refine at the level thresholds it
-  /// uses (`LeafThresholds` of the same box; see `NeedsRefinement`), and
-  /// (above the leaf level) already have children to descend into. kNN
-  /// stays conservative: its expanding ring probes regions the triggering
-  /// query never names. A join touches the whole structure and cracks
-  /// wherever the partner has slice bounds, so it replays an unbounded
-  /// descent at the join's thresholds (`JoinThresholds`): only full
-  /// convergence guarantees a join is a pure read of this side. Those are
-  /// the finest any descent uses, so the same check covers the
-  /// `ExecuteBox` probes of a stream join or of a join with a partner of
-  /// another index type.
+  /// ready to read (`ReadyToRead`: initialized, no pending tail to promote,
+  /// no compaction due), and in every extent class the read-only descent
+  /// (`ReadDescent`, with the box widened by that class's half extent,
+  /// `ExtendedBox`, at the thresholds `LeafThresholds` sizes to the same
+  /// box) completes. A read runs that descent itself
+  /// (`TryExecuteShared`); this predicate serves joins, stream joins and
+  /// the server's batching hint. kNN stays conservative: its expanding
+  /// ring probes regions the triggering query never names. A join touches
+  /// the whole structure and cracks wherever the partner has slice bounds,
+  /// so it descends without bounds at the join's thresholds
+  /// (`JoinThresholds`): only full convergence guarantees a join is a pure
+  /// read of this side. Those are the finest any descent uses, so the same
+  /// check covers the `ExecuteBox` probes of a stream join or of a join
+  /// with a partner of another index type.
   bool ConvergedFor(const Query<D>& query) const override {
-    if (!initialized_) return false;
-    if (query.type() == QueryType::kKNearest) return false;
-    if (array_.pending_count() > 0) return false;
-    if (CompactionDue()) return false;  // the next ExecuteBox will compact
+    if (query.type() == QueryType::kKNearest || !ReadyToRead()) return false;
     if (array_.empty()) return true;
     const bool join = query.type() == QueryType::kJoin;
     const Box<D> box = join ? Box<D>::Infinite() : DescentBox(query);
@@ -380,7 +380,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     for (const ExtentClass& c : classes_) {
       const Box<D> ext = join ? box : ExtendedBox(box, c.half_extent);
       const Thresholds t = join ? JoinThresholds(c) : LeafThresholds(c, box);
-      if (!SlicesConverged(c.root, ext, t)) return false;
+      if (!ReadDescent(c.root, ext, t, 0u, nullptr)) return false;
     }
     return true;
   }
@@ -419,27 +419,75 @@ class QuasiiIndex final : public SpatialIndex<D> {
                   Sink& sink) override {
     PrepareArray();
     if (array_.empty()) return;
-    // The job list lives in a thread-local buffer, taken by swap and given
-    // back at the end: it allocates nothing once its thread has recorded as
-    // many jobs before, and an execution nested on the same thread (a task
-    // that `Group::Wait` helps run, or a sink that queries) finds the buffer
-    // taken and uses a fresh one instead of clobbering this one.
-    std::vector<LeafScanJob> jobs;
-    jobs.swap(LeafScanJobsTLS());
-    jobs.clear();
-    BoxExec ctx{&q, &jobs};
+    JobBuffer buffer;
+    BoxExec ctx{&q, &buffer.jobs};
     for (ExtentClass& c : classes_) {
       if (c.root.empty()) continue;
       ctx.threshold = LeafThresholds(c, q);
       Visit(&c.root, ctx, ExtendedBox(q, c.half_extent), 0u);
     }
-    MatchEmitter emit(count_only, &sink);
-    for (const LeafScanJob& job : jobs) {
-      this->Stats().bytes_scanned += array_.StreamScan(
-          job.begin, job.end, q, predicate, job.covered, &emit);
+    ScanJobs(buffer.jobs, q, predicate, count_only, sink, &this->Stats());
+  }
+
+  /// The shared-lock attempt of a range, count, point or conjunction read:
+  /// one read-only descent per class (`ReadDescent`, at the thresholds
+  /// `LeafThresholds` sizes to the query's descent box, computed once per
+  /// class) that collects the read's leaf scans as `ExecuteBox` would, then
+  /// those scans in capture order. It declines at once when the array is
+  /// not `ReadyToRead`, and at the first slice a reorganizing descent would
+  /// refine or give a first child. The descent's counters reach the stats
+  /// shard only once every class's descent has completed, and nothing
+  /// reaches the sink before that, so a declined attempt leaves no trace
+  /// and the exclusive retry counts and emits exactly what it would have
+  /// alone. The descent is `const`: a shared read cannot reorganize. kNN
+  /// always declines (see `ConvergedFor`).
+  bool TryExecuteShared(const Query<D>& query, Sink& sink) override {
+    if (query.type() == QueryType::kKNearest || !ReadyToRead()) return false;
+    if (array_.empty()) return true;
+    const std::vector<ConjunctiveTerm<D>>* terms = nullptr;
+    std::size_t driver = 0;
+    Box<D> q;
+    RangePredicate predicate = RangePredicate::kIntersects;
+    switch (query.type()) {
+      case QueryType::kRange:
+      case QueryType::kCount:
+        q = query.box();
+        predicate = query.predicate();
+        break;
+      case QueryType::kPoint:
+        q = Box<D>(query.point(), query.point());
+        break;
+      case QueryType::kConjunction:
+        terms = &query.terms();
+        driver = ConjunctionDriverIndex(*terms);
+        q = (*terms)[driver].box;
+        predicate = (*terms)[driver].predicate;
+        break;
+      case QueryType::kKNearest:
+      case QueryType::kJoin:
+        return false;
     }
-    emit.Flush();
-    jobs.swap(LeafScanJobsTLS());
+    JobBuffer buffer;
+    ReadPlan plan{&q, &buffer.jobs};
+    for (const ExtentClass& c : classes_) {
+      if (c.root.empty()) continue;
+      if (!ReadDescent(c.root, ExtendedBox(q, c.half_extent),
+                       LeafThresholds(c, q), 0u, &plan)) {
+        return false;
+      }
+    }
+    QueryStats& st = this->Stats();
+    st.partitions_visited += plan.partitions_visited;
+    st.objects_tested += plan.objects_tested;
+    if (terms != nullptr && terms->size() > 1) {
+      typename SpatialIndex<D>::ConjunctionFilterSink filter(
+          &this->store_, terms, driver, &sink);
+      ScanJobs(buffer.jobs, q, predicate, /*count_only=*/false, filter, &st);
+    } else {
+      ScanJobs(buffer.jobs, q, predicate, query.type() == QueryType::kCount,
+               sink, &st);
+    }
+    return true;
   }
 
   /// Expanding-ring kNN: range probes of doubling radius run through the
@@ -489,24 +537,68 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
  private:
-  /// One leaf scan, recorded during the descent and run by `ExecuteBox`
-  /// after it, so nothing reaches the sink before the descent (and every
-  /// refinement in it) has ended. Captured BY VALUE — `Slice` pointers
-  /// dangle the moment a later refinement rebuilds a slice list, but the
-  /// row range of a processed leaf never moves within one query
-  /// (subsequent refinements reorganize only other, disjoint ranges), so
-  /// (begin, end, covered) is all a scan needs. A job may span several
-  /// adjacent leaves (`Process` merges them).
+  /// One leaf scan, recorded during a descent and run after it (by
+  /// `ExecuteBox` or `TryExecuteShared`), so nothing reaches the sink
+  /// before the descent (and every refinement in it) has ended. Captured BY
+  /// VALUE — `Slice` pointers dangle the moment a later refinement rebuilds
+  /// a slice list, but the row range of a processed leaf never moves within
+  /// one query (subsequent refinements reorganize only other, disjoint
+  /// ranges), so (begin, end, covered) is all a scan needs. A job may span
+  /// several adjacent leaves (`RecordLeafScan` merges them).
   struct LeafScanJob {
     std::size_t begin = 0;
     std::size_t end = 0;
     unsigned covered = 0;
   };
 
-  /// The calling thread's cached job-list buffer (see `ExecuteBox`).
-  static std::vector<LeafScanJob>& LeafScanJobsTLS() {
-    static thread_local std::vector<LeafScanJob> jobs;
-    return jobs;
+  /// One execution's job list, taken from a thread-local buffer and given
+  /// back at scope exit: it allocates nothing once its thread has recorded
+  /// as many jobs before, and an execution nested on the same thread (a
+  /// task that `Group::Wait` helps run, or a sink that queries) finds the
+  /// buffer taken and uses a fresh one instead of clobbering this one.
+  struct JobBuffer {
+    JobBuffer() {
+      jobs.swap(Cached());
+      jobs.clear();
+    }
+    ~JobBuffer() { jobs.swap(Cached()); }
+    JobBuffer(const JobBuffer&) = delete;
+    JobBuffer& operator=(const JobBuffer&) = delete;
+
+    static std::vector<LeafScanJob>& Cached() {
+      static thread_local std::vector<LeafScanJob> cached;
+      return cached;
+    }
+
+    std::vector<LeafScanJob> jobs;
+  };
+
+  /// Records the scan of leaf rows `[begin, end)` with covered-dimension
+  /// mask `covered`. A leaf that starts where the last recorded job ends
+  /// extends that job, whose mask becomes the AND of both: a dropped bit
+  /// only tests a dimension every row passes, so the ids and their order
+  /// stay the same and a run of adjacent leaves costs one scan call.
+  static void RecordLeafScan(std::vector<LeafScanJob>* jobs, std::size_t begin,
+                             std::size_t end, unsigned covered) {
+    if (!jobs->empty() && jobs->back().end == begin) {
+      jobs->back().end = end;
+      jobs->back().covered &= covered;
+    } else {
+      jobs->push_back(LeafScanJob{begin, end, covered});
+    }
+  }
+
+  /// Runs recorded leaf scans on the calling thread, in capture order, into
+  /// one emitter over `sink`, adding the bytes they read to `st`.
+  void ScanJobs(const std::vector<LeafScanJob>& jobs, const Box<D>& q,
+                RangePredicate predicate, bool count_only, Sink& sink,
+                QueryStats* st) const {
+    MatchEmitter emit(count_only, &sink);
+    for (const LeafScanJob& job : jobs) {
+      st->bytes_scanned += array_.StreamScan(job.begin, job.end, q, predicate,
+                                             job.covered, &emit);
+    }
+    emit.Flush();
   }
 
   /// Descent context, threaded through the recursive slice walk. Leaf
@@ -519,6 +611,16 @@ class QuasiiIndex final : public SpatialIndex<D> {
     const Box<D>* q;
     std::vector<LeafScanJob>* jobs = nullptr;
     Thresholds threshold{};
+  };
+
+  /// What a collecting `ReadDescent` gathers for a read of `q`: its leaf
+  /// scans and the counters `Process` would add, held here until the
+  /// descent of every class has completed.
+  struct ReadPlan {
+    const Box<D>* q;
+    std::vector<LeafScanJob>* jobs;
+    std::uint64_t partitions_visited = 0;
+    std::uint64_t objects_tested = 0;
   };
 
   /// What a join descent over one pair of extent classes needs besides the
@@ -551,7 +653,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// The shared entry ritual of every reorganizing execution: first-query
   /// initialization, tombstone compaction when due, and promotion of the
   /// pending insert tail into the slice hierarchy. A no-op (pure read) when
-  /// `ConvergedFor` already approved the triggering query.
+  /// the array is `ReadyToRead`.
   void PrepareArray() {
     if (!initialized_) Initialize();
     MaybeCompact();
@@ -578,20 +680,42 @@ class QuasiiIndex final : public SpatialIndex<D> {
     return s.size() > limit && !s.frozen && s.children.empty();
   }
 
-  /// Read-only replay of `Visit`'s routing decisions over one class's
-  /// slices: false as soon as some touched slice would be refined or would
-  /// materialize a first child.
-  bool SlicesConverged(const std::vector<Slice>& slices, const Box<D>& ext,
-                       const Thresholds& threshold) const {
+  /// Whether `PrepareArray` has nothing to do: the array is initialized,
+  /// has no pending tail and owes no compaction.
+  bool ReadyToRead() const {
+    return initialized_ && array_.pending_count() == 0 && !CompactionDue();
+  }
+
+  /// The one read-only descent over one class's slices, routed like
+  /// `Visit` and `Process` (the same `outside` test, `covered` mask and
+  /// leaf-job merge): false at the first touched slice a reorganizing
+  /// descent would change, one that `NeedsRefinement` at its level
+  /// threshold or a non-leaf without children. With a `plan` it records
+  /// the leaf scans and the counters of a read of `plan->q`; without one
+  /// (`ConvergedFor`) it only decides.
+  bool ReadDescent(const std::vector<Slice>& slices, const Box<D>& ext,
+                   const Thresholds& threshold, unsigned covered,
+                   ReadPlan* plan) const {
     for (const Slice& s : slices) {
       const int d = s.level;
       if (s.size() == 0 || s.lo >= ext.hi[d] || s.hi <= ext.lo[d]) continue;
       if (NeedsRefinement(s, threshold[static_cast<std::size_t>(d)])) {
         return false;
       }
-      if (d == D - 1) continue;
-      if (s.children.empty()) return false;
-      if (!SlicesConverged(s.children, ext, threshold)) return false;
+      const bool leaf = d == D - 1;
+      if (!leaf && s.children.empty()) return false;
+      unsigned mask = covered;
+      if (plan != nullptr) {
+        if (plan->q->lo[d] <= s.lo && s.hi <= plan->q->hi[d]) mask |= 1u << d;
+        ++plan->partitions_visited;
+        if (leaf) {
+          plan->objects_tested += s.size();
+          RecordLeafScan(plan->jobs, s.begin, s.end, mask);
+        }
+      }
+      if (!leaf && !ReadDescent(s.children, ext, threshold, mask, plan)) {
+        return false;
+      }
     }
     return true;
   }
@@ -1367,10 +1491,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// `q`, which (as `box.lo <= centre <= box.hi`) already proves the box
   /// overlaps `q` in that dimension, so the leaf scan skips its bound test
   /// (intersection predicate only; `StreamScan` ignores the mask for
-  /// containment). A leaf that starts where the last recorded job ends
-  /// extends that job, whose mask becomes the AND of both: a dropped bit
-  /// only tests a dimension every row passes, so the ids and their order
-  /// stay the same and a run of adjacent leaves costs one scan call.
+  /// containment). Adjacent leaves merge into one job (`RecordLeafScan`).
   void Process(Slice* s, const BoxExec& ctx, const Box<D>& ext,
                unsigned covered) {
     const int d = s->level;
@@ -1379,12 +1500,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     ++this->Stats().partitions_visited;
     if (d == D - 1) {
       this->Stats().objects_tested += s->size();
-      if (!ctx.jobs->empty() && ctx.jobs->back().end == s->begin) {
-        ctx.jobs->back().end = s->end;
-        ctx.jobs->back().covered &= covered;
-      } else {
-        ctx.jobs->push_back(LeafScanJob{s->begin, s->end, covered});
-      }
+      RecordLeafScan(ctx.jobs, s->begin, s->end, covered);
       return;
     }
     EnsureChild(s);
@@ -1393,9 +1509,8 @@ class QuasiiIndex final : public SpatialIndex<D> {
 
   /// Materializes a non-leaf slice's single open child (the lazy first
   /// level-(d+1) slice covering the whole range) if none exists yet. Only
-  /// reorganizing (exclusive-lock) executions ever create one —
-  /// `ConvergedFor` declines any query whose descent reaches a childless
-  /// non-leaf.
+  /// reorganizing (exclusive-lock) executions ever create one — the
+  /// read-only descent (`ReadDescent`) declines at a childless non-leaf.
   void EnsureChild(Slice* s) {
     if (!s->children.empty()) return;
     s->children.push_back(OpenSlice(s->level + 1, s->begin, s->end));

@@ -374,7 +374,10 @@ class QueryServer {
   /// Whether `p` may join a converged read batch: an unpinned plain query
   /// (pinned reads take the serial path, where the epoch check lives)
   /// whose descent the target index promises not to reorganize. The exec
-  /// thread is the only mutator, so `ConvergedFor` is stable here.
+  /// thread is the only mutator, so `ConvergedFor` is stable here, and the
+  /// batched `Execute` runs its shared-lock attempt without declining. A
+  /// batched QUASII read therefore descends twice: once here as a hint,
+  /// once in `Execute`, which collects its scans.
   bool Batchable(const Pending& p) const {
     return p.request.kind() == RequestKind::kQuery &&
            p.request.pin_epoch() == 0 &&

@@ -3,10 +3,12 @@
 // independence, the ObjectStore mutation epoch, per-thread stats shards, the ConvergedFor shared-read
 // predicate — and the headline checks: N threads of mixed queries against
 // every roster index must agree query-for-query with a single-threaded Scan
-// oracle (both during serialized warm-up and once converged), and N
+// oracle (both during serialized warm-up and once converged), N
 // concurrent disjoint read/write streams must leave every index in the
-// exact state a sequential replay produces. Built for TSan: the concurrent
-// sections are the CI ThreadSanitize job's race detector fodder.
+// exact state a sequential replay produces, and QUASII reads whose
+// shared-lock attempts decline beside a writer must stay correct. Built for
+// TSan: the concurrent sections are the CI ThreadSanitize job's race
+// detector fodder.
 
 #include <algorithm>
 #include <atomic>
@@ -46,6 +48,8 @@ using quasii::BatchExecutor;
 using quasii::BatchResult;
 using quasii::Box;
 using quasii::Box3;
+using quasii::ConjunctiveQuery;
+using quasii::ConjunctiveTerm;
 using quasii::CountQuery;
 using quasii::CountSink;
 using quasii::CurrentStatsSlot;
@@ -873,6 +877,191 @@ void TestQuasiiInsertFoldsBesideReaders() {
   quasii::SetIntraQueryThreads(prev);
 }
 
+/// Declined shared attempts under load, at 4 intra-query threads: three
+/// readers run range, count, point and two-term conjunction reads while a
+/// writer inserts (leaving pending tails) and erases (until a compaction is
+/// due), so many shared attempts decline part-way or at once and rerun
+/// under the exclusive lock. Each round, every concurrent answer must lie
+/// between the round-start answer without the objects erased in the round
+/// and the round-start answer with the objects inserted in it; at each
+/// quiescent point between rounds every answer must equal Scan's, and
+/// `CheckInvariants` must hold.
+void TestQuasiiDeclinedReadsBesideMutations() {
+  const int prev = quasii::IntraQueryThreads();
+  quasii::SetIntraQueryThreads(4);
+  quasii::datagen::UniformDatasetParams dp;
+  dp.count = 8000;
+  dp.universe_size = 1000;
+  dp.seed = 61;
+  const Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
+  QuasiiIndex<3> index(data);
+  ScanIndex<3> scan(data);
+  Box3 universe;
+  for (int d = 0; d < 3; ++d) {
+    universe.lo[d] = 0;
+    universe.hi[d] = 1000;
+  }
+  Rng rng(67);
+  std::vector<Query3> reads;
+  for (int i = 0; i < 32; ++i) {
+    const Box3 b = RandomBox<3>(&rng, universe, 0.25);
+    switch (i % 4) {
+      case 0:
+        reads.push_back(RangeQuery<3>(b));
+        break;
+      case 1:
+        reads.push_back(CountQuery<3>(b));
+        break;
+      case 2:
+        reads.push_back(PointQuery<3>(b.Center()));
+        break;
+      default:
+        reads.push_back(ConjunctiveQuery<3>(std::vector<ConjunctiveTerm<3>>{
+            {b, RangePredicate::kIntersects},
+            {RandomBox<3>(&rng, universe, 0.6),
+             RangePredicate::kContainedBy}}));
+        break;
+    }
+  }
+  const auto matches = [](const Query3& q, const Box3& b) {
+    switch (q.type()) {
+      case quasii::QueryType::kPoint:
+        return b.Intersects(Box3(q.point(), q.point()));
+      case quasii::QueryType::kConjunction:
+        for (const ConjunctiveTerm<3>& t : q.terms()) {
+          if (!quasii::MatchesPredicate(b, t.box, t.predicate)) return false;
+        }
+        return true;
+      default:
+        return quasii::MatchesPredicate(b, q.box(), q.predicate());
+    }
+  };
+  // Sorted ids, or for a count query the count alone.
+  const auto answer = [](SpatialIndex<3>& idx, const Query3& q) {
+    std::vector<ObjectId> out;
+    if (q.type() == quasii::QueryType::kCount) {
+      CountSink cs;
+      idx.Execute(q, cs);
+      out.push_back(static_cast<ObjectId>(cs.count()));
+      return out;
+    }
+    VectorSink sink(&out);
+    idx.Execute(q, sink);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  // Each round inserts 500 new objects and erases 900 live ones: in the
+  // third round the tombstones reach a quarter of the rows, so a compaction
+  // falls due, and the inserts leave pending tails between the writer's own
+  // reads.
+  ObjectId next = static_cast<ObjectId>(data.size());
+  for (int round = 0; round < 4; ++round) {
+    for (const Query3& q : reads) CHECK(answer(index, q) == answer(scan, q));
+    std::vector<std::vector<ObjectId>> base(reads.size());
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      base[i] = answer(scan, reads[i]);
+    }
+    std::vector<std::pair<ObjectId, Box3>> inserts;
+    for (int k = 0; k < 500; ++k) {
+      inserts.emplace_back(next++, RandomBox<3>(&rng, universe, 0.02));
+    }
+    std::vector<ObjectId> erases;
+    for (ObjectId id = 0; id < next && erases.size() < 900; ++id) {
+      if (scan.store().alive(id) && rng.Uniform(0, 1) < 0.2) {
+        erases.push_back(id);
+      }
+    }
+    // Per read: the round's erased and inserted objects that match it.
+    std::vector<std::vector<ObjectId>> lost(reads.size());
+    std::vector<std::vector<ObjectId>> gained(reads.size());
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      for (const ObjectId id : erases) {
+        if (matches(reads[i], scan.store().box(id))) lost[i].push_back(id);
+      }
+      for (const auto& [id, b] : inserts) {
+        if (matches(reads[i], b)) gained[i].push_back(id);
+      }
+    }
+
+    TaskScheduler scheduler(kThreads - 1);
+    TaskScheduler::Group group(&scheduler);
+    std::atomic<bool> writing{true};
+    std::atomic<int> started{0};
+    std::atomic<int> bad{0};
+    for (int t = 0; t + 1 < kThreads; ++t) {
+      group.Run([&, t] {
+        ++started;
+        std::size_t k = static_cast<std::size_t>(t) * 11;
+        for (int n = 0; writing.load() || n < 32; ++n, ++k) {
+          const std::size_t i = k % reads.size();
+          const std::vector<ObjectId> got = answer(index, reads[i]);
+          if (reads[i].type() == quasii::QueryType::kCount) {
+            if (got[0] + lost[i].size() < base[i][0] ||
+                got[0] > base[i][0] + gained[i].size()) {
+              ++bad;
+            }
+            continue;
+          }
+          // base \ lost <= got <= base + gained
+          std::vector<ObjectId> missing;
+          std::set_difference(base[i].begin(), base[i].end(), got.begin(),
+                              got.end(), std::back_inserter(missing));
+          for (const ObjectId id : missing) {
+            if (std::find(lost[i].begin(), lost[i].end(), id) ==
+                lost[i].end()) {
+              ++bad;
+            }
+          }
+          std::vector<ObjectId> extra;
+          std::set_difference(got.begin(), got.end(), base[i].begin(),
+                              base[i].end(), std::back_inserter(extra));
+          for (const ObjectId id : extra) {
+            if (std::find(gained[i].begin(), gained[i].end(), id) ==
+                gained[i].end()) {
+              ++bad;
+            }
+          }
+        }
+      });
+    }
+    // The writer runs on this thread, so the readers, which spin until it
+    // finishes, cannot hold the threads it would need. It starts once every
+    // reader runs, yields after each mutation so reads land between them,
+    // and reads after every 50 inserts, which absorbs the pending tail (or
+    // compacts) under the exclusive lock.
+    while (started.load() < kThreads - 1) std::this_thread::yield();
+    std::size_t e = 0;
+    for (std::size_t k = 0; k < inserts.size(); ++k) {
+      if (!index.Insert(inserts[k].first, inserts[k].second)) ++bad;
+      for (int j = 0; j < 2 && e < erases.size(); ++j, ++e) {
+        if (!index.Erase(erases[e])) ++bad;
+      }
+      std::this_thread::yield();
+      if (k % 50 == 49) answer(index, reads[k % reads.size()]);
+    }
+    for (; e < erases.size(); ++e) {
+      if (!index.Erase(erases[e])) ++bad;
+    }
+    writing.store(false);
+    group.Wait();
+    CHECK_EQ(bad.load(), 0);
+
+    for (const auto& [id, b] : inserts) CHECK(scan.Insert(id, b));
+    for (const ObjectId id : erases) CHECK(scan.Erase(id));
+    std::string why;
+    if (!index.CheckInvariants(&why)) {
+      std::fprintf(stderr, "CheckInvariants: %s\n", why.c_str());
+      CHECK(false);
+    }
+  }
+  for (const Query3& q : reads) CHECK(answer(index, q) == answer(scan, q));
+  // Fewer rows than were ever appended: a compaction dropped the dead.
+  CHECK_LT(index.array().size(), static_cast<std::size_t>(next));
+  CHECK(!index.fold_stack().empty());
+  quasii::SetIntraQueryThreads(prev);
+}
+
 void TestStaticIndexesConvergeOnceBuilt() {
   Rng rng(41);
   const Box3 universe = MakeUniverse<3>();
@@ -932,6 +1121,7 @@ int main() {
   RUN_TEST(TestQuasiiConvergedForTracksRefinementAndMutations);
   RUN_TEST(TestQuasiiSkewedExtentReadsBesideLargeInserts);
   RUN_TEST(TestQuasiiInsertFoldsBesideReaders);
+  RUN_TEST(TestQuasiiDeclinedReadsBesideMutations);
   RUN_TEST(TestStaticIndexesConvergeOnceBuilt);
   return 0;
 }

@@ -3,8 +3,9 @@
 // every query type, join, mutation, compaction and snapshot recovery against
 // the Scan oracle with `CheckInvariants` after every operation, pinned
 // counters and an id-column hash for a fixed session on a single-class
-// index, and the query-aware leaf size against Scan and its own
-// convergence replay.
+// index, the query-aware leaf size against Scan and its own convergence
+// replay, and the counters of cracking queries against their crack-free
+// reruns (a declined shared-lock attempt must leave no counts behind).
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -329,11 +330,37 @@ void TestThreeModeDataThreeClasses() {
 
 void TestPointDataOneClass() { RunDifferential(PointData(3000), 1, 14); }
 
-/// The class routing with 4 intra-query threads configured: every answer
-/// and join must still match Scan.
+/// Tasks the intra-query scheduler has run so far, on workers, by helping
+/// waiters or inline.
+std::uint64_t TasksRun() {
+  const quasii::TaskScheduler::Stats st = quasii::IntraQueryScheduler().stats();
+  return st.executed + st.helped + st.inlined;
+}
+
+/// The class routing with 4 intra-query threads: the differential run,
+/// whose 3000 rows reach no fork cutoff, then one cold query on 2^17 rows
+/// of the paper's data, whose crack partitions and median splits are large
+/// enough to fork. Every answer and join must match Scan, and the cold
+/// query must run scheduler tasks when the scheduler has workers (the
+/// force-serial leg caps the thread count at 1).
 void TestPaperDataTwoClassesParallel() {
   quasii::SetIntraQueryThreads(4);
   RunDifferential(PaperData(3000), 2, 15);
+
+  const Dataset3 data = PaperData(1 << 17);
+  QuasiiIndex<3> index(data);
+  ScanIndex<3> scan(data);
+  Rng rng(16);
+  const Box3 box = QueryBox(&rng, DataBounds(data), 0.1);
+  const std::uint64_t tasks_before = TasksRun();
+  CHECK(Sorted(Ids(index, RangeQuery<3>(box))) ==
+        Sorted(Ids(scan, RangeQuery<3>(box))));
+  if (quasii::IntraQueryScheduler().parallel()) {
+    CHECK_GT(TasksRun(), tasks_before);
+  }
+  CHECK_GT(index.stats().cracks, 0u);
+  CHECK_EQ(index.class_count(), 2u);
+  CheckInvariantsOrDie(index);
   quasii::SetIntraQueryThreads(1);
 }
 
@@ -562,6 +589,45 @@ void TestLeafSizeFollowsQuery() {
   CHECK_EQ(restored.stats().objects_moved, 0u);
 }
 
+/// A declined shared-lock attempt leaves no counts behind. On a cold
+/// session of the paper's data (K = 2) with clustered range, count and
+/// point queries, every query that cracks after the first ran under the
+/// exclusive lock once its shared attempt had declined inside the descent.
+/// Its rerun right after cracks nothing and runs shared. Both must
+/// report the same `partitions_visited`, `objects_tested` and
+/// `bytes_scanned`, so counts the declined attempt leaked would show up as
+/// a surplus on the cracking run.
+void TestDeclinedReadsLeakNoCounts() {
+  const Dataset3 data = PaperData(1 << 16);
+  QuasiiIndex<3> index(data);
+  quasii::datagen::ClusteredQueryParams cp;
+  cp.queries_per_cluster = 80;
+  cp.seed = 29;
+  const std::vector<Box3> boxes =
+      quasii::datagen::MakeClusteredQueries(DataBounds(data), data, cp);
+  const auto run = [&index](const quasii::Query3& q) {
+    const quasii::QueryStats before = index.stats();
+    Answer(index, q);
+    return index.stats() - before;
+  };
+  std::size_t cracking = 0;
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    const quasii::Query3 q = i % 3 == 0   ? RangeQuery<3>(boxes[i])
+                             : i % 3 == 1 ? CountQuery<3>(boxes[i])
+                                          : PointQuery<3>(boxes[i].Center());
+    const quasii::QueryStats first = run(q);
+    if (first.cracks == 0) continue;
+    ++cracking;
+    const quasii::QueryStats rerun = run(q);
+    CHECK_EQ(rerun.cracks, 0u);
+    CHECK_EQ(first.partitions_visited, rerun.partitions_visited);
+    CHECK_EQ(first.objects_tested, rerun.objects_tested);
+    CHECK_EQ(first.bytes_scanned, rerun.bytes_scanned);
+  }
+  CHECK_EQ(index.class_count(), 2u);
+  CHECK_GT(cracking, 40u);
+}
+
 }  // namespace
 
 int main() {
@@ -573,5 +639,6 @@ int main() {
   RUN_TEST(TestPointDataOneClass);
   RUN_TEST(TestPaperDataTwoClassesParallel);
   RUN_TEST(TestLeafSizeFollowsQuery);
+  RUN_TEST(TestDeclinedReadsLeakNoCounts);
   return 0;
 }

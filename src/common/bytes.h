@@ -99,7 +99,7 @@ class ByteReader {
 
   bool Bytes(void* dst, std::size_t n) {
     if (!Need(n)) return false;
-    std::memcpy(dst, p_, n);
+    if (n > 0) std::memcpy(dst, p_, n);  // an empty vector's data() is null
     p_ += n;
     return true;
   }

@@ -489,6 +489,8 @@ inline const char* ResponseStatusName(ResponseStatus s) {
 /// must still die in the parser, bounded by the actual bytes present.
 template <int D>
 struct Response {
+  static_assert(sizeof(ObjectId) == 4, "the id array is a u32 array");
+
   ResponseStatus status = ResponseStatus::kOk;
   RequestKind kind = RequestKind::kPing;  ///< echo of the request kind
   std::uint64_t epoch = 0;  ///< store version observed at completion
@@ -511,7 +513,9 @@ struct Response {
       case RequestKind::kQuery:
         w->U64(count);
         w->U32(static_cast<std::uint32_t>(ids.size()));
-        for (const ObjectId id : ids) w->U32(id);
+        // One append: `ByteWriter::U32` is a host-order memcpy, so the
+        // array's bytes are the per-id encoding back to back.
+        w->Bytes(ids.data(), ids.size() * sizeof(ObjectId));
         break;
       case RequestKind::kJoin:
         w->U64(count);
@@ -561,9 +565,11 @@ struct Response {
       case RequestKind::kQuery: {
         out.count = r->U64();
         const std::uint32_t n = r->U32();
-        if (!r->ok() || n > r->remaining() / 4) return std::nullopt;
-        out.ids.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) out.ids.push_back(r->U32());
+        if (!r->ok() || n > r->remaining() / sizeof(ObjectId)) {
+          return std::nullopt;
+        }
+        out.ids.resize(n);
+        r->Bytes(out.ids.data(), n * sizeof(ObjectId));
         break;
       }
       case RequestKind::kJoin: {
@@ -625,12 +631,11 @@ struct RequestHooks {
 };
 
 /// The single execution entry point behind every transport: the server's
-/// serial path, in-process replay, and tests all funnel here, so a request
+/// exec thread, in-process replay, and tests all funnel here, so a request
 /// means the same thing no matter how it arrived. Not thread-safe with
 /// respect to `index` stats/epoch reads — callers serialize requests per
-/// index (the server's exec loop is single-threaded; batched reads bypass
-/// this function only for `kQuery`, whose semantics `BatchExecutor`
-/// preserves exactly on converged structure).
+/// index (the server runs every request on its one exec thread). Which lock
+/// a read takes is the index's own decision inside `Execute`.
 template <int D>
 Response<D> ExecuteRequest(SpatialIndex<D>* index, const Request<D>& req,
                            const RequestHooks<D>* hooks = nullptr) {

@@ -90,8 +90,8 @@ class SpatialIndex {
 
   /// Whether executing `query` right now is guaranteed not to change any
   /// index state (beyond the caller's own stats shard). The default
-  /// `TryExecuteShared` asks it before a shared-lock read, joins ask it of
-  /// both participants, and the server asks it to pick batchable reads.
+  /// `TryExecuteShared` asks it before a shared-lock read, and joins ask it
+  /// of both participants.
   /// Static indexes answer true once built; adaptive indexes answer true
   /// when the query's descent would touch only converged structure. For
   /// `kJoin` the answer covers only this side's structure. Only meaningful

@@ -362,9 +362,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// (`ReadDescent`, with the box widened by that class's half extent,
   /// `ExtendedBox`, at the thresholds `LeafThresholds` sizes to the same
   /// box) completes. A read runs that descent itself
-  /// (`TryExecuteShared`); this predicate serves joins, stream joins and
-  /// the server's batching hint. kNN stays conservative: its expanding
-  /// ring probes regions the triggering query never names. A join touches
+  /// (`TryExecuteShared`); this predicate serves joins and stream joins.
+  /// kNN stays conservative: its expanding ring probes regions the
+  /// triggering query never names. A join touches
   /// the whole structure and cracks wherever the partner has slice bounds,
   /// so it descends without bounds at the join's thresholds
   /// (`JoinThresholds`): only full convergence guarantees a join is a pure

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -157,15 +158,118 @@ inline WireError ReadFrame(int fd, std::string* payload) {
   return WireError::kNone;
 }
 
+/// Bytes of a frame header: `[u32 len] [u32 crc32c(payload)]`.
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+
+/// Opens a frame at the end of `buf`: reserves its header and returns the
+/// frame's offset. The caller appends the payload in place, then
+/// `EndFrame` fills the header, so a frame is built with no payload copy.
+inline std::size_t BeginFrame(std::string* buf) {
+  const std::size_t at = buf->size();
+  buf->append(kFrameHeaderBytes, '\0');
+  return at;
+}
+
+/// Closes the frame `BeginFrame` opened at `at`: everything appended since
+/// is its payload. The header is written host-order, as `ByteWriter::U32`
+/// would.
+inline void EndFrame(std::string* buf, std::size_t at) {
+  const char* payload = buf->data() + at + kFrameHeaderBytes;
+  const std::size_t len = buf->size() - at - kFrameHeaderBytes;
+  const std::uint32_t header[2] = {static_cast<std::uint32_t>(len),
+                                   persist::Crc32c(payload, len)};
+  std::memcpy(buf->data() + at, header, kFrameHeaderBytes);
+}
+
 /// Frames and writes `payload`. False on any write failure (peer gone).
 inline bool WriteFrame(int fd, std::string_view payload) {
   std::string frame;
-  ByteWriter w(&frame);
-  w.U32(static_cast<std::uint32_t>(payload.size()));
-  w.U32(persist::Crc32c(payload.data(), payload.size()));
-  w.Bytes(payload.data(), payload.size());
+  const std::size_t at = BeginFrame(&frame);
+  frame.append(payload);
+  EndFrame(&frame, at);
   return WriteFull(fd, frame.data(), frame.size());
 }
+
+/// Reads the frames of one stream with one `recv` per burst: whatever the
+/// peer has sent lands in one buffer, and `Next` hands the frames out one at
+/// a time with `ReadFrame`'s typed outcomes. `Buffered` says whether the
+/// next `Next` can answer without a syscall, which lets the server admit a
+/// burst of requests at once. A reader may hold bytes past the frame it
+/// returned, so nothing else may read its fd. `ReadFrame` stays for callers
+/// that wait on the fd between frames (the clients poll it).
+class FrameReader {
+ public:
+  explicit FrameReader(int fd) : fd_(fd) {}
+
+  FrameReader(const FrameReader&) = delete;
+  FrameReader& operator=(const FrameReader&) = delete;
+
+  /// Reads the next frame. On `kNone`, `*payload` views its bytes, valid
+  /// until the next call. Every other outcome ends the stream.
+  WireError Next(std::string_view* payload) {
+    while (true) {
+      std::size_t need = kFrameHeaderBytes;
+      const std::size_t have = end_ - pos_;
+      if (have >= kFrameHeaderBytes) {
+        std::uint32_t header[2];
+        std::memcpy(header, buf_.data() + pos_, kFrameHeaderBytes);
+        const std::uint32_t len = header[0];
+        if (len > kMaxFramePayload) return WireError::kOversized;
+        need = kFrameHeaderBytes + len;
+        if (have >= need) {
+          const char* p = buf_.data() + pos_ + kFrameHeaderBytes;
+          pos_ += need;
+          if (persist::Crc32c(p, len) != header[1]) return WireError::kBadCrc;
+          *payload = std::string_view(p, len);
+          return WireError::kNone;
+        }
+      }
+      const WireError err = Fill(need);
+      if (err != WireError::kNone) return err;
+    }
+  }
+
+  /// Whether the buffer holds a whole frame (or a header `Next` will refuse
+  /// as oversized), so the next `Next` returns without reading.
+  bool Buffered() const {
+    const std::size_t have = end_ - pos_;
+    if (have < kFrameHeaderBytes) return false;
+    std::uint32_t len;
+    std::memcpy(&len, buf_.data() + pos_, 4);
+    return len > kMaxFramePayload || have - kFrameHeaderBytes >= len;
+  }
+
+ private:
+  /// Bytes asked of each `recv`: a burst of pipelined requests or replies.
+  static constexpr std::size_t kChunk = std::size_t{1} << 16;
+
+  /// Moves the unread bytes to the front, makes room for a `need`-byte
+  /// frame, and receives once.
+  WireError Fill(std::size_t need) {
+    if (pos_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+      end_ -= pos_;
+      pos_ = 0;
+    }
+    const std::size_t size = need > kChunk ? need : kChunk;
+    if (buf_.size() < size) buf_.resize(size);
+    while (true) {
+      const ssize_t r = ::recv(fd_, buf_.data() + end_, buf_.size() - end_, 0);
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        return WireError::kIo;
+      }
+      if (r == 0) return end_ == 0 ? WireError::kClosed : WireError::kTorn;
+      end_ += static_cast<std::size_t>(r);
+      return WireError::kNone;
+    }
+  }
+
+  int fd_;
+  std::string buf_;
+  std::size_t pos_ = 0;  ///< first unread byte
+  std::size_t end_ = 0;  ///< one past the last received byte
+};
 
 /// The hello payload this build emits.
 inline std::string HelloPayload() {

@@ -74,25 +74,35 @@ class WorkloadRecorder {
   std::uint64_t records() const { return records_; }
   std::uint64_t bytes() const { return bytes_; }
 
+  /// Appends one record's frame to `frames` without I/O; `AppendFrames`
+  /// then writes a run of such frames at once.
+  static void EncodeRecord(std::string* frames, std::uint64_t client,
+                           std::uint8_t target, const Request<D>& request) {
+    const std::size_t at = BeginFrame(frames);
+    ByteWriter w(frames);
+    w.U64(client);
+    w.U8(target);
+    request.Serialize(&w);
+    EndFrame(frames, at);
+  }
+
+  /// Writes `records` frames built by `EncodeRecord` with one write.
+  persist::PersistError AppendFrames(std::string_view frames,
+                                     std::uint64_t records) {
+    if (!open_) return persist::PersistError::kIo;
+    const persist::PersistError err =
+        fh_.WriteAll(frames.data(), frames.size(), "workload_short_write");
+    if (err != persist::PersistError::kNone) return err;
+    records_ += records;
+    bytes_ += frames.size();
+    return persist::PersistError::kNone;
+  }
+
   persist::PersistError Append(std::uint64_t client, std::uint8_t target,
                                const Request<D>& request) {
-    if (!open_) return persist::PersistError::kIo;
-    std::string payload;
-    ByteWriter pw(&payload);
-    pw.U64(client);
-    pw.U8(target);
-    request.Serialize(&pw);
     std::string frame;
-    ByteWriter fw(&frame);
-    fw.U32(static_cast<std::uint32_t>(payload.size()));
-    fw.U32(persist::Crc32c(payload.data(), payload.size()));
-    fw.Bytes(payload.data(), payload.size());
-    const persist::PersistError err =
-        fh_.WriteAll(frame.data(), frame.size(), "workload_short_write");
-    if (err != persist::PersistError::kNone) return err;
-    ++records_;
-    bytes_ += frame.size();
-    return persist::PersistError::kNone;
+    EncodeRecord(&frame, client, target, request);
+    return AppendFrames(frame, 1);
   }
 
   persist::PersistError Sync() {

@@ -10,16 +10,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/executor.h"
 #include "common/request.h"
 #include "common/spatial_index.h"
 #include "common/task_scheduler.h"
@@ -29,33 +27,33 @@
 
 namespace quasii::server {
 
-/// Asynchronous batched query server fronting a roster of indexes.
+/// Asynchronous query server fronting a roster of indexes.
 ///
 /// Architecture — one thread class per concern:
 ///  - an acceptor thread (only with `Listen`) hands sockets to…
-///  - per-connection reader threads, which do the handshake, parse and
-///    validate frames, and either reject immediately (typed `kOverloaded` /
-///    `kMalformed`, written under the connection's write lock) or enqueue
-///    onto the bounded admission queue;
-///  - ONE exec thread consumes the queue in FIFO order. It is the only
-///    thread that executes requests, which makes the admission order the
-///    execution order — the property the workload recorder (appended at
-///    dequeue time) and bit-identical replay rest on. Runs of consecutive
-///    *converged* unpinned queries against the same index are batched onto
-///    the server's own `TaskScheduler` through `BatchExecutor`: the exec
-///    thread helps as the last of `pool_threads` threads. `ConvergedFor`
-///    guarantees shared-mode execution (no reorganization), so batched
-///    results are byte-identical to serial execution and determinism
-///    survives the parallelism. The batch scheduler is separate from
-///    `IntraQueryScheduler()`, so `exec_tasks` counts intra-query work only.
+///  - per-connection reader threads, which do the handshake, read frames
+///    through a `FrameReader` (one `recv` per burst of pipelined frames),
+///    parse and validate them, and admit each burst onto the bounded
+///    admission queue under one lock with one notify. A request refused
+///    here (typed `kOverloaded` / `kMalformed`) is answered by the reader,
+///    under the connection's write lock;
+///  - ONE exec thread. Each time it wakes it drains the whole queue as one
+///    run, appends the run to the workload log with one write, and executes
+///    the run's requests in admission order through `ExecuteRequest`. It is
+///    the only thread that executes requests, which makes the admission
+///    order the execution order — the property the workload recorder and
+///    bit-identical replay rest on. An index's own shared-lock attempt picks
+///    the read path: for QUASII, one read-only descent when the read is
+///    converged, the exclusive path when it must crack. Each reply frame is
+///    built in place in its connection's buffer, and each connection's
+///    buffer goes out with one `send` at the end of the run.
 ///
-/// Admission control: the queue is bounded at `max_inflight`; beyond it a
-/// request is answered `kOverloaded` without being recorded (it was never
-/// accepted, so replays reproduce only the accepted stream). Shutdown
-/// drains: readers stop admitting first, then the exec thread empties the
-/// queue — an accepted request is always executed, recorded and answered.
-/// A batch never outlives its `RunBatch` call, so no batch work is left
-/// when the exec thread joins.
+/// Admission control: `max_inflight` bounds the requests accepted and not
+/// yet answered — the queue plus the current run. Beyond it a request is
+/// answered `kOverloaded` without being recorded (it was never accepted, so
+/// replays reproduce only the accepted stream). Shutdown drains: readers
+/// stop admitting first, then the exec thread empties the queue — an
+/// accepted request is always executed, recorded and answered.
 ///
 /// Snapshot reads: a request pinned to a store epoch executes only if the
 /// target's `ObjectStore::version()` still equals the pin, else answers
@@ -66,13 +64,9 @@ template <int D>
 class QueryServer {
  public:
   struct Options {
-    /// Admission bound: queued-but-unexecuted requests across all clients.
+    /// Admission bound: accepted requests not yet answered, across all
+    /// clients.
     std::size_t max_inflight = 256;
-    /// Longest run of converged queries handed to the pool at once.
-    std::size_t max_batch = 64;
-    /// Threads that execute a batch: `pool_threads - 1` scheduler workers
-    /// plus the helping exec thread.
-    int pool_threads = 4;
     /// Intra-query morsel threads (`SetIntraQueryThreads`, applied at
     /// `Start`; a `QUASII_EXEC_THREADS` env cap may clamp it). Default 1:
     /// fully serial intra-query execution, so record/replay determinism
@@ -94,6 +88,7 @@ class QueryServer {
     std::uint64_t overloaded = 0;
     std::uint64_t malformed = 0;
     std::uint64_t frame_errors = 0;
+    /// Drained runs of more than one request, and the requests in them.
     std::uint64_t batches = 0;
     std::uint64_t batched_queries = 0;
     /// Intra-query worker utilization, sampled per request around the exec
@@ -106,10 +101,7 @@ class QueryServer {
   };
 
   QueryServer(std::vector<SpatialIndex<D>*> roster, Options options)
-      : roster_(std::move(roster)),
-        options_(options),
-        pool_(options.pool_threads - 1),
-        executor_(&pool_) {}
+      : roster_(std::move(roster)), options_(std::move(options)) {}
 
   ~QueryServer() { Stop(); }
 
@@ -255,7 +247,9 @@ class QueryServer {
   struct Connection {
     int fd = -1;
     std::uint64_t id = 0;
-    std::mutex write_mu;  ///< reader rejections vs exec responses
+    std::mutex write_mu;  ///< reader refusals vs exec replies
+    /// Exec thread only: this run's reply frames, sent at the run's end.
+    std::string replies;
     std::thread reader;
   };
 
@@ -290,25 +284,31 @@ class QueryServer {
     }
   }
 
-  void SendResponse(Connection& conn, std::uint64_t seq,
-                    const Response<D>& resp) {
-    std::string payload;
-    ByteWriter w(&payload);
+  /// Appends the reply frame `[u64 seq] [Response<D> bytes]` to `out`.
+  static void AppendReply(std::string* out, std::uint64_t seq,
+                          const Response<D>& resp) {
+    const std::size_t at = BeginFrame(out);
+    ByteWriter w(out);
     w.U64(seq);
     resp.Serialize(&w);
-    std::lock_guard<std::mutex> lock(conn.write_mu);
-    // A write failure means the client is gone; the request was still
-    // executed and recorded (responses are at-most-once, requests are
-    // exactly-once up to the recorded log).
-    WriteFrame(conn.fd, payload);
+    EndFrame(out, at);
   }
 
-  void SendStatus(Connection& conn, std::uint64_t seq, ResponseStatus status,
-                  RequestKind kind) {
+  static void AppendStatus(std::string* out, std::uint64_t seq,
+                           ResponseStatus status, RequestKind kind) {
     Response<D> resp;
     resp.status = status;
     resp.kind = kind;
-    SendResponse(conn, seq, resp);
+    AppendReply(out, seq, resp);
+  }
+
+  /// Writes `frames` to `conn` under its write lock. A write failure means
+  /// the client is gone; its requests were still executed and recorded
+  /// (responses are at-most-once, requests are exactly-once up to the
+  /// recorded log).
+  static void Send(Connection& conn, std::string_view frames) {
+    std::lock_guard<std::mutex> lock(conn.write_mu);
+    WriteFull(conn.fd, frames.data(), frames.size());
   }
 
   void ReaderLoop(std::shared_ptr<Connection> conn) {
@@ -316,128 +316,140 @@ class QueryServer {
       std::lock_guard<std::mutex> lock(conn->write_mu);
       WriteFrame(conn->fd, HelloPayload());
     }
-    std::string payload;
-    if (ReadFrame(conn->fd, &payload) != WireError::kNone ||
+    FrameReader reader(conn->fd);
+    std::string_view payload;
+    if (reader.Next(&payload) != WireError::kNone ||
         !CheckHelloPayload(payload)) {
       counters_.frame_errors.fetch_add(1, std::memory_order_relaxed);
       ::shutdown(conn->fd, SHUT_RDWR);
       return;
     }
+    std::vector<Pending> burst;
+    std::string refusals;  // reply frames for requests refused here
     while (true) {
-      const WireError err = ReadFrame(conn->fd, &payload);
-      if (err == WireError::kClosed) return;
-      if (err != WireError::kNone) {
-        // Torn frame, bad CRC, oversized length, I/O failure: the stream
-        // has no resynchronization point; count it and drop the
-        // connection. Every malformed input is a typed outcome, never UB.
+      const WireError err = reader.Next(&payload);
+      const bool fatal =
+          err != WireError::kNone || !Take(conn, payload, &burst, &refusals);
+      // Admit before the next read could block, and before dropping the
+      // connection: every frame that arrived intact ahead of a failure is
+      // answered, as it would be frame by frame.
+      if (!fatal && reader.Buffered()) continue;
+      Admit(*conn, &burst, &refusals);
+      if (!fatal) continue;
+      if (err != WireError::kClosed) {
+        // Torn frame, bad CRC, oversized length, I/O failure, or an
+        // envelope too short to carry a seq: the stream has no
+        // resynchronization point; count it and drop the connection. Every
+        // malformed input is a typed outcome, never UB.
         counters_.frame_errors.fetch_add(1, std::memory_order_relaxed);
         ::shutdown(conn->fd, SHUT_RDWR);
-        return;
       }
-      ByteReader r(payload);
-      const std::uint64_t seq = r.U64();
-      const std::uint8_t target = r.U8();
-      if (!r.ok()) {
-        // Too short to even carry a seq to echo — protocol violation.
-        counters_.frame_errors.fetch_add(1, std::memory_order_relaxed);
-        ::shutdown(conn->fd, SHUT_RDWR);
-        return;
-      }
-      auto request = Request<D>::TryParse(&r);
-      if (!request || !r.ok() || r.remaining() != 0 ||
-          target >= roster_.size()) {
-        counters_.malformed.fetch_add(1, std::memory_order_relaxed);
-        SendStatus(*conn, seq, ResponseStatus::kMalformed,
+      return;
+    }
+  }
+
+  /// Parses one request envelope into `burst`, or answers it `kMalformed`
+  /// into `refusals`. False on an envelope too short to carry a seq.
+  bool Take(const std::shared_ptr<Connection>& conn, std::string_view payload,
+            std::vector<Pending>* burst, std::string* refusals) {
+    ByteReader r(payload);
+    const std::uint64_t seq = r.U64();
+    const std::uint8_t target = r.U8();
+    if (!r.ok()) return false;
+    auto request = Request<D>::TryParse(&r);
+    if (!request || !r.ok() || r.remaining() != 0 ||
+        target >= roster_.size()) {
+      counters_.malformed.fetch_add(1, std::memory_order_relaxed);
+      AppendStatus(refusals, seq, ResponseStatus::kMalformed,
                    request ? request->kind() : RequestKind::kPing);
-        continue;
-      }
-      Pending p;
-      p.conn = conn;
-      p.seq = seq;
-      p.target = target;
-      p.request = *std::move(request);
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        if (queue_.size() >= options_.max_inflight) {
+      return true;
+    }
+    Pending& p = burst->emplace_back();
+    p.conn = conn;
+    p.seq = seq;
+    p.target = target;
+    p.request = *std::move(request);
+    return true;
+  }
+
+  /// Admits a burst under one lock and one notify; what does not fit under
+  /// `max_inflight` is answered `kOverloaded` with the burst's refusals.
+  void Admit(Connection& conn, std::vector<Pending>* burst,
+             std::string* refusals) {
+    std::uint64_t admitted = 0;
+    if (!burst->empty()) {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      for (Pending& p : *burst) {
+        if (queue_.size() + in_run_ >= options_.max_inflight) {
           counters_.overloaded.fetch_add(1, std::memory_order_relaxed);
-          SendStatus(*conn, seq, ResponseStatus::kOverloaded,
-                     p.request.kind());
+          AppendStatus(refusals, p.seq, ResponseStatus::kOverloaded,
+                       p.request.kind());
           continue;
         }
         queue_.push_back(std::move(p));
+        ++admitted;
       }
-      counters_.accepted.fetch_add(1, std::memory_order_relaxed);
+    }
+    burst->clear();
+    if (admitted > 0) {
+      counters_.accepted.fetch_add(admitted, std::memory_order_relaxed);
       queue_cv_.notify_one();
     }
-  }
-
-  /// Whether `p` may join a converged read batch: an unpinned plain query
-  /// (pinned reads take the serial path, where the epoch check lives)
-  /// whose descent the target index promises not to reorganize. The exec
-  /// thread is the only mutator, so `ConvergedFor` is stable here, and the
-  /// batched `Execute` runs its shared-lock attempt without declining. A
-  /// batched QUASII read therefore descends twice: once here as a hint,
-  /// once in `Execute`, which collects its scans.
-  bool Batchable(const Pending& p) const {
-    return p.request.kind() == RequestKind::kQuery &&
-           p.request.pin_epoch() == 0 &&
-           roster_[p.target]->ConvergedFor(p.request.query());
-  }
-
-  void Record(const Pending& p) {
-    if (!recorder_.is_open()) return;
-    recorder_.Append(p.conn->id, p.target, p.request);
+    if (!refusals->empty()) {
+      Send(conn, *refusals);
+      refusals->clear();
+    }
   }
 
   void ExecLoop() {
-    std::vector<Pending> batch;
+    std::vector<Pending> run;
+    std::string log;
+    std::vector<Connection*> replied;  // connections with frames this run
     while (true) {
-      batch.clear();
+      run.clear();
       {
         std::unique_lock<std::mutex> lock(queue_mu_);
+        in_run_ = 0;  // the previous run is answered
         queue_cv_.wait(lock, [this] { return exec_stop_ || !queue_.empty(); });
         if (queue_.empty()) return;  // exec_stop_ and fully drained
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        // Extend a converged-read run without waiting: batching is an
-        // opportunistic amortization, never a latency tax.
-        if (Batchable(batch.front())) {
-          while (!queue_.empty() && batch.size() < options_.max_batch &&
-                 queue_.front().target == batch.front().target &&
-                 Batchable(queue_.front())) {
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-          }
+        run.swap(queue_);
+        in_run_ = run.size();
+      }
+      if (run.size() > 1) {
+        counters_.batches.fetch_add(1, std::memory_order_relaxed);
+        counters_.batched_queries.fetch_add(run.size(),
+                                            std::memory_order_relaxed);
+      }
+      if (recorder_.is_open()) {
+        log.clear();
+        for (const Pending& p : run) {
+          WorkloadRecorder<D>::EncodeRecord(&log, p.conn->id, p.target,
+                                            p.request);
         }
+        recorder_.AppendFrames(log, run.size());
       }
-      for (const Pending& p : batch) Record(p);
-      // Utilization sampling: every morsel task any of this batch's
-      // requests fanned out has completed by the time its Execute returns
-      // (`Group::Wait` is a full barrier), so the scheduler-stats delta
-      // around the batch is exactly this batch's work.
-      const TaskScheduler::Stats before = IntraQueryScheduler().stats();
-      if (batch.size() > 1) {
-        RunBatch(batch);
-      } else {
-        RunSingle(batch.front());
+      for (const Pending& p : run) {
+        const Response<D> resp = Execute(p);
+        if (p.conn->replies.empty()) replied.push_back(p.conn.get());
+        AppendReply(&p.conn->replies, p.seq, resp);
       }
-      const TaskScheduler::Stats after = IntraQueryScheduler().stats();
-      const std::uint64_t tasks = (after.executed - before.executed) +
-                                  (after.helped - before.helped) +
-                                  (after.inlined - before.inlined);
-      if (tasks > 0) {
-        counters_.exec_tasks.fetch_add(tasks, std::memory_order_relaxed);
-        counters_.exec_steals.fetch_add(after.stolen - before.stolen,
-                                        std::memory_order_relaxed);
-        counters_.parallel_requests.fetch_add(1, std::memory_order_relaxed);
+      for (Connection* conn : replied) {
+        Send(*conn, conn->replies);
+        conn->replies.clear();
       }
+      replied.clear();
     }
   }
 
-  void RunSingle(const Pending& p) {
+  /// Executes one request, sampling the intra-query scheduler around it:
+  /// every morsel task the request fanned out has completed when
+  /// `ExecuteRequest` returns (`Group::Wait` is a full barrier), so the
+  /// stats delta is exactly this request's work.
+  Response<D> Execute(const Pending& p) {
     RequestHooks<D> hooks;
     std::string snapshot_path;
-    if (!options_.snapshot_path.empty()) {
+    if (p.request.kind() == RequestKind::kSnapshot &&
+        !options_.snapshot_path.empty()) {
       snapshot_path =
           options_.snapshot_path + "." + std::to_string(p.target);
       hooks.snapshot_now = [&snapshot_path](SpatialIndex<D>& index,
@@ -450,39 +462,24 @@ class QueryServer {
         return true;
       };
     }
-    const Response<D> resp =
-        ExecuteRequest(roster_[p.target], p.request, &hooks);
-    SendResponse(*p.conn, p.seq, resp);
-  }
-
-  void RunBatch(const std::vector<Pending>& batch) {
-    std::vector<Query<D>> queries;
-    queries.reserve(batch.size());
-    for (const Pending& p : batch) queries.push_back(p.request.query());
-    SpatialIndex<D>* index = roster_[batch.front().target];
-    std::vector<BatchResult> results =
-        executor_.Run(index, std::span<const Query<D>>(queries));
-    counters_.batches.fetch_add(1, std::memory_order_relaxed);
-    counters_.batched_queries.fetch_add(batch.size(),
-                                        std::memory_order_relaxed);
-    // No mutation can interleave (this thread is the only mutator), so one
-    // version read covers the whole batch.
-    const std::uint64_t epoch = index->store().version();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Response<D> resp;
-      resp.kind = RequestKind::kQuery;
-      resp.epoch = epoch;
-      resp.count = results[i].count;
-      resp.ids = std::move(results[i].ids);
-      SendResponse(*batch[i].conn, batch[i].seq, resp);
+    const TaskScheduler::Stats before = IntraQueryScheduler().stats();
+    Response<D> resp = ExecuteRequest(roster_[p.target], p.request, &hooks);
+    const TaskScheduler::Stats after = IntraQueryScheduler().stats();
+    const std::uint64_t tasks = (after.executed - before.executed) +
+                                (after.helped - before.helped) +
+                                (after.inlined - before.inlined);
+    if (tasks > 0) {
+      counters_.exec_tasks.fetch_add(tasks, std::memory_order_relaxed);
+      counters_.exec_steals.fetch_add(after.stolen - before.stolen,
+                                      std::memory_order_relaxed);
+      counters_.parallel_requests.fetch_add(1, std::memory_order_relaxed);
     }
+    return resp;
   }
 
   std::vector<SpatialIndex<D>*> roster_;
   Options options_;
   int exec_threads_effective_ = 1;
-  TaskScheduler pool_;
-  BatchExecutor<D> executor_;
   WorkloadRecorder<D> recorder_;
 
   int listen_fd_ = -1;
@@ -496,7 +493,8 @@ class QueryServer {
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
+  std::vector<Pending> queue_;
+  std::size_t in_run_ = 0;  ///< requests of the exec thread's current run
   bool exec_stop_ = false;
 
   AtomicCounters counters_;

@@ -42,8 +42,6 @@ struct ServerConfig {
   std::uint64_t seed = 1;
   std::vector<std::string> indexes;
   std::size_t max_inflight = 256;
-  std::size_t max_batch = 64;
-  int pool_threads = 4;
   int exec_threads = 1;
   std::string record_path;
   std::string snapshot_path;
@@ -54,15 +52,17 @@ void PrintUsage() {
   std::fprintf(stderr,
                "usage: quasii_server --socket=PATH [--n=COUNT] [--seed=SEED]\n"
                "                     [--indexes=NAME,NAME,...]\n"
-               "                     [--max-inflight=N] [--batch-max=N]\n"
-               "                     [--pool-threads=N] [--exec-threads=N]\n"
+               "                     [--max-inflight=N] [--exec-threads=N]\n"
                "                     [--record=PATH]\n"
                "                     [--snapshot=PATH] [--out=PATH]\n"
                "Serves the framed request protocol over a Unix-domain\n"
                "socket. --record logs every accepted request to a framed\n"
                "workload log for deterministic replay; --snapshot enables\n"
                "the snapshot admin request (path gains a .<target> suffix).\n"
-               "Prints a JSON counter/checksum report on shutdown.\n");
+               "Prints a JSON counter/checksum report on shutdown.\n"
+               "--pool-threads=N (1..32) is accepted and range-checked for\n"
+               "old command lines but sizes nothing: requests run on the\n"
+               "one exec thread, with no batch pool.\n");
 }
 
 [[noreturn]] void Die(const std::string& flag, const char* why) {
@@ -100,19 +100,14 @@ void ParseArgOrDie(const std::string& arg, ServerConfig* config) {
       Die(arg, "expected a positive integer");
     }
     config->max_inflight = static_cast<std::size_t>(u);
-  } else if (flag.key == "batch-max") {
-    if (!flag.has_value || !cli::ParseU64(flag.value, &u) || u == 0) {
-      Die(arg, "expected a positive integer");
-    }
-    config->max_batch = static_cast<std::size_t>(u);
   } else if (flag.key == "pool-threads") {
+    // Parsed and checked only: the batch pool it sized is gone.
     if (!flag.has_value || !cli::ParseU64(flag.value, &u) || u == 0 ||
         u > quasii::TaskScheduler::kMaxThreads) {
       Die(arg, ("expected an integer in [1, " +
                 std::to_string(quasii::TaskScheduler::kMaxThreads) + "]")
                    .c_str());
     }
-    config->pool_threads = static_cast<int>(u);
   } else if (flag.key == "exec-threads") {
     if (!flag.has_value || !cli::ParseU64(flag.value, &u) || u == 0 ||
         u > quasii::TaskScheduler::kMaxThreads) {
@@ -189,8 +184,6 @@ int main(int argc, char** argv) {
 
   QueryServer<3>::Options options;
   options.max_inflight = config.max_inflight;
-  options.max_batch = config.max_batch;
-  options.pool_threads = config.pool_threads;
   options.exec_threads = config.exec_threads;
   options.record_path = config.record_path;
   options.snapshot_path = config.snapshot_path;

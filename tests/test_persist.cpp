@@ -2,8 +2,9 @@
 // for every roster index, the deterministic fault-injection crash matrix
 // (fork a child, arm a counted failpoint, let the process die mid-write,
 // recover, and compare bit-identically against an uninterrupted prefix
-// run), and typed-error refusal of every corruption class — torn tails,
-// bit flips, truncation, wrong magic/format/kind/dimension, LSN gaps.
+// run), typed-error refusal of every corruption class — torn tails,
+// bit flips, truncation, wrong magic/format/kind/dimension, LSN gaps — and
+// the CRC-32C under all of it, on every implementation this CPU can run.
 //
 // Artifacts land in $QUASII_PERSIST_ARTIFACTS when set (CI uploads the
 // directory on failure), else in a fresh mkdtemp under /tmp. Passing tests
@@ -272,6 +273,56 @@ void CheckInvariantsOrDie(SpatialIndex<3>* index) {
 
 /// WAL-only replay: the recovered index starts from the same initial
 /// dataset and replays every logged mutation.
+// ---------------------------------------------------------------------------
+// CRC-32C: every frame, WAL record and snapshot payload rests on it
+
+/// The implementations a test can call on this machine: the table reference,
+/// the dispatched entry point, and the SSE4.2 loop when the CPU has it (run
+/// directly, so a `QUASII_FORCE_SCALAR=1` run still checks it).
+std::vector<std::uint32_t (*)(const void*, std::size_t)> CrcImplementations() {
+  std::vector<std::uint32_t (*)(const void*, std::size_t)> out = {
+      &quasii::persist::Crc32cTable, &quasii::persist::Crc32c};
+#if defined(QUASII_CRC32C_X86)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) {
+    out.push_back([](const void* data, std::size_t n) {
+      return ~quasii::persist::internal::Crc32cSse42Update(
+          0xFFFFFFFFu, static_cast<const unsigned char*>(data), n);
+    });
+  }
+#endif
+  return out;
+}
+
+void TestCrc32cKnownAnswers() {
+  // RFC 3720 (iSCSI), appendix B.4.
+  const std::string digits = "123456789";
+  const std::string zeros(32, '\0');
+  for (const auto crc : CrcImplementations()) {
+    CHECK_EQ(crc(digits.data(), digits.size()), 0xE3069283u);
+    CHECK_EQ(crc(zeros.data(), zeros.size()), 0x8A9136AAu);
+    CHECK_EQ(crc(nullptr, 0), 0u);
+  }
+}
+
+void TestCrc32cMatchesTableEverywhere() {
+  // Every length up to 4096 at every alignment: the 8-byte steps, the byte
+  // tail and unaligned loads all agree with the reference.
+  Rng rng(0xC3C);
+  std::string bytes(4096 + 8, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(static_cast<int>(rng.Uniform(0.0, 256.0)));
+  }
+  const auto impls = CrcImplementations();
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      const char* p = bytes.data() + offset;
+      const std::uint32_t want = quasii::persist::Crc32cTable(p, n);
+      for (const auto crc : impls) CHECK_EQ(crc(p, n), want);
+    }
+  }
+}
+
 void TestWalOnlyReplay() {
   const Box3 universe = UnitCube(0, 100);
   Rng rng(21);
@@ -981,6 +1032,8 @@ void TestCrashMatrix() {
 }  // namespace
 
 int main() {
+  RUN_TEST(TestCrc32cKnownAnswers);
+  RUN_TEST(TestCrc32cMatchesTableEverywhere);
   RUN_TEST(TestWalOnlyReplay);
   RUN_TEST(TestQuasiiSnapshotConvergedZeroCracks);
   RUN_TEST(TestRosterSnapshotRoundTrips);

@@ -1,26 +1,30 @@
 // Serving-layer suite (src/server/ + src/common/request.h): typed request
 // envelope round trips and rejection cases, the CRC-framed wire codec's
-// torn/corrupt/oversized/fuzz behavior over real socketpairs (every
-// malformed input is a typed error, never UB — the ASan/UBSan CI job runs
-// this file too), `BatchExecutor` vs direct execution, `ExecuteRequest`
-// against direct-execution oracles, epoch-pinned snapshot reads, workload
+// torn/corrupt/oversized/fuzz behavior over real socketpairs through both
+// `ReadFrame` and the burst `FrameReader` (every malformed input is a typed
+// error, never UB — the ASan/UBSan CI job runs this file too),
+// `BatchExecutor` vs direct execution, `ExecuteRequest` against
+// direct-execution oracles, epoch-pinned snapshot reads, workload
 // record/replay determinism in-process AND over the socket, admission
-// control, and converged-read batching.
+// control, and the exec thread's drained runs.
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -68,6 +72,7 @@ using quasii::Scalar;
 using quasii::ScanIndex;
 using quasii::SpatialIndex;
 using quasii::server::ClientReply;
+using quasii::server::FrameReader;
 using quasii::server::QueryServer;
 using quasii::server::ReadFrame;
 using quasii::server::ReadWorkloadLog;
@@ -365,62 +370,140 @@ void TestFrameRoundTrip() {
   CHECK(ReadFrame(sp.b, &got) == WireError::kClosed);
 }
 
+/// Reads one frame from `fd` either way a frame can be read: `ReadFrame`,
+/// or a fresh `FrameReader`. Both must give the same typed outcomes.
+std::vector<std::function<WireError(int, std::string*)>> FrameReadPaths() {
+  return {[](int fd, std::string* got) { return ReadFrame(fd, got); },
+          [](int fd, std::string* got) {
+            FrameReader reader(fd);
+            std::string_view view;
+            const WireError err = reader.Next(&view);
+            got->assign(view);
+            return err;
+          }};
+}
+
 void TestFrameTornAndCorrupt() {
-  {  // EOF inside the header
-    SocketPair sp;
-    const char partial[3] = {1, 2, 3};
-    CHECK(quasii::server::WriteFull(sp.a, partial, sizeof(partial)));
-    ::close(sp.a);
-    sp.a = -1;
-    std::string got;
-    CHECK(ReadFrame(sp.b, &got) == WireError::kTorn);
+  for (const auto& read : FrameReadPaths()) {
+    {  // EOF between frames
+      SocketPair sp;
+      ::close(sp.a);
+      sp.a = -1;
+      std::string got;
+      CHECK(read(sp.b, &got) == WireError::kClosed);
+    }
+    {  // EOF inside the header
+      SocketPair sp;
+      const char partial[3] = {1, 2, 3};
+      CHECK(quasii::server::WriteFull(sp.a, partial, sizeof(partial)));
+      ::close(sp.a);
+      sp.a = -1;
+      std::string got;
+      CHECK(read(sp.b, &got) == WireError::kTorn);
+    }
+    {  // EOF inside the payload
+      SocketPair sp;
+      std::string frame;
+      ByteWriter w(&frame);
+      w.U32(100);  // promises 100 payload bytes
+      w.U32(0);
+      w.Bytes("short", 5);
+      CHECK(quasii::server::WriteFull(sp.a, frame.data(), frame.size()));
+      ::close(sp.a);
+      sp.a = -1;
+      std::string got;
+      CHECK(read(sp.b, &got) == WireError::kTorn);
+    }
+    {  // flipped payload byte -> CRC mismatch
+      SocketPair sp;
+      std::string frame;
+      ByteWriter w(&frame);
+      const std::string payload = "hello frames";
+      w.U32(static_cast<std::uint32_t>(payload.size()));
+      w.U32(quasii::persist::Crc32c(payload.data(), payload.size()));
+      std::string damaged = payload;
+      damaged[4] ^= 0x20;
+      w.Bytes(damaged.data(), damaged.size());
+      CHECK(quasii::server::WriteFull(sp.a, frame.data(), frame.size()));
+      std::string got;
+      CHECK(read(sp.b, &got) == WireError::kBadCrc);
+    }
+    {  // hostile length field -> typed oversize, no allocation storm
+      SocketPair sp;
+      std::string header;
+      ByteWriter w(&header);
+      w.U32(0xFFFFFFFFu);
+      w.U32(0);
+      CHECK(quasii::server::WriteFull(sp.a, header.data(), header.size()));
+      std::string got;
+      CHECK(read(sp.b, &got) == WireError::kOversized);
+    }
   }
-  {  // EOF inside the payload
-    SocketPair sp;
-    std::string frame;
-    ByteWriter w(&frame);
-    w.U32(100);  // promises 100 payload bytes
-    w.U32(0);
-    w.Bytes("short", 5);
-    CHECK(quasii::server::WriteFull(sp.a, frame.data(), frame.size()));
-    ::close(sp.a);
-    sp.a = -1;
-    std::string got;
-    CHECK(ReadFrame(sp.b, &got) == WireError::kTorn);
+}
+
+void TestFrameReaderBurst() {
+  // 50 frames in one write: one reader hands back every one, in order, and
+  // says a whole frame is buffered before each but the first.
+  SocketPair sp;
+  std::string burst;
+  for (int i = 0; i < 50; ++i) {
+    const std::size_t at = quasii::server::BeginFrame(&burst);
+    burst.append(static_cast<std::size_t>(i * 7),
+                 static_cast<char>('a' + i % 26));
+    quasii::server::EndFrame(&burst, at);
   }
-  {  // flipped payload byte -> CRC mismatch
-    SocketPair sp;
-    std::string frame;
-    ByteWriter w(&frame);
-    const std::string payload = "hello frames";
-    w.U32(static_cast<std::uint32_t>(payload.size()));
-    w.U32(quasii::persist::Crc32c(payload.data(), payload.size()));
-    std::string damaged = payload;
-    damaged[4] ^= 0x20;
-    w.Bytes(damaged.data(), damaged.size());
-    CHECK(quasii::server::WriteFull(sp.a, frame.data(), frame.size()));
-    std::string got;
-    CHECK(ReadFrame(sp.b, &got) == WireError::kBadCrc);
+  CHECK(quasii::server::WriteFull(sp.a, burst.data(), burst.size()));
+  ::close(sp.a);
+  sp.a = -1;
+  FrameReader reader(sp.b);
+  CHECK(!reader.Buffered());
+  std::string_view got;
+  for (int i = 0; i < 50; ++i) {
+    if (i > 0) CHECK(reader.Buffered());
+    CHECK(reader.Next(&got) == WireError::kNone);
+    CHECK(got == std::string(static_cast<std::size_t>(i * 7),
+                             static_cast<char>('a' + i % 26)));
   }
-  {  // hostile length field -> typed oversize, no allocation storm
-    SocketPair sp;
-    std::string header;
-    ByteWriter w(&header);
-    w.U32(0xFFFFFFFFu);
-    w.U32(0);
-    CHECK(quasii::server::WriteFull(sp.a, header.data(), header.size()));
-    std::string got;
-    CHECK(ReadFrame(sp.b, &got) == WireError::kOversized);
+  CHECK(!reader.Buffered());
+  CHECK(reader.Next(&got) == WireError::kClosed);
+}
+
+void TestFrameReaderByteAtATime() {
+  // One frame dribbled in a byte per send, larger than the reader's first
+  // buffer: the reader waits out every partial header and payload and
+  // returns it whole, then the next frame behind it.
+  SocketPair sp;
+  std::string frames;
+  const std::string big(100000, 'z');
+  for (const std::string& payload : {std::string("dribbled frame"), big}) {
+    const std::size_t at = quasii::server::BeginFrame(&frames);
+    frames.append(payload);
+    quasii::server::EndFrame(&frames, at);
   }
+  const std::size_t first = quasii::server::kFrameHeaderBytes + 14;
+  std::thread writer([&] {
+    for (std::size_t i = 0; i < first; ++i) {
+      CHECK(quasii::server::WriteFull(sp.a, frames.data() + i, 1));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    CHECK(quasii::server::WriteFull(sp.a, frames.data() + first,
+                                    frames.size() - first));
+  });
+  FrameReader reader(sp.b);
+  std::string_view got;
+  CHECK(reader.Next(&got) == WireError::kNone);
+  CHECK(got == "dribbled frame");
+  CHECK(reader.Next(&got) == WireError::kNone);
+  CHECK(got == big);
+  writer.join();
 }
 
 void TestFrameFuzz() {
   // Garbage streams of every flavor must come back as SOME typed error (or
   // a valid frame in the astronomically unlikely CRC-collision case) —
-  // never a hang, crash, or unbounded allocation.
+  // never a hang, crash, or unbounded allocation — through either reader.
   Rng rng(0xBEEF);
   for (int iter = 0; iter < 200; ++iter) {
-    SocketPair sp;
     const std::size_t len =
         static_cast<std::size_t>(rng.Uniform(0.0, 200.0));
     std::string junk(len, '\0');
@@ -429,13 +512,24 @@ void TestFrameFuzz() {
     }
     // Keep claimed lengths small-ish so the in-cap reads hit EOF quickly.
     if (len >= 4) junk[3] = 0;
-    CHECK(quasii::server::WriteFull(sp.a, junk.data(), junk.size()));
-    ::close(sp.a);
-    sp.a = -1;
-    std::string got;
-    while (true) {
-      const WireError err = ReadFrame(sp.b, &got);
-      if (err != WireError::kNone) break;  // typed failure or clean EOF path
+    {
+      SocketPair sp;
+      CHECK(quasii::server::WriteFull(sp.a, junk.data(), junk.size()));
+      ::close(sp.a);
+      sp.a = -1;
+      std::string got;
+      while (ReadFrame(sp.b, &got) == WireError::kNone) {
+      }
+    }
+    {
+      SocketPair sp;
+      CHECK(quasii::server::WriteFull(sp.a, junk.data(), junk.size()));
+      ::close(sp.a);
+      sp.a = -1;
+      FrameReader reader(sp.b);
+      std::string_view got;
+      while (reader.Next(&got) == WireError::kNone) {
+      }
     }
   }
 }
@@ -824,39 +918,109 @@ void TestServerOverloadAndDrain() {
   CHECK_EQ(ok, 4);
 }
 
-void TestServerBatchesConvergedReads() {
-  // Same delayed-start trick, but under the cap: all queued requests are
-  // unpinned converged reads against one target, so the exec thread's first
-  // pop batches them onto the pool — and the responses still arrive in
-  // admission order with oracle-identical bodies.
+void TestServerDrainedRun() {
+  // Delayed start again, under the cap: a mixed run queues up, then the exec
+  // thread's first wake drains it as ONE run. Replies arrive in admission
+  // order with bodies byte-identical to serial execution on a twin roster
+  // (the pinned read sees the insert ahead of it in the run), the malformed
+  // frame is refused at the reader, and the log replays to the same
+  // checksums.
+  const std::string path = TempPath("drained.workload");
+  const std::size_t n = 500;
+  const std::uint64_t seed = 29;
   QueryServer<3>::Options options;
-  options.max_batch = 64;
-  ServerFixture fx(options, 500, 29, /*start=*/false);
-  Dataset3 data = MakeData(500, 29);
-  ScanIndex<3> oracle(data);
+  options.record_path = path;
+  ServerFixture fx(options, n, seed, /*start=*/false);
+  Dataset3 data = MakeData(n, seed);
+  ScanIndex<3> twin_scan(data);
+  QuasiiIndex<3> twin_quasii(data);
+  std::vector<SpatialIndex<3>*> twin = {&twin_scan, &twin_quasii};
 
-  std::vector<Request3> reads;
-  for (int i = 0; i < 24; ++i) {
-    reads.push_back(Request3::MakeQuery(
-        quasii::RangeQuery<3>(MakeBox(static_cast<Scalar>(i % 50), 70))));
+  struct Sent {
+    std::uint8_t target;
+    Request3 request;
+  };
+  std::vector<Sent> run;
+  run.push_back({1, *Request3::TryInsert(70000, MakeBox(40, 42))});
+  for (int i = 0; i < 12; ++i) {  // every fourth range goes to Scan
+    run.push_back({static_cast<std::uint8_t>(i % 4 == 3 ? 0 : 1),
+                   Request3::MakeQuery(quasii::RangeQuery<3>(
+                       MakeBox(static_cast<Scalar>(i * 7 % 60), 70)))});
   }
-  for (const Request3& req : reads) {
-    CHECK(fx.client.Send(0, req).has_value());
+  run.push_back(
+      {1, Request3::MakeQuery(quasii::CountQuery<3>(MakeBox(5, 50)))});
+  Point<3> p;
+  for (int d = 0; d < 3; ++d) p.coords[d] = 33;
+  run.push_back({1, Request3::MakeQuery(quasii::KNearestQuery<3>(p, 9))});
+  // The epoch before the second insert: a read pinned to it, queued behind
+  // that insert, must be refused.
+  Request3 pinned =
+      Request3::MakeQuery(quasii::RangeQuery<3>(MakeBox(20, 40)));
+  std::vector<std::string> want;
+  for (const Sent& s : run) {
+    want.push_back(
+        SerializeResponse(ExecuteRequest<3>(twin[s.target], s.request)));
   }
+  CHECK(pinned.TryPinEpoch(twin_quasii.store().version()));
+  const std::vector<Sent> tail = {
+      {1, *Request3::TryInsert(70001, MakeBox(60, 61))},
+      {1, pinned},
+      {1, Request3::MakeStats()}};
+  for (const Sent& s : tail) {
+    run.push_back(s);
+    want.push_back(
+        SerializeResponse(ExecuteRequest<3>(twin[s.target], s.request)));
+  }
+  CHECK(Response<3>::TryParse(std::string_view(want[want.size() - 2]))
+            ->status == ResponseStatus::kEpochMismatch);
+
+  for (const Sent& s : run) CHECK(fx.client.Send(s.target, s.request));
+  // The malformed frame goes last: its refusal comes back from the reader,
+  // after every frame ahead of it was admitted, before anything executes.
+  std::string envelope;
+  ByteWriter w(&envelope);
+  w.U64(999);
+  w.U8(1);
+  w.U8(250);  // unknown request kind
+  CHECK(WriteFrame(fx.client.fd(), envelope));
+  auto refused = fx.client.Recv();
+  CHECK(refused.has_value());
+  CHECK_EQ(refused->seq, 999u);
+  CHECK(refused->response.status == ResponseStatus::kMalformed);
+
   std::string error;
   CHECK(fx.server.Start(&error));
+  std::uint64_t live_checksum = kFnvBasis;
   std::uint64_t expect_seq = 1;
-  for (const Request3& req : reads) {
+  for (const std::string& body : want) {
     auto reply = fx.client.Recv();
     CHECK(reply.has_value());
     CHECK_EQ(reply->seq, expect_seq++);  // admission order preserved
-    const Response<3> want = ExecuteRequest<3>(&oracle, req);
-    CHECK_EQ(reply->body, SerializeResponse(want));
+    CHECK(reply->body == body);
+    live_checksum = FnvBytes(live_checksum, reply->body);
   }
   fx.server.Stop();
   const auto counters = fx.server.counters();
-  CHECK_GE(counters.batches, 1u);
-  CHECK_GT(counters.batched_queries, 1u);
+  CHECK_EQ(counters.accepted, run.size());
+  CHECK_EQ(counters.malformed, 1u);
+  CHECK_EQ(counters.batches, 1u);
+  CHECK_EQ(counters.batched_queries, run.size());
+  CHECK(fx.server.IndexChecksums() ==
+        std::vector<std::uint64_t>({IndexContentChecksum(twin_scan),
+                                    IndexContentChecksum(twin_quasii)}));
+
+  auto log = ReadWorkloadLog<3>(path);
+  CHECK(log.error == quasii::persist::PersistError::kNone);
+  CHECK_EQ(log.records.size(), run.size());
+  ScanIndex<3> replay_scan(data);
+  QuasiiIndex<3> replay_quasii(data);
+  std::vector<SpatialIndex<3>*> roster = {&replay_scan, &replay_quasii};
+  const auto replay = ReplayWorkload<3>(
+      std::span<SpatialIndex<3>* const>(roster), log.records);
+  CHECK(replay.ok);
+  CHECK_EQ(replay.response_checksum, live_checksum);
+  CHECK(replay.index_checksums == fx.server.IndexChecksums());
+  std::remove(path.c_str());
 }
 
 void TestServerEpochPinningOverWire() {
@@ -1013,6 +1177,8 @@ int main() {
   RUN_TEST(TestRequestFuzz);
   RUN_TEST(TestFrameRoundTrip);
   RUN_TEST(TestFrameTornAndCorrupt);
+  RUN_TEST(TestFrameReaderBurst);
+  RUN_TEST(TestFrameReaderByteAtATime);
   RUN_TEST(TestFrameFuzz);
   RUN_TEST(TestBatchExecutorMatchesDirectExecution);
   RUN_TEST(TestExecuteRequestOracle);
@@ -1023,7 +1189,7 @@ int main() {
   RUN_TEST(TestServerEndToEnd);
   RUN_TEST(TestServerMalformedInputs);
   RUN_TEST(TestServerOverloadAndDrain);
-  RUN_TEST(TestServerBatchesConvergedReads);
+  RUN_TEST(TestServerDrainedRun);
   RUN_TEST(TestServerEpochPinningOverWire);
   RUN_TEST(TestServerSnapshotRequest);
   RUN_TEST(TestServedRunReplaysBitIdentically);

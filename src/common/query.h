@@ -88,9 +88,10 @@ bool IsFinite(const Box<D>& b) {
 /// choice is deterministic); every other term filters the candidates
 /// exactly. Any term is a sound driver — containment predicates imply
 /// intersection and each index executes all three predicates exactly — the
-/// volume rule is purely a cost heuristic. Shared by `SpatialIndex`'s
-/// dispatch, QUASII's shared-lock read and the adaptive indexes'
-/// `ConvergedFor` replays so all of them route identically.
+/// volume rule is purely a cost heuristic. Shared by
+/// `SpatialIndex::RunBoxQuery` (every box execution and shared-lock read)
+/// and `DescentBox` (the adaptive indexes' `ConvergedFor`), so all of them
+/// route identically.
 template <int D>
 std::size_t ConjunctionDriverIndex(
     const std::vector<ConjunctiveTerm<D>>& terms) {
@@ -318,11 +319,12 @@ Query<D> ConjunctiveQuery(std::vector<ConjunctiveTerm<D>> terms) {
   return Query<D>::MakeConjunction(std::move(terms));
 }
 
-/// The box that drives a query's single-index descent — what the adaptive
-/// indexes replay in `ConvergedFor`: the query box for ranges/counts,
-/// `[p, p]` for point probes, the driver term's box for conjunctions. Must
-/// mirror `SpatialIndex`'s dispatch exactly. Not meaningful for kKNearest
-/// or kJoin (their replays answer before needing a box).
+/// The box that drives a query's single-index descent — the box the
+/// adaptive indexes' `ConvergedFor` runs their read with: the query box for
+/// ranges/counts, `[p, p]` for point probes, the driver term's box for
+/// conjunctions. Must mirror `SpatialIndex::RunBoxQuery` exactly. Not
+/// meaningful for kKNearest or kJoin (their `ConvergedFor` answers before
+/// needing a box).
 template <int D>
 Box<D> DescentBox(const Query<D>& q) {
   switch (q.type()) {

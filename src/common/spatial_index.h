@@ -3,6 +3,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <shared_mutex>
@@ -57,9 +59,12 @@ using Entry3 = Entry<3>;
 /// which either runs the query without changing index state or declines
 /// before anything reaches the sink, and a declined query runs again under
 /// the exclusive side. Static indexes are read-safe as soon as they are
-/// built; adaptive indexes (QUASII, SFCracker, Mosaic) decline while the
-/// query would still crack/split and run shared once the touched region
-/// has converged. An index-vs-index join locks BOTH indexes (in a global
+/// built. An adaptive index (QUASII, SFCracker, Mosaic) splits each box
+/// execution in two: a refine pre-pass that cracks/splits what the query
+/// touches, run only under the exclusive side, then one `const`
+/// plan-then-scan read. The shared attempt runs that same read, which
+/// declines, with no counts and no emits, while the query would still
+/// crack/split. An index-vs-index join locks BOTH indexes (in a global
 /// address order, so concurrent A⋈B and B⋈A cannot deadlock) and runs
 /// shared only when both sides' `ConvergedFor` agree. `Build()` and the
 /// stats accessors are NOT thread-safe — call them while no query is in
@@ -92,11 +97,12 @@ class SpatialIndex {
   /// index state (beyond the caller's own stats shard). The default
   /// `TryExecuteShared` asks it before a shared-lock read, and joins ask it
   /// of both participants.
-  /// Static indexes answer true once built; adaptive indexes answer true
-  /// when the query's descent would touch only converged structure. For
-  /// `kJoin` the answer covers only this side's structure. Only meaningful
-  /// under at least the shared lock (i.e. from inside `Execute`) or while
-  /// no other thread is mutating; conservative `false` is always correct.
+  /// Static indexes answer true once built; adaptive indexes answer with
+  /// their `const` read run with nothing recorded, so true means the
+  /// query's descent would touch only converged structure. For `kJoin` the
+  /// answer covers only this side's structure. Only meaningful under at
+  /// least the shared lock (i.e. from inside `Execute`) or while no other
+  /// thread is mutating; conservative `false` is always correct.
   virtual bool ConvergedFor(const Query<D>& query) const {
     (void)query;
     return false;
@@ -314,7 +320,9 @@ class SpatialIndex {
   /// through its walk, then calls `Flush` exactly once at the end. The
   /// context lives on the caller's stack, never in index members, so
   /// concurrent shared-mode executions cannot interfere; per-index `BoxExec`
-  /// comments below document only their deltas from this contract.
+  /// comments below document only their deltas from this contract. An
+  /// adaptive index runs its refine pre-pass, then the `const` read its
+  /// `TryExecuteShared` runs, which must not decline (`AbortDeclinedRead`).
   virtual void ExecuteBox(const Box<D>& q, RangePredicate predicate,
                           bool count_only, Sink& sink) = 0;
 
@@ -328,30 +336,64 @@ class SpatialIndex {
   /// lock): either runs `query` into `sink` without changing any index
   /// state and returns true, or returns false having touched neither the
   /// sink nor the stats, and `Execute` runs the query under the exclusive
-  /// lock instead. The default asks `ConvergedFor` and then dispatches; an
-  /// index whose own read-only descent can decline (QUASII) overrides it so
-  /// a converged read descends once.
+  /// lock instead. The default, for indexes that never reorganize, asks
+  /// `ConvergedFor` and then dispatches. An adaptive index overrides it to
+  /// run its `const` read through `RunBoxQuery`, declining kNN.
   virtual bool TryExecuteShared(const Query<D>& query, Sink& sink) {
     // Holding the shared lock excludes writers, so a true answer stays
     // true for the whole dispatch.
     if (!ConvergedFor(query)) return false;
-#ifndef NDEBUG
-    // Drift detector: `ConvergedFor` replays each index's routing logic,
-    // so a future execution-path change that forgets to update its replay
-    // would reorganize under the shared lock — a data race TSan only
-    // catches on the right interleaving. Reorganization counters of this
-    // thread's shard must stay untouched by a shared-mode dispatch; Debug
-    // CI turns drift deterministic.
-    const std::uint64_t cracks_before = stats_.Local().cracks;
-    const std::uint64_t moved_before = stats_.Local().objects_moved;
-#endif
     Dispatch(query, sink);
-#ifndef NDEBUG
-    assert(stats_.Local().cracks == cracks_before &&
-           stats_.Local().objects_moved == moved_before &&
-           "ConvergedFor approved a query that reorganized");
-#endif
     return true;
+  }
+
+  /// The one query-type switch of a box query (range, point, count or
+  /// conjunction): calls `run(box, predicate, count_only, sink)` with the
+  /// box the query descends with, and returns what it returns. A point
+  /// probes `[p, p]`; a conjunctive plan runs its driver term (the
+  /// smallest-volume one: sound for any driver, since containment implies
+  /// intersection and every index executes all three predicates exactly)
+  /// and, with several terms, filters the driver's candidates through the
+  /// rest. A conjunction is never count-only: the filter needs ids, so
+  /// count consumers count the emitted stream. kNN and joins are not box
+  /// queries: false, `run` never called. `Dispatch` runs `ExecuteBox`
+  /// through it, and adaptive indexes their shared-lock read.
+  template <typename Run>
+  bool RunBoxQuery(const Query<D>& query, Sink& sink, Run&& run) {
+    switch (query.type()) {
+      case QueryType::kRange:
+      case QueryType::kCount:
+        return run(query.box(), query.predicate(),
+                   query.type() == QueryType::kCount, sink);
+      case QueryType::kPoint:
+        return run(Box<D>(query.point(), query.point()),
+                   RangePredicate::kIntersects, false, sink);
+      case QueryType::kConjunction: {
+        const std::vector<ConjunctiveTerm<D>>& terms = query.terms();
+        const std::size_t driver = ConjunctionDriverIndex(terms);
+        const ConjunctiveTerm<D>& term = terms[driver];
+        if (terms.size() == 1) {
+          return run(term.box, term.predicate, false, sink);
+        }
+        ConjunctionFilterSink filter(&store_, &terms, driver, &sink);
+        return run(term.box, term.predicate, false, filter);
+      }
+      case QueryType::kKNearest:
+      case QueryType::kJoin:
+        return false;
+    }
+    return false;
+  }
+
+  /// The end of an adaptive index's exclusive box execution: its read just
+  /// declined although the refine pre-pass before it left nothing to
+  /// crack/split. That is a bug, and a partial or empty answer would hide
+  /// it, so the program stops in every build type.
+  [[noreturn]] void AbortDeclinedRead() const {
+    const std::string_view index = name();
+    std::fprintf(stderr, "%.*s: a read declined after its refine pre-pass\n",
+                 static_cast<int>(index.size()), index.data());
+    std::abort();
   }
 
   /// Index-vs-index join body: `Add` every pair (left id from this index,
@@ -420,6 +462,10 @@ class SpatialIndex {
   /// merges them.
   QueryStats& Stats() { return stats_.Local(); }
 
+  ObjectStore<D> store_;
+  ShardedQueryStats stats_;
+
+ private:
   /// Filters a driver descent's candidates through the remaining terms of a
   /// conjunctive plan — the exact refinement the driver's own predicate
   /// check does not cover.
@@ -448,10 +494,6 @@ class SpatialIndex {
     Sink* out_;
   };
 
-  ObjectStore<D> store_;
-  ShardedQueryStats stats_;
-
- private:
   /// Adapts a box execution into join pairs: each emitted id pairs with the
   /// fixed partner id, on the side `hit_is_left` selects.
   class ProbePairSink final : public Sink {
@@ -473,52 +515,21 @@ class SpatialIndex {
     bool hit_is_left_;
   };
 
-  /// Conjunctive plan execution: one descent with the smallest-volume term
-  /// (sound for any driver — containment implies intersection and every
-  /// index executes all three predicates exactly; the volume rule is just
-  /// the cost heuristic), remaining terms applied as exact per-candidate
-  /// filters. Never count-only: the filter needs ids, so count consumers
-  /// simply count the emitted stream.
-  void ExecuteConjunction(const std::vector<ConjunctiveTerm<D>>& terms,
-                          Sink& sink) {
-    const std::size_t driver = ConjunctionDriverIndex(terms);
-    if (terms.size() == 1) {
-      ExecuteBox(terms[driver].box, terms[driver].predicate,
-                 /*count_only=*/false, sink);
+  /// The locked body of `Execute`: kNN to `ExecuteKNearest`, every box
+  /// query to `ExecuteBox` through `RunBoxQuery`. The caller holds the
+  /// exclusive lock, or the shared one when `ConvergedFor` approved the
+  /// query (indexes that never reorganize only).
+  void Dispatch(const Query<D>& query, Sink& sink) {
+    if (query.type() == QueryType::kKNearest) {
+      ExecuteKNearest(query.point(), query.k(), sink);
       return;
     }
-    ConjunctionFilterSink filter(&store_, &terms, driver, &sink);
-    ExecuteBox(terms[driver].box, terms[driver].predicate,
-               /*count_only=*/false, filter);
-  }
-
-  /// The locked body of `Execute`: type dispatch to the per-index
-  /// primitives. The caller holds the exclusive lock, or the shared one
-  /// when `ConvergedFor` approved the query.
-  void Dispatch(const Query<D>& query, Sink& sink) {
-    switch (query.type()) {
-      case QueryType::kRange:
-        ExecuteBox(query.box(), query.predicate(), /*count_only=*/false,
-                   sink);
-        return;
-      case QueryType::kPoint: {
-        const Box<D> point_box(query.point(), query.point());
-        ExecuteBox(point_box, RangePredicate::kIntersects,
-                   /*count_only=*/false, sink);
-        return;
-      }
-      case QueryType::kCount:
-        ExecuteBox(query.box(), query.predicate(), /*count_only=*/true, sink);
-        return;
-      case QueryType::kKNearest:
-        ExecuteKNearest(query.point(), query.k(), sink);
-        return;
-      case QueryType::kConjunction:
-        ExecuteConjunction(query.terms(), sink);
-        return;
-      case QueryType::kJoin:
-        return;  // Routed to the PairSink overload before dispatch.
-    }
+    RunBoxQuery(query, sink,
+                [this](const Box<D>& q, RangePredicate predicate,
+                       bool count_only, Sink& s) {
+                  ExecuteBox(q, predicate, count_only, s);
+                  return true;
+                });
   }
 
   /// Reader-writer arbitration between concurrent converged/static reads

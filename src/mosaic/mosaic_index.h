@@ -68,25 +68,19 @@ class MosaicIndex final : public SpatialIndex<D> {
   const Node& root() const { return root_; }
   bool initialized() const { return initialized_; }
 
-  /// A box query is converged when no leaf it touches (under the extended
-  /// traversal box) is still splittable — then the descent is a pure read.
+  /// A box query is converged when its `Read` would not decline: no leaf
+  /// it touches (under the extended traversal box) is still splittable.
   /// kNN stays conservative: its expanding ring probes regions the
   /// triggering query never names — as do joins, whose nested-loop probes
   /// split around every partner box.
   bool ConvergedFor(const Query<D>& query) const override {
-    if (!initialized_) return false;
     if (query.type() == QueryType::kKNearest ||
         query.type() == QueryType::kJoin) {
       return false;
     }
     const Box<D> box = DescentBox(query);
-    if (box.IsEmpty()) return true;
-    Box<D> extended = box;
-    for (int d = 0; d < D; ++d) {
-      extended.lo[d] -= half_extent_[d];
-      extended.hi[d] += half_extent_[d];
-    }
-    return SubtreeConverged(root_, 0, extended);
+    if (box.IsEmpty()) return initialized_;
+    return Read(box, RangePredicate::kIntersects, false, nullptr, nullptr);
   }
 
  protected:
@@ -112,18 +106,25 @@ class MosaicIndex final : public SpatialIndex<D> {
     }
   }
 
+  /// The refine pre-pass (`SplitTouched`), then the read, which it leaves
+  /// nothing to split.
   void ExecuteBox(const Box<D>& q, RangePredicate predicate, bool count_only,
                   Sink& sink) override {
     if (!initialized_) Initialize();
-    Box<D> extended = q;
-    for (int d = 0; d < D; ++d) {
-      extended.lo[d] -= half_extent_[d];
-      extended.hi[d] += half_extent_[d];
+    SplitTouched(&root_, 0, Extended(q));
+    if (!Read(q, predicate, count_only, &sink, &this->Stats())) {
+      this->AbortDeclinedRead();
     }
-    MatchEmitter emit(count_only, &sink);
-    const BoxExec ctx{&q, &extended, predicate, &emit};
-    QueryNode(&root_, 0, ctx);
-    emit.Flush();
+  }
+
+  /// The shared-lock attempt: `Read` for box queries, declining kNN.
+  bool TryExecuteShared(const Query<D>& query, Sink& sink) override {
+    return this->RunBoxQuery(
+        query, sink,
+        [this](const Box<D>& q, RangePredicate predicate, bool count_only,
+               Sink& s) {
+          return Read(q, predicate, count_only, &s, &this->Stats());
+        });
   }
 
   void ExecuteKNearest(const Point<D>& pt, std::size_t k,
@@ -133,28 +134,65 @@ class MosaicIndex final : public SpatialIndex<D> {
   }
 
  private:
-  /// Box-execution context (see `SpatialIndex::ExecuteBox` for the shared
-  /// contract); Mosaic's delta: the traversal descends with the
-  /// pre-extended probe box while the exact filter uses the original.
-  struct BoxExec {
-    const Box<D>* q;
-    const Box<D>* extended;
-    RangePredicate predicate;
-    MatchEmitter* emit;
-  };
   static constexpr std::size_t kChildren = std::size_t{1} << D;
 
-  /// Read-only replay of `QueryNode`'s routing: false as soon as some
-  /// touched leaf would still split.
-  bool SubtreeConverged(const Node& node, int depth,
-                        const Box<D>& extended) const {
+  /// The traversal box of `q`: centre assignment means an object can
+  /// intersect `q` only if its centre lies within the largest half extent
+  /// of it. The exact filter uses the original `q`.
+  Box<D> Extended(const Box<D>& q) const {
+    Box<D> extended = q;
+    for (int d = 0; d < D; ++d) {
+      extended.lo[d] -= half_extent_[d];
+      extended.hi[d] += half_extent_[d];
+    }
+    return extended;
+  }
+
+  /// Whether a descent splits leaf `node` at `depth`.
+  bool Splittable(const Node& node, int depth) const {
+    return node.objects.size() > params_.leaf_capacity &&
+           depth < params_.max_depth;
+  }
+
+  /// The one read of a box query: plans the leaves the extended box
+  /// touches (`PlanLeaves`), then scans them into one emitter. Declines
+  /// (false, nothing counted or emitted) when the index is uninitialized or
+  /// a touched leaf would still split. With a null `sink` it only decides,
+  /// recording nothing.
+  bool Read(const Box<D>& q, RangePredicate predicate, bool count_only,
+            Sink* sink, QueryStats* st) const {
+    if (!initialized_) return false;
+    std::vector<const Node*> leaves;
+    std::uint64_t visited = 0;
+    if (!PlanLeaves(root_, 0, Extended(q), &leaves, &visited)) return false;
+    if (sink == nullptr) return true;
+    st->partitions_visited += visited;
+    MatchEmitter emit(count_only, sink);
+    for (const Node* leaf : leaves) {
+      st->objects_tested += leaf->objects.size();
+      for (const ObjectId id : leaf->objects) {
+        if (MatchesPredicate(this->store_.box(id), q, predicate)) emit.Add(id);
+      }
+    }
+    emit.Flush();
+    return true;
+  }
+
+  /// Collects, depth first, the leaves under `node` that `extended`
+  /// touches, counting every node visited; false at the first touched leaf
+  /// that would still split.
+  bool PlanLeaves(const Node& node, int depth, const Box<D>& extended,
+                  std::vector<const Node*>* leaves,
+                  std::uint64_t* visited) const {
+    ++*visited;
     if (node.is_leaf()) {
-      return node.objects.size() <= params_.leaf_capacity ||
-             depth >= params_.max_depth;
+      if (Splittable(node, depth)) return false;
+      leaves->push_back(&node);
+      return true;
     }
     for (const Node& child : node.children) {
       if (child.bounds.Intersects(extended) &&
-          !SubtreeConverged(child, depth + 1, extended)) {
+          !PlanLeaves(child, depth + 1, extended, leaves, visited)) {
         return false;
       }
     }
@@ -222,27 +260,16 @@ class MosaicIndex final : public SpatialIndex<D> {
     node->objects.shrink_to_fit();
   }
 
-  void QueryNode(Node* node, int depth, const BoxExec& ctx) {
-    ++this->Stats().partitions_visited;
+  /// The refine pre-pass: splits, depth first, every touched leaf that is
+  /// still splittable, and the touched children of each split in turn.
+  void SplitTouched(Node* node, int depth, const Box<D>& extended) {
     if (node->is_leaf()) {
-      if (node->objects.size() > params_.leaf_capacity &&
-          depth < params_.max_depth) {
-        Split(node);
-        // fall through to the children loop below
-      } else {
-        this->Stats().objects_tested += node->objects.size();
-        for (const ObjectId id : node->objects) {
-          if (MatchesPredicate(this->store_.box(id), *ctx.q,
-                               ctx.predicate)) {
-            ctx.emit->Add(id);
-          }
-        }
-        return;
-      }
+      if (!Splittable(*node, depth)) return;
+      Split(node);
     }
     for (Node& child : node->children) {
-      if (child.bounds.Intersects(*ctx.extended)) {
-        QueryNode(&child, depth + 1, ctx);
+      if (child.bounds.Intersects(extended)) {
+        SplitTouched(&child, depth + 1, extended);
       }
     }
   }

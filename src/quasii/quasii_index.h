@@ -114,14 +114,17 @@ namespace quasii {
 ///    shrinks.
 ///
 /// Concurrency (the `SpatialIndex` contract): a range, count, point or
-/// conjunction read first runs one read-only descent under the shared lock
-/// (`TryExecuteShared`), which collects its leaf scans and declines at the
-/// first slice the query would refine — or at once when a pending tail or
-/// a compaction is due. A converged read then scans under the shared lock
-/// with any number of peers, writing only thread-local scratch and the
-/// caller's stats shard; a declined one (a warm-up query) runs again under
-/// the exclusive lock, where it cracks. kNN always takes the exclusive
-/// lock.
+/// conjunction query runs in two steps. Under the exclusive lock only, a
+/// refine pre-pass cracks the slices the query touches. Then one `const`
+/// read (`Read`) descends every class without changing anything,
+/// collecting its leaf scans, and runs those scans. The shared-lock
+/// attempt runs that same read first; it declines at the first slice the
+/// query would refine — or at once when a pending tail or a compaction is
+/// due — having counted and emitted nothing. A converged read scans under
+/// the shared lock with any number of peers, writing only thread-local
+/// scratch and the caller's stats shard; a declined one (a warm-up query)
+/// runs again under the exclusive lock, where it cracks. kNN always takes
+/// the exclusive lock.
 template <int D>
 class QuasiiIndex final : public SpatialIndex<D> {
  public:
@@ -222,9 +225,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// uniform over the data bounds `U` like `ClassCost` does,
   /// `E = n_c · Π_d min(1, (q.hi_d - q.lo_d + 2·h_d) / U_d)`, rounded up to
   /// a power of two and clamped to `[min(kMinLeafRows, tau), tau]`; the
-  /// levels above follow from it (`ThresholdsFor`). Pure: `ExecuteBox`,
-  /// `TryExecuteShared` and `ConvergedFor` call it with the same box, so
-  /// the read-only descent and the reorganizing one cannot disagree.
+  /// levels above follow from it (`ThresholdsFor`). Pure: the refine
+  /// pre-pass and the read call it with the same box, so they cannot
+  /// disagree.
   Thresholds LeafThresholds(const ExtentClass& c, const Box<D>& q) const {
     const std::size_t tau = params_.leaf_threshold;
     const Box<D>& u = this->store_.bounds();
@@ -356,31 +359,30 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
   /// A query is converged — safe to execute concurrently under the shared
-  /// lock — when nothing about its execution can reorganize: the array is
-  /// ready to read (`ReadyToRead`: initialized, no pending tail to promote,
-  /// no compaction due), and in every extent class the read-only descent
-  /// (`ReadDescent`, with the box widened by that class's half extent,
-  /// `ExtendedBox`, at the thresholds `LeafThresholds` sizes to the same
-  /// box) completes. A read runs that descent itself
-  /// (`TryExecuteShared`); this predicate serves joins and stream joins.
-  /// kNN stays conservative: its expanding ring probes regions the
-  /// triggering query never names. A join touches
-  /// the whole structure and cracks wherever the partner has slice bounds,
-  /// so it descends without bounds at the join's thresholds
-  /// (`JoinThresholds`): only full convergence guarantees a join is a pure
-  /// read of this side. Those are the finest any descent uses, so the same
-  /// check covers the `ExecuteBox` probes of a stream join or of a join
-  /// with a partner of another index type.
+  /// lock — when nothing about its execution can reorganize. For a box
+  /// query that is its `Read` not declining, run here with nothing
+  /// recorded; reads and the server never ask, and joins and stream joins
+  /// do. kNN stays conservative: its expanding ring probes regions the
+  /// triggering query never names. A join touches the whole structure and
+  /// cracks wherever the partner has slice bounds, so it needs the array
+  /// `ReadyToRead` and a read-only descent of every class without bounds
+  /// at the join's thresholds (`JoinThresholds`): only full convergence
+  /// guarantees a join is a pure read of this side. Those are the finest
+  /// any descent uses, so the same check covers the `ExecuteBox` probes of
+  /// a stream join or of a join with a partner of another index type.
   bool ConvergedFor(const Query<D>& query) const override {
-    if (query.type() == QueryType::kKNearest || !ReadyToRead()) return false;
-    if (array_.empty()) return true;
-    const bool join = query.type() == QueryType::kJoin;
-    const Box<D> box = join ? Box<D>::Infinite() : DescentBox(query);
-    if (box.IsEmpty()) return true;
+    if (query.type() == QueryType::kKNearest) return false;
+    if (query.type() != QueryType::kJoin) {
+      const Box<D> box = DescentBox(query);
+      if (box.IsEmpty()) return ReadyToRead();
+      return Read(box, RangePredicate::kIntersects, false, nullptr, nullptr);
+    }
+    if (!ReadyToRead()) return false;
     for (const ExtentClass& c : classes_) {
-      const Box<D> ext = join ? box : ExtendedBox(box, c.half_extent);
-      const Thresholds t = join ? JoinThresholds(c) : LeafThresholds(c, box);
-      if (!ReadDescent(c.root, ext, t, 0u, nullptr)) return false;
+      if (!ReadDescent(c.root, Box<D>::Infinite(), JoinThresholds(c), 0u,
+                       nullptr)) {
+        return false;
+      }
     }
     return true;
   }
@@ -411,83 +413,31 @@ class QuasiiIndex final : public SpatialIndex<D> {
     --c.live;
   }
 
-  /// Descends every class at the thresholds `LeafThresholds` sizes to `q`,
-  /// then runs the recorded leaf scans on the calling thread, in capture
-  /// (= visit) order, straight into the query's emitter. Only the cracking
-  /// steps of the descent fork; a converged read runs no task.
+  /// The refine pre-pass — `PrepareArray`, then a refine-only `Visit` of
+  /// every class at the thresholds `LeafThresholds` sizes to `q` — and
+  /// then the read, which the pre-pass leaves nothing to refine. Only the
+  /// cracking steps of the pre-pass fork; the read runs no task.
   void ExecuteBox(const Box<D>& q, RangePredicate predicate, bool count_only,
                   Sink& sink) override {
     PrepareArray();
-    if (array_.empty()) return;
-    JobBuffer buffer;
-    BoxExec ctx{&q, &buffer.jobs};
     for (ExtentClass& c : classes_) {
       if (c.root.empty()) continue;
-      ctx.threshold = LeafThresholds(c, q);
-      Visit(&c.root, ctx, ExtendedBox(q, c.half_extent), 0u);
+      Visit(&c.root, LeafThresholds(c, q), ExtendedBox(q, c.half_extent),
+            /*descend=*/true);
     }
-    ScanJobs(buffer.jobs, q, predicate, count_only, sink, &this->Stats());
+    if (!Read(q, predicate, count_only, &sink, &this->Stats())) {
+      this->AbortDeclinedRead();
+    }
   }
 
-  /// The shared-lock attempt of a range, count, point or conjunction read:
-  /// one read-only descent per class (`ReadDescent`, at the thresholds
-  /// `LeafThresholds` sizes to the query's descent box, computed once per
-  /// class) that collects the read's leaf scans as `ExecuteBox` would, then
-  /// those scans in capture order. It declines at once when the array is
-  /// not `ReadyToRead`, and at the first slice a reorganizing descent would
-  /// refine or give a first child. The descent's counters reach the stats
-  /// shard only once every class's descent has completed, and nothing
-  /// reaches the sink before that, so a declined attempt leaves no trace
-  /// and the exclusive retry counts and emits exactly what it would have
-  /// alone. The descent is `const`: a shared read cannot reorganize. kNN
-  /// always declines (see `ConvergedFor`).
+  /// The shared-lock attempt: `Read` for box queries, declining kNN.
   bool TryExecuteShared(const Query<D>& query, Sink& sink) override {
-    if (query.type() == QueryType::kKNearest || !ReadyToRead()) return false;
-    if (array_.empty()) return true;
-    const std::vector<ConjunctiveTerm<D>>* terms = nullptr;
-    std::size_t driver = 0;
-    Box<D> q;
-    RangePredicate predicate = RangePredicate::kIntersects;
-    switch (query.type()) {
-      case QueryType::kRange:
-      case QueryType::kCount:
-        q = query.box();
-        predicate = query.predicate();
-        break;
-      case QueryType::kPoint:
-        q = Box<D>(query.point(), query.point());
-        break;
-      case QueryType::kConjunction:
-        terms = &query.terms();
-        driver = ConjunctionDriverIndex(*terms);
-        q = (*terms)[driver].box;
-        predicate = (*terms)[driver].predicate;
-        break;
-      case QueryType::kKNearest:
-      case QueryType::kJoin:
-        return false;
-    }
-    JobBuffer buffer;
-    ReadPlan plan{&q, &buffer.jobs};
-    for (const ExtentClass& c : classes_) {
-      if (c.root.empty()) continue;
-      if (!ReadDescent(c.root, ExtendedBox(q, c.half_extent),
-                       LeafThresholds(c, q), 0u, &plan)) {
-        return false;
-      }
-    }
-    QueryStats& st = this->Stats();
-    st.partitions_visited += plan.partitions_visited;
-    st.objects_tested += plan.objects_tested;
-    if (terms != nullptr && terms->size() > 1) {
-      typename SpatialIndex<D>::ConjunctionFilterSink filter(
-          &this->store_, terms, driver, &sink);
-      ScanJobs(buffer.jobs, q, predicate, /*count_only=*/false, filter, &st);
-    } else {
-      ScanJobs(buffer.jobs, q, predicate, query.type() == QueryType::kCount,
-               sink, &st);
-    }
-    return true;
+    return this->RunBoxQuery(
+        query, sink,
+        [this](const Box<D>& q, RangePredicate predicate, bool count_only,
+               Sink& s) {
+          return Read(q, predicate, count_only, &s, &this->Stats());
+        });
   }
 
   /// Expanding-ring kNN: range probes of doubling radius run through the
@@ -537,14 +487,10 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
  private:
-  /// One leaf scan, recorded during a descent and run after it (by
-  /// `ExecuteBox` or `TryExecuteShared`), so nothing reaches the sink
-  /// before the descent (and every refinement in it) has ended. Captured BY
-  /// VALUE — `Slice` pointers dangle the moment a later refinement rebuilds
-  /// a slice list, but the row range of a processed leaf never moves within
-  /// one query (subsequent refinements reorganize only other, disjoint
-  /// ranges), so (begin, end, covered) is all a scan needs. A job may span
-  /// several adjacent leaves (`RecordLeafScan` merges them).
+  /// One leaf scan, planned by `Read`'s descent and run after it, so
+  /// nothing reaches the sink before the descent of every class has
+  /// completed. A job may span several adjacent leaves (`RecordLeafScan`
+  /// merges them).
   struct LeafScanJob {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -601,21 +547,9 @@ class QuasiiIndex final : public SpatialIndex<D> {
     emit.Flush();
   }
 
-  /// Descent context, threaded through the recursive slice walk. Leaf
-  /// scans are recorded in `jobs` in visit order; `ExecuteBox` runs them
-  /// once the descent completes. A context without a query box
-  /// (`q == nullptr`, as the join descent uses) only refines: `Visit` then
-  /// processes nothing, so `jobs` stays unused. `threshold` is the level
-  /// thresholds the extent class being descended is refined to.
-  struct BoxExec {
-    const Box<D>* q;
-    std::vector<LeafScanJob>* jobs = nullptr;
-    Thresholds threshold{};
-  };
-
   /// What a collecting `ReadDescent` gathers for a read of `q`: its leaf
-  /// scans and the counters `Process` would add, held here until the
-  /// descent of every class has completed.
+  /// scans and their counters, held here until the descent of every class
+  /// has completed.
   struct ReadPlan {
     const Box<D>* q;
     std::vector<LeafScanJob>* jobs;
@@ -686,13 +620,44 @@ class QuasiiIndex final : public SpatialIndex<D> {
     return initialized_ && array_.pending_count() == 0 && !CompactionDue();
   }
 
-  /// The one read-only descent over one class's slices, routed like
-  /// `Visit` and `Process` (the same `outside` test, `covered` mask and
-  /// leaf-job merge): false at the first touched slice a reorganizing
-  /// descent would change, one that `NeedsRefinement` at its level
-  /// threshold or a non-leaf without children. With a `plan` it records
-  /// the leaf scans and the counters of a read of `plan->q`; without one
-  /// (`ConvergedFor`) it only decides.
+  /// The one read of a box query: a read-only descent per class
+  /// (`ReadDescent`, with `q` widened by the class's half extent,
+  /// `ExtendedBox`, at the thresholds `LeafThresholds` sizes to `q`) plans
+  /// the leaf scans, then those scans run in plan (= visit) order into one
+  /// emitter. Declines (false, nothing counted or emitted) when the array
+  /// is not `ReadyToRead`, or at the first slice the refine pre-pass would
+  /// change. With a null `sink` it only decides, recording nothing.
+  bool Read(const Box<D>& q, RangePredicate predicate, bool count_only,
+            Sink* sink, QueryStats* st) const {
+    if (!ReadyToRead()) return false;
+    if (array_.empty()) return true;
+    JobBuffer buffer;
+    ReadPlan plan{&q, &buffer.jobs};
+    ReadPlan* record = sink == nullptr ? nullptr : &plan;
+    for (const ExtentClass& c : classes_) {
+      if (!ReadDescent(c.root, ExtendedBox(q, c.half_extent),
+                       LeafThresholds(c, q), 0u, record)) {
+        return false;
+      }
+    }
+    if (sink == nullptr) return true;
+    st->partitions_visited += plan.partitions_visited;
+    st->objects_tested += plan.objects_tested;
+    ScanJobs(buffer.jobs, q, predicate, count_only, *sink, st);
+    return true;
+  }
+
+  /// The one read-only descent over one class's slices, routed like the
+  /// refine pre-pass (`Visit` with `descend`: the same `outside` test):
+  /// false at the first touched slice the pre-pass would change, one that
+  /// `NeedsRefinement` at its level threshold or a non-leaf without
+  /// children. With a `plan` it records the leaf scans and the counters of
+  /// a read of `plan->q`; without one it only decides. `covered` is the
+  /// bitmask of dimensions whose slice value range lies inside the query's
+  /// own interval — every centre key there is inside `q`, which (as
+  /// `box.lo <= centre <= box.hi`) already proves the box overlaps `q` in
+  /// that dimension, so the leaf scan skips its bound test (intersection
+  /// predicate only; `StreamScan` ignores the mask for containment).
   bool ReadDescent(const std::vector<Slice>& slices, const Box<D>& ext,
                    const Thresholds& threshold, unsigned covered,
                    ReadPlan* plan) const {
@@ -1441,18 +1406,19 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
   }
 
-  /// Walks one level's slice list: skips slices outside `ext`, refines the
-  /// touched slices that need it (`NeedsRefinement`), and processes the
-  /// rest and the refinement pieces (`Process`: descend, or record a leaf
-  /// scan) unless the context has no query box. Refinement pieces are
-  /// stitched into a rebuilt list in one pass instead of `erase`+`insert`
-  /// splicing, so a query that cracks k slices costs one O(list) rebuild,
-  /// not k of them.
-  void Visit(std::vector<Slice>* slices, const BoxExec& ctx, const Box<D>& ext,
-             unsigned covered) {
+  /// Walks one level's slice list at level thresholds `threshold`: skips
+  /// slices outside `ext` and refines the touched slices that need it
+  /// (`NeedsRefinement`). With `descend` (a box query's refine pre-pass)
+  /// it walks on below each touched slice and refinement piece
+  /// (`Descend`); without it (the join descent, which walks the levels
+  /// itself) it refines this level only. Refinement pieces are stitched
+  /// into a rebuilt list in one pass instead of `erase`+`insert` splicing,
+  /// so a query that cracks k slices costs one O(list) rebuild, not k of
+  /// them.
+  void Visit(std::vector<Slice>* slices, const Thresholds& threshold,
+             const Box<D>& ext, bool descend) {
     const int d = slices->front().level;
-    const bool process = ctx.q != nullptr;
-    const std::size_t limit = ctx.threshold[static_cast<std::size_t>(d)];
+    const std::size_t limit = threshold[static_cast<std::size_t>(d)];
     std::vector<Slice>& rebuilt = visit_scratch_[static_cast<std::size_t>(d)];
     bool rebuilding = false;
     for (std::size_t i = 0; i < slices->size(); ++i) {
@@ -1470,11 +1436,11 @@ class QuasiiIndex final : public SpatialIndex<D> {
         }
         std::vector<Slice>& pieces = Refine(std::move(s), ext, limit);
         for (Slice& piece : pieces) {
-          if (process) Process(&piece, ctx, ext, covered);
+          if (descend) Descend(&piece, threshold, ext);
           rebuilt.push_back(std::move(piece));
         }
       } else {
-        if (!outside && process) Process(&s, ctx, ext, covered);
+        if (descend) Descend(&s, threshold, ext);
         if (rebuilding) rebuilt.push_back(std::move(s));
       }
     }
@@ -1484,27 +1450,17 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
   }
 
-  /// Handles one within-threshold (or frozen) slice that may overlap the
-  /// query: records its leaf scan at the leaf level, descends otherwise.
-  /// `covered` is the bitmask of dimensions whose slice value range lies
-  /// inside the query's own interval — every centre key there is inside
-  /// `q`, which (as `box.lo <= centre <= box.hi`) already proves the box
-  /// overlaps `q` in that dimension, so the leaf scan skips its bound test
-  /// (intersection predicate only; `StreamScan` ignores the mask for
-  /// containment). Adjacent leaves merge into one job (`RecordLeafScan`).
-  void Process(Slice* s, const BoxExec& ctx, const Box<D>& ext,
-               unsigned covered) {
+  /// The pre-pass step below one within-threshold (or frozen) slice that
+  /// may overlap the query: a touched non-leaf slice gets its first child
+  /// if it has none (`EnsureChild`), and its children are visited.
+  void Descend(Slice* s, const Thresholds& threshold, const Box<D>& ext) {
     const int d = s->level;
-    if (s->size() == 0 || s->lo >= ext.hi[d] || s->hi <= ext.lo[d]) return;
-    if (ctx.q->lo[d] <= s->lo && s->hi <= ctx.q->hi[d]) covered |= 1u << d;
-    ++this->Stats().partitions_visited;
-    if (d == D - 1) {
-      this->Stats().objects_tested += s->size();
-      RecordLeafScan(ctx.jobs, s->begin, s->end, covered);
+    if (d == D - 1 || s->size() == 0 || s->lo >= ext.hi[d] ||
+        s->hi <= ext.lo[d]) {
       return;
     }
     EnsureChild(s);
-    Visit(&s->children, ctx, ext, covered);
+    Visit(&s->children, threshold, ext, /*descend=*/true);
   }
 
   /// Materializes a non-leaf slice's single open child (the lazy first
@@ -1544,8 +1500,7 @@ class QuasiiIndex final : public SpatialIndex<D> {
     Box<D> ext = Box<D>::Infinite();
     ext.lo[d] = lo;
     ext.hi[d] = hi;
-    const BoxExec ctx{nullptr, nullptr, threshold};
-    Visit(slices, ctx, ext, 0u);
+    Visit(slices, threshold, ext, /*descend=*/false);
   }
 
   /// One level of the lockstep join descent over two slice lists (of this

@@ -67,36 +67,19 @@ class SfcrackerIndex final : public SpatialIndex<D> {
   /// query re-reads the recovered store wholesale.
   void RebuildFromStore() override { initialized_ = false; }
 
-  /// A box query is converged when every Z-interval it decomposes into has
-  /// both of its crack boundaries already learned — then `CrackAt` is a
-  /// pure map lookup and the interval scans (plus the read-only pending
-  /// scan) mutate nothing. kNN stays conservative: its expanding ring
-  /// probes regions the triggering query never names — as do joins, whose
-  /// nested-loop probes crack around every partner box.
+  /// A box query is converged when its `Read` would not decline: every
+  /// Z-interval it decomposes into has both of its crack boundaries
+  /// learned. kNN stays conservative: its expanding ring probes regions the
+  /// triggering query never names — as do joins, whose nested-loop probes
+  /// crack around every partner box.
   bool ConvergedFor(const Query<D>& query) const override {
-    if (!initialized_) return false;
     if (query.type() == QueryType::kKNearest ||
         query.type() == QueryType::kJoin) {
       return false;
     }
     const Box<D> box = DescentBox(query);
-    if (box.IsEmpty()) return true;
-    Box<D> extended = box;
-    for (int d = 0; d < D; ++d) {
-      extended.lo[d] -= half_extent_[d];
-      extended.hi[d] += half_extent_[d];
-    }
-    typename zorder::ZGrid<D>::Cells lo, hi;
-    grid_.CellRect(extended, &lo, &hi);
-    for (const zorder::ZInterval& iv :
-         zorder::DecomposeCached<D>(lo, hi, params_.max_intervals)) {
-      if (boundaries_.find(iv.lo) == boundaries_.end()) return false;
-      if (iv.hi != std::numeric_limits<zorder::ZCode>::max() &&
-          boundaries_.find(iv.hi + 1) == boundaries_.end()) {
-        return false;
-      }
-    }
-    return true;
+    if (box.IsEmpty()) return initialized_;
+    return Read(box, RangePredicate::kIntersects, false, nullptr, nullptr);
   }
 
  protected:
@@ -112,44 +95,30 @@ class SfcrackerIndex final : public SpatialIndex<D> {
     if (overflow_.NeedsRebuild(this->store_.live_count())) Initialize();
   }
 
+  /// The refine pre-pass (`CrackAt` at both boundaries of every interval,
+  /// in interval order), then the read, which it leaves nothing to crack.
   void ExecuteBox(const Box<D>& q, RangePredicate predicate, bool count_only,
                   Sink& sink) override {
     if (!initialized_) Initialize();
-
-    Box<D> extended = q;
-    for (int d = 0; d < D; ++d) {
-      extended.lo[d] -= half_extent_[d];
-      extended.hi[d] += half_extent_[d];
-    }
-    typename zorder::ZGrid<D>::Cells lo, hi;
-    grid_.CellRect(extended, &lo, &hi);
-    // Thread-local (concurrent converged queries must not share an index
-    // member) and memoized: when `Execute`'s ConvergedFor pre-check just
-    // decomposed this same rectangle, the cached intervals are reused.
-    const std::vector<zorder::ZInterval>& intervals =
-        zorder::DecomposeCached<D>(lo, hi, params_.max_intervals);
-    this->Stats().intervals += intervals.size();
-
-    MatchEmitter emit(count_only, &sink);
-    for (const zorder::ZInterval& iv : intervals) {
-      ++this->Stats().partitions_visited;
-      const std::size_t begin = CrackAt(iv.lo);
-      std::size_t end = codes_.size();
+    for (const zorder::ZInterval& iv : Intervals(q)) {
+      CrackAt(iv.lo);
       if (iv.hi != std::numeric_limits<zorder::ZCode>::max()) {
-        end = CrackAt(iv.hi + 1);
-      }
-      for (std::size_t k = begin; k < end; ++k) {
-        const ObjectId id = ids_[k];
-        if (overflow_.dead(id)) continue;
-        ++this->Stats().objects_tested;
-        if (MatchesPredicate(this->store_.box(id), q, predicate)) {
-          emit.Add(id);
-        }
+        CrackAt(iv.hi + 1);
       }
     }
-    // Pending objects are not Z-coded yet.
-    overflow_.ScanPending(this->store_, q, predicate, &emit, &this->Stats());
-    emit.Flush();
+    if (!Read(q, predicate, count_only, &sink, &this->Stats())) {
+      this->AbortDeclinedRead();
+    }
+  }
+
+  /// The shared-lock attempt: `Read` for box queries, declining kNN.
+  bool TryExecuteShared(const Query<D>& query, Sink& sink) override {
+    return this->RunBoxQuery(
+        query, sink,
+        [this](const Box<D>& q, RangePredicate predicate, bool count_only,
+               Sink& s) {
+          return Read(q, predicate, count_only, &s, &this->Stats());
+        });
   }
 
   /// Expanding-ring kNN over the cracker's own range machinery — each probe
@@ -185,6 +154,63 @@ class SfcrackerIndex final : public SpatialIndex<D> {
   bool initialized() const { return initialized_; }
 
  private:
+  /// The Z-intervals `q` decomposes into, after extending it by the
+  /// largest half extent (centre-based codes). Thread-local (concurrent
+  /// reads must not share an index member) and memoized, so the read after
+  /// a refine pre-pass reuses the pre-pass's intervals.
+  const std::vector<zorder::ZInterval>& Intervals(const Box<D>& q) const {
+    Box<D> extended = q;
+    for (int d = 0; d < D; ++d) {
+      extended.lo[d] -= half_extent_[d];
+      extended.hi[d] += half_extent_[d];
+    }
+    typename zorder::ZGrid<D>::Cells lo, hi;
+    grid_.CellRect(extended, &lo, &hi);
+    return zorder::DecomposeCached<D>(lo, hi, params_.max_intervals);
+  }
+
+  /// The one read of a box query: plans each interval's row range from the
+  /// learned boundaries, then scans the ranges and the pending inserts into
+  /// one emitter. Declines (false, nothing counted or emitted) when the
+  /// cracker is uninitialized or some boundary is not learned yet. With a
+  /// null `sink` it only decides, recording nothing.
+  bool Read(const Box<D>& q, RangePredicate predicate, bool count_only,
+            Sink* sink, QueryStats* st) const {
+    if (!initialized_) return false;
+    const std::vector<zorder::ZInterval>& intervals = Intervals(q);
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    ranges.reserve(intervals.size());
+    for (const zorder::ZInterval& iv : intervals) {
+      const auto begin = boundaries_.find(iv.lo);
+      if (begin == boundaries_.end()) return false;
+      std::size_t end = codes_.size();
+      if (iv.hi != std::numeric_limits<zorder::ZCode>::max()) {
+        const auto it = boundaries_.find(iv.hi + 1);
+        if (it == boundaries_.end()) return false;
+        end = it->second;
+      }
+      ranges.emplace_back(begin->second, end);
+    }
+    if (sink == nullptr) return true;
+    st->intervals += intervals.size();
+    MatchEmitter emit(count_only, sink);
+    for (const auto& [begin, end] : ranges) {
+      ++st->partitions_visited;
+      for (std::size_t k = begin; k < end; ++k) {
+        const ObjectId id = ids_[k];
+        if (overflow_.dead(id)) continue;
+        ++st->objects_tested;
+        if (MatchesPredicate(this->store_.box(id), q, predicate)) {
+          emit.Add(id);
+        }
+      }
+    }
+    // Pending objects are not Z-coded yet.
+    overflow_.ScanPending(this->store_, q, predicate, &emit, st);
+    emit.Flush();
+    return true;
+  }
+
   /// First-query (and mutation-overflow restart) work: the multi- to
   /// one-dimensional transformation over the live set. Learned boundaries
   /// reset; subsequent queries re-crack.
@@ -207,12 +233,11 @@ class SfcrackerIndex final : public SpatialIndex<D> {
     initialized_ = true;
   }
 
-  /// Returns the position `p` such that `codes_[0, p)` are < `v` and
-  /// `codes_[p, n)` are >= `v`, cracking the containing piece if the
-  /// boundary is not yet known (incremental quicksort step of [18]).
-  std::size_t CrackAt(zorder::ZCode v) {
-    const auto exact = boundaries_.find(v);
-    if (exact != boundaries_.end()) return exact->second;
+  /// Learns the boundary `v`: the position `p` such that `codes_[0, p)`
+  /// are < `v` and `codes_[p, n)` are >= `v`, cracking the containing piece
+  /// if it is not yet known (incremental quicksort step of [18]).
+  void CrackAt(zorder::ZCode v) {
+    if (boundaries_.count(v) != 0) return;
 
     std::size_t piece_lo = 0;
     std::size_t piece_hi = codes_.size();
@@ -231,7 +256,6 @@ class SfcrackerIndex final : public SpatialIndex<D> {
     boundaries_[v] = pos;
     ++this->Stats().cracks;
     this->Stats().objects_moved += piece_hi - piece_lo;
-    return pos;
   }
 
   zorder::ZGrid<D> grid_;

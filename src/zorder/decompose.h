@@ -107,8 +107,8 @@ class ZRangeDecomposer {
 /// Per-thread decomposition scratch shared by the SFC-based indexes:
 /// returns the interval list for `(rect_lo, rect_hi, max_intervals)`,
 /// reusing the previous result when the arguments repeat — decomposition
-/// is a pure function of them, so a convergence pre-check followed by the
-/// execution of the same query costs one decomposition, and repeated calls
+/// is a pure function of them, so SFCracker's refine pre-pass followed by
+/// the read of the same query costs one decomposition, and repeated calls
 /// on one thread never reallocate. Thread-local, so concurrent queries
 /// never share a buffer; the reference stays valid until the calling
 /// thread's next call.

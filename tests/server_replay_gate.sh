@@ -14,8 +14,9 @@
 # Usage: server_replay_gate.sh <quasii_server> <quasii_client> <workdir>
 set -euo pipefail
 
-SERVER="$1"
-CLIENT="$2"
+# Absolute paths: the script `cd`s into its work dir before starting them.
+SERVER="$(realpath "$1")"
+CLIENT="$(realpath "$2")"
 WORKDIR="$3"
 
 N=4096

@@ -5,7 +5,9 @@
 // counters and an id-column hash for a fixed session on a single-class
 // index, the query-aware leaf size against Scan and its own convergence
 // replay, and the counters of cracking queries against their crack-free
-// reruns (a declined shared-lock attempt must leave no counts behind).
+// reruns (a declined shared-lock attempt must leave no counts behind) in
+// QUASII, SFCracker and Mosaic, with pinned counters and an answer hash for
+// a fixed mixed stream on the latter two.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -28,10 +30,12 @@
 #include "datagen/queries.h"
 #include "datagen/synthetic.h"
 #include "geometry/box.h"
+#include "mosaic/mosaic_index.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
 #include "quasii/quasii_index.h"
 #include "scan/scan_index.h"
+#include "sfc/sfcracker_index.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -45,6 +49,7 @@ using quasii::Dataset3;
 using quasii::IdPair;
 using quasii::JoinQuery;
 using quasii::KNearestQuery;
+using quasii::MosaicIndex;
 using quasii::ObjectId;
 using quasii::Point;
 using quasii::PointQuery;
@@ -54,6 +59,7 @@ using quasii::RangeQuery;
 using quasii::Rng;
 using quasii::Scalar;
 using quasii::ScanIndex;
+using quasii::SfcrackerIndex;
 using quasii::SpatialIndex;
 using quasii::VectorPairSink;
 using quasii::VectorSink;
@@ -589,22 +595,15 @@ void TestLeafSizeFollowsQuery() {
   CHECK_EQ(restored.stats().objects_moved, 0u);
 }
 
-/// A declined shared-lock attempt leaves no counts behind. On a cold
-/// session of the paper's data (K = 2) with clustered range, count and
-/// point queries, every query that cracks after the first ran under the
-/// exclusive lock once its shared attempt had declined inside the descent.
-/// Its rerun right after cracks nothing and runs shared. Both must
-/// report the same `partitions_visited`, `objects_tested` and
-/// `bytes_scanned`, so counts the declined attempt leaked would show up as
-/// a surplus on the cracking run.
-void TestDeclinedReadsLeakNoCounts() {
-  const Dataset3 data = PaperData(1 << 16);
-  QuasiiIndex<3> index(data);
-  quasii::datagen::ClusteredQueryParams cp;
-  cp.queries_per_cluster = 80;
-  cp.seed = 29;
-  const std::vector<Box3> boxes =
-      quasii::datagen::MakeClusteredQueries(DataBounds(data), data, cp);
+/// Runs the clustered range, count and point queries `boxes` on `index`
+/// and returns how many cracked. Every query that cracks ran under the
+/// exclusive lock once its shared attempt had declined; its rerun right
+/// after cracks nothing and runs shared. Both must report the same
+/// `partitions_visited`, `objects_tested`, `bytes_scanned` and `intervals`,
+/// so counts the declined attempt leaked would show up as a surplus on the
+/// cracking run.
+std::size_t CheckCrackingRunsMatchReruns(SpatialIndex<3>& index,
+                                         const std::vector<Box3>& boxes) {
   const auto run = [&index](const quasii::Query3& q) {
     const quasii::QueryStats before = index.stats();
     Answer(index, q);
@@ -623,15 +622,131 @@ void TestDeclinedReadsLeakNoCounts() {
     CHECK_EQ(first.partitions_visited, rerun.partitions_visited);
     CHECK_EQ(first.objects_tested, rerun.objects_tested);
     CHECK_EQ(first.bytes_scanned, rerun.bytes_scanned);
+    CHECK_EQ(first.intervals, rerun.intervals);
   }
+  return cracking;
+}
+
+/// A declined shared-lock attempt leaves no counts behind, in each adaptive
+/// index: a cold session of clustered queries on the paper's data, where
+/// QUASII has two extent classes, SFCracker cracks its code array and
+/// Mosaic splits its leaves (`CheckCrackingRunsMatchReruns`).
+void TestDeclinedReadsLeakNoCounts() {
+  const Dataset3 data = PaperData(1 << 16);
+  quasii::datagen::ClusteredQueryParams cp;
+  cp.queries_per_cluster = 80;
+  cp.seed = 29;
+  const std::vector<Box3> boxes =
+      quasii::datagen::MakeClusteredQueries(DataBounds(data), data, cp);
+  QuasiiIndex<3> index(data);
+  CHECK_GT(CheckCrackingRunsMatchReruns(index, boxes), 40u);
   CHECK_EQ(index.class_count(), 2u);
-  CHECK_GT(cracking, 40u);
+  SfcrackerIndex<3> cracker(data, DataBounds(data));
+  CHECK_GT(CheckCrackingRunsMatchReruns(cracker, boxes), 40u);
+  MosaicIndex<3>::Params mp;
+  mp.leaf_capacity = 64;
+  MosaicIndex<3> mosaic(data, DataBounds(data), mp);
+  CHECK_GT(CheckCrackingRunsMatchReruns(mosaic, boxes), 10u);
+}
+
+void Fnv1a(std::uint64_t* h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *h ^= (v >> (8 * byte)) & 0xFFu;
+    *h *= 1099511628211ull;
+  }
+}
+
+/// Runs a fixed 540-op stream on `index` over the paper's data `data`:
+/// ranges with each of the three predicates, points, counts, conjunctions,
+/// kNN, inserts and erases (of random ids, so some are refused). Returns an
+/// FNV-1a hash of every answer in emission order: the ids of each id query,
+/// each count, and each mutation's acceptance.
+std::uint64_t RunTrajectory(SpatialIndex<3>& index, const Dataset3& data) {
+  const Box3 u = DataBounds(data);
+  Rng rng(31);
+  std::uint64_t h = 1469598103934665603ull;
+  ObjectId next = static_cast<ObjectId>(data.size());
+  constexpr RangePredicate kPredicates[] = {RangePredicate::kIntersects,
+                                            RangePredicate::kContains,
+                                            RangePredicate::kContainedBy};
+  for (int i = 0; i < 540; ++i) {
+    const Box3 box = QueryBox(&rng, u, 0.1);
+    std::vector<ObjectId> ids;
+    switch (i % 9) {
+      case 0:
+      case 1:
+      case 2:
+        ids = Ids(index, RangeQuery<3>(box, kPredicates[i % 9]));
+        break;
+      case 3:
+        ids = Ids(index, PointQuery<3>(box.Center()));
+        break;
+      case 4: {
+        CountSink count;
+        index.Execute(CountQuery<3>(box), count);
+        Fnv1a(&h, count.count());
+        break;
+      }
+      case 5: {
+        const std::vector<ConjunctiveTerm<3>> terms = {
+            {box, RangePredicate::kIntersects},
+            {QueryBox(&rng, u, 0.3), RangePredicate::kContainedBy}};
+        ids = Ids(index, ConjunctiveQuery<3>(terms));
+        break;
+      }
+      case 6:
+        ids = Ids(index, KNearestQuery<3>(box.Center(), 8));
+        break;
+      case 7:
+        Fnv1a(&h, index.Insert(next++, SizedBox(&rng, 1, 10)));
+        break;
+      case 8:
+        Fnv1a(&h, index.Erase(static_cast<ObjectId>(
+                      rng.UniformInt(0, static_cast<std::int64_t>(next) - 1))));
+        break;
+    }
+    for (const ObjectId id : ids) Fnv1a(&h, id);
+  }
+  return h;
+}
+
+/// Trajectory pins for SFCracker and Mosaic, like QUASII's
+/// (`TestOneClassTrajectoryPin`): the fixed stream of `RunTrajectory` on
+/// 2^14 rows of the paper's data yields exactly the pinned counters and
+/// answer hash. They catch any change to either index's cracking or
+/// splitting order, its counting, or its emission order.
+void TestAdaptiveTrajectoryPins() {
+  const Dataset3 data = PaperData(1 << 14);
+  SfcrackerIndex<3> cracker(data, DataBounds(data));
+  CHECK_EQ(RunTrajectory(cracker, data), 14714452171163908266ull);
+  const quasii::QueryStats sc = cracker.stats();
+  CHECK_EQ(sc.objects_tested, 697224u);
+  CHECK_EQ(sc.partitions_visited, 124119u);
+  CHECK_EQ(sc.cracks, 245281u);
+  CHECK_EQ(sc.objects_moved, 25191128u);
+  CHECK_EQ(sc.duplicates_removed, 0u);
+  CHECK_EQ(sc.intervals, 123653u);
+  CHECK_EQ(sc.bytes_scanned, 0u);
+
+  MosaicIndex<3>::Params mp;
+  mp.leaf_capacity = 64;
+  MosaicIndex<3> mosaic(data, DataBounds(data), mp);
+  CHECK_EQ(RunTrajectory(mosaic, data), 11448704551430587374ull);
+  const quasii::QueryStats ms = mosaic.stats();
+  CHECK_EQ(ms.objects_tested, 150363u);
+  CHECK_EQ(ms.partitions_visited, 7268u);
+  CHECK_EQ(ms.cracks, 73u);
+  CHECK_EQ(ms.objects_moved, 49155u);
+  CHECK_EQ(ms.duplicates_removed, 0u);
+  CHECK_EQ(ms.intervals, 0u);
+  CHECK_EQ(ms.bytes_scanned, 0u);
 }
 
 }  // namespace
 
 int main() {
   RUN_TEST(TestOneClassTrajectoryPin);
+  RUN_TEST(TestAdaptiveTrajectoryPins);
   RUN_TEST(TestPaperClassesSplitAtSixteen);
   RUN_TEST(TestPaperDataTwoClasses);
   RUN_TEST(TestHomogeneousDataOneClass);

@@ -16,7 +16,6 @@
 #include "bench/workload.h"
 #include "common/bytes.h"
 #include "common/dataset.h"
-#include "common/executor.h"
 #include "common/query.h"
 #include "common/request.h"
 #include "common/simd.h"
@@ -46,7 +45,7 @@ namespace quasii::bench {
 /// agree across the roster). Schema v4 adds the `scaling` block on the
 /// uniform-workload QUASII results: aggregate query throughput of the
 /// *converged* index at 1/2/4/8 pool threads (the whole query stream,
-/// repeated to a measurable batch size, through `BatchExecutor`), the
+/// repeated to a measurable batch size, one chunk per thread), the
 /// measurement behind the multi-threaded execution layer's acceptance bar.
 /// Schema v5 adds the `join` per-op-type section everywhere and the "join"
 /// workload: repeated self-joins per index, the measurement behind the
@@ -114,12 +113,13 @@ struct ScalingPoint {
 
 /// Measures aggregate query throughput of the (already converged) index at
 /// 1/2/4/8 batch threads (scheduler workers plus the helping caller): the
-/// read-only query stream, repeated to a measurable batch size, dispatched
-/// through `BatchExecutor` — so converged QUASII executions take the
-/// shared-lock path and scale with threads. Wall-clock only; the index's
-/// reported work counters were captured before this runs. Speedups are only
-/// meaningful on machines with that many hardware threads (the report
-/// records throughput, not a verdict).
+/// read-only query stream, repeated to a measurable batch size, cut into
+/// one contiguous chunk per thread (`ParallelFor`), each query's ids in its
+/// own slot — so converged QUASII executions take the shared-lock path and
+/// scale with threads. Wall-clock only; the index's reported work counters
+/// were captured before this runs. Speedups are only meaningful on machines
+/// with that many hardware threads (the report records throughput, not a
+/// verdict).
 inline std::vector<ScalingPoint> MeasureScaling(SpatialIndex<3>* index,
                                                 const std::vector<Op3>& ops) {
   std::vector<Query3> queries;
@@ -138,10 +138,25 @@ inline std::vector<ScalingPoint> MeasureScaling(SpatialIndex<3>* index,
       std::max<std::size_t>(1, kTargetQueries / queries.size()));
   for (const int threads : {1, 2, 4, 8}) {
     TaskScheduler scheduler(threads - 1);
-    BatchExecutor<3> executor(&scheduler);
+    const std::size_t chunk =
+        (queries.size() + static_cast<std::size_t>(threads) - 1) /
+        static_cast<std::size_t>(threads);
     Timer wall;
     for (int r = 0; r < rounds; ++r) {
-      executor.Run(index, std::span<const Query3>(queries));
+      std::vector<std::vector<ObjectId>> ids(queries.size());
+      ParallelFor(&scheduler, 0, queries.size(), chunk,
+                  [&](std::size_t begin, std::size_t end) {
+                    CountSink count;
+                    for (std::size_t i = begin; i < end; ++i) {
+                      if (queries[i].type() == QueryType::kCount) {
+                        count.Reset();
+                        index->Execute(queries[i], count);
+                      } else {
+                        VectorSink sink(&ids[i]);
+                        index->Execute(queries[i], sink);
+                      }
+                    }
+                  });
     }
     ScalingPoint p;
     p.threads = threads;

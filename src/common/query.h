@@ -88,9 +88,8 @@ bool IsFinite(const Box<D>& b) {
 /// choice is deterministic); every other term filters the candidates
 /// exactly. Any term is a sound driver — containment predicates imply
 /// intersection and each index executes all three predicates exactly — the
-/// volume rule is purely a cost heuristic. Shared by
-/// `SpatialIndex::RunBoxQuery` (every box execution and shared-lock read)
-/// and `DescentBox` (the adaptive indexes' `ConvergedFor`), so all of them
+/// volume rule is purely a cost heuristic. Shared by `SpatialIndex::Run`
+/// (every box execution and shared-lock read) and `DescentBox`, so both
 /// route identically.
 template <int D>
 std::size_t ConjunctionDriverIndex(
@@ -319,12 +318,10 @@ Query<D> ConjunctiveQuery(std::vector<ConjunctiveTerm<D>> terms) {
   return Query<D>::MakeConjunction(std::move(terms));
 }
 
-/// The box that drives a query's single-index descent — the box the
-/// adaptive indexes' `ConvergedFor` runs their read with: the query box for
+/// The box that drives a query's single-index descent: the query box for
 /// ranges/counts, `[p, p]` for point probes, the driver term's box for
-/// conjunctions. Must mirror `SpatialIndex::RunBoxQuery` exactly. Not
-/// meaningful for kKNearest or kJoin (their `ConvergedFor` answers before
-/// needing a box).
+/// conjunctions. Must mirror `SpatialIndex::Run` exactly. Not meaningful
+/// for kKNearest or kJoin.
 template <int D>
 Box<D> DescentBox(const Query<D>& q) {
   switch (q.type()) {

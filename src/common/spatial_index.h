@@ -1,7 +1,6 @@
 #ifndef QUASII_COMMON_SPATIAL_INDEX_H_
 #define QUASII_COMMON_SPATIAL_INDEX_H_
 
-#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -55,20 +54,22 @@ using Entry3 = Entry<3>;
 /// must hold a distinct stats slot — every `TaskScheduler` worker holds
 /// one). A reader-writer lock in this base class arbitrates: mutations
 /// and reorganizing executions take the exclusive side; every execution
-/// first makes one attempt under the shared side (`TryExecuteShared`),
-/// which either runs the query without changing index state or declines
-/// before anything reaches the sink, and a declined query runs again under
-/// the exclusive side. Static indexes are read-safe as soon as they are
-/// built. An adaptive index (QUASII, SFCracker, Mosaic) splits each box
-/// execution in two: a refine pre-pass that cracks/splits what the query
-/// touches, run only under the exclusive side, then one `const`
-/// plan-then-scan read. The shared attempt runs that same read, which
-/// declines, with no counts and no emits, while the query would still
-/// crack/split. An index-vs-index join locks BOTH indexes (in a global
-/// address order, so concurrent A⋈B and B⋈A cannot deadlock) and runs
-/// shared only when both sides' `ConvergedFor` agree. `Build()` and the
-/// stats accessors are NOT thread-safe — call them while no query is in
-/// flight.
+/// first makes one attempt under the shared side, which either runs the
+/// query without changing index state or declines, and a declined query
+/// runs again under the exclusive side. There is no per-query predicate:
+/// a box query's attempt is `TryReadBox`, and a join's is `TryJoinShared`
+/// (a stream join tries one box read per probe). A static index answers
+/// one query-independent fact, `ReadOnly()`, and while it holds the base
+/// class runs its executions under the shared lock as they are. An
+/// adaptive index (QUASII, SFCracker, Mosaic) splits each execution in
+/// two: a refine pre-pass that cracks/splits what the query touches, run
+/// only under the exclusive side, then one `const` plan-then-scan read.
+/// Its shared attempt runs that same read, which declines, with no counts
+/// and no emits, while the query would still crack/split; under the shared
+/// lock it runs only `const` members. An index-vs-index join locks BOTH
+/// indexes (in a global address order, so concurrent A⋈B and B⋈A cannot
+/// deadlock). `Build()` and the stats accessors are NOT thread-safe — call
+/// them while no query is in flight.
 ///
 /// `Execute` normalizes the query — empty boxes short-circuit (an inverted
 /// box matches nothing and must not trigger reorganization), a point query
@@ -77,10 +78,11 @@ using Entry3 = Entry<3>;
 /// two per-index primitives: `ExecuteBox` (range/point/count/conjunction;
 /// `count_only` switches the leaf paths to anonymous `Sink::AddMatches` so
 /// no id is ever materialized) and `ExecuteKNearest` (results emitted in
-/// ascending (distance, id) order). Joins dispatch to `ExecuteJoin` /
-/// `ExecuteStreamJoin`, which default to index-nested-loop probes through
-/// `ExecuteBox` — so every index joins correctly out of the box, and
-/// adaptive ones crack from the probe traffic.
+/// ascending (distance, id) order). An index-vs-index join dispatches to
+/// `ExecuteJoin`, which defaults to index-nested-loop probes through
+/// `ExecuteBox`, and a stream join probes `ExecuteBox` once per stream box
+/// — so every index joins correctly out of the box, and adaptive ones
+/// crack from the probe traffic.
 template <int D>
 class SpatialIndex {
  public:
@@ -92,21 +94,6 @@ class SpatialIndex {
   /// One-off pre-processing. No-op for incremental indexes. Not
   /// thread-safe: call before queries start flowing.
   virtual void Build() {}
-
-  /// Whether executing `query` right now is guaranteed not to change any
-  /// index state (beyond the caller's own stats shard). The default
-  /// `TryExecuteShared` asks it before a shared-lock read, and joins ask it
-  /// of both participants.
-  /// Static indexes answer true once built; adaptive indexes answer with
-  /// their `const` read run with nothing recorded, so true means the
-  /// query's descent would touch only converged structure. For `kJoin` the
-  /// answer covers only this side's structure. Only meaningful under at
-  /// least the shared lock (i.e. from inside `Execute`) or while no other
-  /// thread is mutating; conservative `false` is always correct.
-  virtual bool ConvergedFor(const Query<D>& query) const {
-    (void)query;
-    return false;
-  }
 
   /// Adds object `id` with MBB `box`. Fails (returns false, no state
   /// change) when `id` is currently live or `box` is empty or has a NaN or
@@ -189,8 +176,8 @@ class SpatialIndex {
   /// Typed query execution: the one entry point every id-producing query
   /// funnels through (joins produce pairs — use the `PairSink` overload).
   /// Thread-safe (see the class comment): attempts the query under the
-  /// shared lock (`TryExecuteShared`) and runs it under the exclusive lock
-  /// when the attempt declines.
+  /// shared lock and runs it under the exclusive lock when the attempt
+  /// declines.
   virtual void Execute(const Query<D>& query, Sink& sink) {
     // Degenerate queries resolve to nothing without touching (or locking)
     // any structure: an inverted box matches nothing and must not trigger
@@ -215,42 +202,38 @@ class SpatialIndex {
     }
     {
       std::shared_lock<std::shared_mutex> lock(mutex_);
-      if (TryExecuteShared(query, sink)) return;
+      if (Run(query, sink, /*shared=*/true)) return;
     }
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    Dispatch(query, sink);
+    Run(query, sink, /*shared=*/false);
   }
 
   /// Join execution: streams every qualifying pair into `sink` in canonical
   /// order (unique, ascending (left, right); self-joins report each
   /// unordered pair once and never `(id, id)` — see `JoinEmitter`).
   /// Thread-safe: an index-vs-index join locks both participants in global
-  /// address order and runs shared only when both sides' `ConvergedFor`
-  /// approve; otherwise both are locked exclusively so the adaptive
-  /// implementations may crack either side.
+  /// address order. It first runs `TryJoinShared` (a stream join, one
+  /// `TryReadBox` per probe) under both shared locks; a declined attempt
+  /// gives back the caller's stats shard as it found it and drops its
+  /// pairs, and the join runs again with both locks exclusive, so the
+  /// adaptive implementations may crack either side.
   virtual void Execute(const Query<D>& query, PairSink& sink) {
     if (query.type() != QueryType::kJoin) {
       QueryApiAbort(
           "only joins emit pairs; use the Execute(query, Sink&) overload");
     }
-    if (const std::vector<Box<D>>* stream = query.join_stream()) {
-      JoinEmitter emit(/*self_join=*/false, &sink);
-      {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        if (ConvergedFor(query)) {
-          ExecuteStreamJoin(*stream, emit);
-          emit.Flush();
-          return;
+    const std::vector<Box<D>>* stream = query.join_stream();
+    SpatialIndex<D>* other = stream != nullptr ? this : query.join_other();
+    const bool self = stream == nullptr && other == this;
+    const auto probe_stream = [this, stream](JoinEmitter& emit, bool shared) {
+      for (std::size_t i = 0; i < stream->size(); ++i) {
+        if (!ProbeJoinLeft((*stream)[i], static_cast<ObjectId>(i), &emit,
+                           shared)) {
+          return false;
         }
       }
-      std::unique_lock<std::shared_mutex> lock(mutex_);
-      ExecuteStreamJoin(*stream, emit);
-      emit.Flush();
-      return;
-    }
-    SpatialIndex<D>* other = query.join_other();
-    const bool self = (other == this);
-    JoinEmitter emit(self, &sink);
+      return true;
+    };
     // Global address order makes concurrent A⋈B and B⋈A acquire the two
     // locks in the same sequence — no deadlock.
     SpatialIndex<D>* first = this;
@@ -259,31 +242,29 @@ class SpatialIndex {
     {
       std::shared_lock<std::shared_mutex> lock1(first->mutex_);
       std::shared_lock<std::shared_mutex> lock2;
-      if (!self) lock2 = std::shared_lock<std::shared_mutex>(second->mutex_);
-      if (ConvergedFor(query) && (self || other->ConvergedFor(query))) {
-#ifndef NDEBUG
-        const std::uint64_t cracks_before = stats_.Local().cracks;
-        const std::uint64_t moved_before = stats_.Local().objects_moved;
-        const std::uint64_t other_cracks_before = other->stats_.Local().cracks;
-        const std::uint64_t other_moved_before =
-            other->stats_.Local().objects_moved;
-#endif
-        ExecuteJoin(*other, emit);
+      if (other != this) {
+        lock2 = std::shared_lock<std::shared_mutex>(second->mutex_);
+      }
+      JoinEmitter emit(self, &sink);
+      const QueryStats before = Stats();
+      if (stream != nullptr ? probe_stream(emit, /*shared=*/true)
+                            : TryJoinShared(*other, emit)) {
         emit.Flush();
-#ifndef NDEBUG
-        assert(stats_.Local().cracks == cracks_before &&
-               stats_.Local().objects_moved == moved_before &&
-               other->stats_.Local().cracks == other_cracks_before &&
-               other->stats_.Local().objects_moved == other_moved_before &&
-               "ConvergedFor approved a join that reorganized");
-#endif
         return;
       }
+      Stats() = before;
     }
     std::unique_lock<std::shared_mutex> lock1(first->mutex_);
     std::unique_lock<std::shared_mutex> lock2;
-    if (!self) lock2 = std::unique_lock<std::shared_mutex>(second->mutex_);
-    ExecuteJoin(*other, emit);
+    if (other != this) {
+      lock2 = std::unique_lock<std::shared_mutex>(second->mutex_);
+    }
+    JoinEmitter emit(self, &sink);
+    if (stream != nullptr) {
+      probe_stream(emit, /*shared=*/false);
+    } else {
+      ExecuteJoin(*other, emit);
+    }
     emit.Flush();
   }
 
@@ -308,7 +289,8 @@ class SpatialIndex {
   virtual void OnErase(ObjectId id) = 0;
 
   /// Range/point/count execution over a non-empty (possibly zero-extent)
-  /// box. Implementations stream ids via `Emit`/`EmitRun` — or, when
+  /// box, under the exclusive lock (or the shared one while `ReadOnly()`).
+  /// Implementations stream ids via `Emit`/`EmitRun` — or, when
   /// `count_only`, report anonymous totals via `AddMatches` and never touch
   /// ids.
   ///
@@ -319,10 +301,9 @@ class SpatialIndex {
   /// (e.g. a pre-extended probe box for centre-assigned structures) —
   /// through its walk, then calls `Flush` exactly once at the end. The
   /// context lives on the caller's stack, never in index members, so
-  /// concurrent shared-mode executions cannot interfere; per-index `BoxExec`
-  /// comments below document only their deltas from this contract. An
-  /// adaptive index runs its refine pre-pass, then the `const` read its
-  /// `TryExecuteShared` runs, which must not decline (`AbortDeclinedRead`).
+  /// concurrent shared-mode executions cannot interfere. An adaptive index
+  /// runs its refine pre-pass, then the `const` read its `TryReadBox`
+  /// runs, which must not decline (`AbortDeclinedRead`).
   virtual void ExecuteBox(const Box<D>& q, RangePredicate predicate,
                           bool count_only, Sink& sink) = 0;
 
@@ -332,60 +313,25 @@ class SpatialIndex {
   virtual void ExecuteKNearest(const Point<D>& pt, std::size_t k,
                                Sink& sink) = 0;
 
-  /// The shared-lock attempt of `Execute` (the caller holds the shared
-  /// lock): either runs `query` into `sink` without changing any index
-  /// state and returns true, or returns false having touched neither the
-  /// sink nor the stats, and `Execute` runs the query under the exclusive
-  /// lock instead. The default, for indexes that never reorganize, asks
-  /// `ConvergedFor` and then dispatches. An adaptive index overrides it to
-  /// run its `const` read through `RunBoxQuery`, declining kNN.
-  virtual bool TryExecuteShared(const Query<D>& query, Sink& sink) {
-    // Holding the shared lock excludes writers, so a true answer stays
-    // true for the whole dispatch.
-    if (!ConvergedFor(query)) return false;
-    Dispatch(query, sink);
+  /// Whether every execution of this index is, right now, a pure read of
+  /// its state: the one fact a static index answers, whatever the query.
+  /// While it holds, the base class runs `ExecuteBox`, `ExecuteKNearest`
+  /// and the joins under the shared lock. Adaptive indexes answer false.
+  virtual bool ReadOnly() const { return false; }
+
+  /// The shared-lock attempt of a box query (the caller holds the shared
+  /// lock): either runs it into `sink` without changing any index state
+  /// and returns true, or returns false having touched neither the sink
+  /// nor the stats. The default runs `ExecuteBox` while `ReadOnly()`; an
+  /// adaptive index overrides it with its `const` read.
+  virtual bool TryReadBox(const Box<D>& q, RangePredicate predicate,
+                          bool count_only, Sink& sink) {
+    if (!ReadOnly()) return false;
+    ExecuteBox(q, predicate, count_only, sink);
     return true;
   }
 
-  /// The one query-type switch of a box query (range, point, count or
-  /// conjunction): calls `run(box, predicate, count_only, sink)` with the
-  /// box the query descends with, and returns what it returns. A point
-  /// probes `[p, p]`; a conjunctive plan runs its driver term (the
-  /// smallest-volume one: sound for any driver, since containment implies
-  /// intersection and every index executes all three predicates exactly)
-  /// and, with several terms, filters the driver's candidates through the
-  /// rest. A conjunction is never count-only: the filter needs ids, so
-  /// count consumers count the emitted stream. kNN and joins are not box
-  /// queries: false, `run` never called. `Dispatch` runs `ExecuteBox`
-  /// through it, and adaptive indexes their shared-lock read.
-  template <typename Run>
-  bool RunBoxQuery(const Query<D>& query, Sink& sink, Run&& run) {
-    switch (query.type()) {
-      case QueryType::kRange:
-      case QueryType::kCount:
-        return run(query.box(), query.predicate(),
-                   query.type() == QueryType::kCount, sink);
-      case QueryType::kPoint:
-        return run(Box<D>(query.point(), query.point()),
-                   RangePredicate::kIntersects, false, sink);
-      case QueryType::kConjunction: {
-        const std::vector<ConjunctiveTerm<D>>& terms = query.terms();
-        const std::size_t driver = ConjunctionDriverIndex(terms);
-        const ConjunctiveTerm<D>& term = terms[driver];
-        if (terms.size() == 1) {
-          return run(term.box, term.predicate, false, sink);
-        }
-        ConjunctionFilterSink filter(&store_, &terms, driver, &sink);
-        return run(term.box, term.predicate, false, filter);
-      }
-      case QueryType::kKNearest:
-      case QueryType::kJoin:
-        return false;
-    }
-    return false;
-  }
-
-  /// The end of an adaptive index's exclusive box execution: its read just
+  /// The end of an adaptive index's exclusive execution: its read just
   /// declined although the refine pre-pass before it left nothing to
   /// crack/split. That is a bug, and a partial or empty answer would hide
   /// it, so the program stops in every build type.
@@ -396,38 +342,39 @@ class SpatialIndex {
     std::abort();
   }
 
-  /// Index-vs-index join body: `Add` every pair (left id from this index,
-  /// right id from `other`) whose MBBs intersect. `other` may be `*this`
-  /// (self-join); canonicalization — ordering, dedup, diagonal removal —
-  /// happens in the emitter's `Flush`, which the caller owns. Default is
-  /// the generic index-nested-loop: probe this index with every live box of
-  /// `other`, so any index pair joins correctly and adaptive left sides
-  /// crack from the probe traffic. Overrides provide the synchronized
-  /// traversals (R-Tree node-pair descent, QUASII's both-sides crack-driven
-  /// descent) when `other` is of their own type.
+  /// Index-vs-index join body, under both exclusive locks: `Add` every
+  /// pair (left id from this index, right id from `other`) whose MBBs
+  /// intersect. `other` may be `*this` (self-join); canonicalization —
+  /// ordering, dedup, diagonal removal — happens in the emitter's `Flush`,
+  /// which the caller owns. Default is the generic index-nested-loop: probe
+  /// this index with every live box of `other`, so any index pair joins
+  /// correctly and adaptive left sides crack from the probe traffic.
+  /// Overrides provide the synchronized traversals (R-Tree node-pair
+  /// descent, QUASII's both-sides crack-driven descent) when `other` is of
+  /// their own type.
   virtual void ExecuteJoin(SpatialIndex<D>& other, JoinEmitter& emit) {
-    other.store_.ForEachLive([&](ObjectId rid, const Box<D>& b) {
-      ProbeJoinLeft(b, rid, &emit);
-    });
+    NestedLoopJoin(other, emit, /*shared=*/false);
   }
 
-  /// Index-vs-stream join body: `Add` every pair (left id from this index,
-  /// stream position) whose MBBs intersect. Empty stream boxes match
-  /// nothing. Default: one probe per stream box.
-  virtual void ExecuteStreamJoin(const std::vector<Box<D>>& stream,
-                                 JoinEmitter& emit) {
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      ProbeJoinLeft(stream[i], static_cast<ObjectId>(i), &emit);
-    }
+  /// The join's shared-lock attempt, under both shared locks: runs the
+  /// join like `ExecuteJoin` without changing either index and returns
+  /// true, or returns false, and `Execute` drops its pairs and counts.
+  /// Default: the nested loop with every probe a `TryReadBox`, declining at
+  /// the first probe that declines.
+  virtual bool TryJoinShared(SpatialIndex<D>& other, JoinEmitter& emit) {
+    return NestedLoopJoin(other, emit, /*shared=*/true);
   }
 
   /// Probes this index with `box` and records each hit as the pair
   /// (hit, right_id) — the building block of nested-loop joins where this
-  /// index is the left side.
-  void ProbeJoinLeft(const Box<D>& box, ObjectId right_id, JoinEmitter* emit) {
-    if (box.IsEmpty()) return;
+  /// index is the left side. The probe is an `ExecuteBox`, or with
+  /// `shared` a `TryReadBox`, whose decline it returns as false.
+  bool ProbeJoinLeft(const Box<D>& box, ObjectId right_id, JoinEmitter* emit,
+                     bool shared = false) {
+    if (box.IsEmpty()) return true;
     ProbePairSink probe(emit, right_id, /*hit_is_left=*/true);
-    ExecuteBox(box, RangePredicate::kIntersects, /*count_only=*/false, probe);
+    return RunBox(box, RangePredicate::kIntersects, /*count_only=*/false,
+                  probe, shared);
   }
 
   /// Probes this index with `box` and records each hit as the pair
@@ -515,21 +462,63 @@ class SpatialIndex {
     bool hit_is_left_;
   };
 
-  /// The locked body of `Execute`: kNN to `ExecuteKNearest`, every box
-  /// query to `ExecuteBox` through `RunBoxQuery`. The caller holds the
-  /// exclusive lock, or the shared one when `ConvergedFor` approved the
-  /// query (indexes that never reorganize only).
-  void Dispatch(const Query<D>& query, Sink& sink) {
-    if (query.type() == QueryType::kKNearest) {
-      ExecuteKNearest(query.point(), query.k(), sink);
-      return;
+  /// The locked body of `Execute`, under the shared lock when `shared`
+  /// (and then it may decline: false) or the exclusive one. The one
+  /// query-type switch: kNN goes to `ExecuteKNearest` (shared only while
+  /// `ReadOnly()`), and every box query is one `RunBox` with the box it
+  /// descends with. A point probes `[p, p]`; a conjunctive plan runs its
+  /// driver term (the smallest-volume one: sound for any driver, since
+  /// containment implies intersection and every index executes all three
+  /// predicates exactly) and, with several terms, filters the driver's
+  /// candidates through the rest. A conjunction is never count-only: the
+  /// filter needs ids, so count consumers count the emitted stream.
+  bool Run(const Query<D>& query, Sink& sink, bool shared) {
+    switch (query.type()) {
+      case QueryType::kRange:
+      case QueryType::kCount:
+        return RunBox(query.box(), query.predicate(),
+                      query.type() == QueryType::kCount, sink, shared);
+      case QueryType::kPoint:
+        return RunBox(Box<D>(query.point(), query.point()),
+                      RangePredicate::kIntersects, false, sink, shared);
+      case QueryType::kConjunction: {
+        const std::vector<ConjunctiveTerm<D>>& terms = query.terms();
+        const std::size_t driver = ConjunctionDriverIndex(terms);
+        const ConjunctiveTerm<D>& term = terms[driver];
+        if (terms.size() == 1) {
+          return RunBox(term.box, term.predicate, false, sink, shared);
+        }
+        ConjunctionFilterSink filter(&store_, &terms, driver, &sink);
+        return RunBox(term.box, term.predicate, false, filter, shared);
+      }
+      case QueryType::kKNearest:
+        if (shared && !ReadOnly()) return false;
+        ExecuteKNearest(query.point(), query.k(), sink);
+        return true;
+      case QueryType::kJoin:
+        break;
     }
-    RunBoxQuery(query, sink,
-                [this](const Box<D>& q, RangePredicate predicate,
-                       bool count_only, Sink& s) {
-                  ExecuteBox(q, predicate, count_only, s);
-                  return true;
-                });
+    return false;
+  }
+
+  /// A box read: `TryReadBox` when `shared` (false when it declines),
+  /// otherwise `ExecuteBox`.
+  bool RunBox(const Box<D>& q, RangePredicate predicate, bool count_only,
+              Sink& sink, bool shared) {
+    if (shared) return TryReadBox(q, predicate, count_only, sink);
+    ExecuteBox(q, predicate, count_only, sink);
+    return true;
+  }
+
+  /// The default join body: one `ProbeJoinLeft` per live box of `other`,
+  /// each `shared` or not; false at the first declined probe.
+  bool NestedLoopJoin(SpatialIndex<D>& other, JoinEmitter& emit,
+                      bool shared) {
+    bool ok = true;
+    other.store_.ForEachLive([&](ObjectId rid, const Box<D>& b) {
+      ok = ok && ProbeJoinLeft(b, rid, &emit, shared);
+    });
+    return ok;
   }
 
   /// Reader-writer arbitration between concurrent converged/static reads

@@ -21,7 +21,7 @@ namespace quasii {
 /// Work-stealing task scheduler — the one executor of the execution layer.
 /// The process-wide `IntraQueryScheduler()` fans morsels out *within* a
 /// query; separate instances fan queries out *across* threads
-/// (`BatchExecutor`'s batches, the threaded bench driver). Batch
+/// (the microbench's scaling batches, the threaded bench driver). Batch
 /// determinism comes from contiguous chunking, not from execution order.
 ///
 /// Design:

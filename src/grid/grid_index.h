@@ -59,14 +59,6 @@ class GridIndex final : public SpatialIndex<D> {
 
   int partitions_per_dim() const { return params_.partitions_per_dim; }
 
-  /// Query-extension cells are read-only at query time, so any query is
-  /// concurrent-safe once the directory is built. Replication mode
-  /// serializes: its per-query de-duplication stamps (`last_seen_`/`epoch_`)
-  /// are shared mutable state.
-  bool ConvergedFor(const Query<D>&) const override {
-    return built_ && params_.assignment == GridAssignment::kQueryExtension;
-  }
-
   /// Builds the CSR cell directory from the live object set (the grid's
   /// whole pre-processing cost; also the mutation-overflow rebuild).
   void Build() override {
@@ -127,6 +119,14 @@ class GridIndex final : public SpatialIndex<D> {
   }
 
  protected:
+  /// Query-extension cells are read-only at query time, so any query is
+  /// concurrent-safe once the directory is built. Replication mode
+  /// serializes: its per-query de-duplication stamps (`last_seen_`/`epoch_`)
+  /// are shared mutable state.
+  bool ReadOnly() const override {
+    return built_ && params_.assignment == GridAssignment::kQueryExtension;
+  }
+
   /// Inserts overflow into the pending list (scanned exhaustively by every
   /// query, so no grid geometry is consulted for them) until a rebuild
   /// folds them into cells.

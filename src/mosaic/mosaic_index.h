@@ -68,21 +68,6 @@ class MosaicIndex final : public SpatialIndex<D> {
   const Node& root() const { return root_; }
   bool initialized() const { return initialized_; }
 
-  /// A box query is converged when its `Read` would not decline: no leaf
-  /// it touches (under the extended traversal box) is still splittable.
-  /// kNN stays conservative: its expanding ring probes regions the
-  /// triggering query never names — as do joins, whose nested-loop probes
-  /// split around every partner box.
-  bool ConvergedFor(const Query<D>& query) const override {
-    if (query.type() == QueryType::kKNearest ||
-        query.type() == QueryType::kJoin) {
-      return false;
-    }
-    const Box<D> box = DescentBox(query);
-    if (box.IsEmpty()) return initialized_;
-    return Read(box, RangePredicate::kIntersects, false, nullptr, nullptr);
-  }
-
  protected:
   void OnInsert(ObjectId id, const Box<D>& box) override {
     if (!initialized_) return;  // Initialize() reads the store wholesale
@@ -112,19 +97,16 @@ class MosaicIndex final : public SpatialIndex<D> {
                   Sink& sink) override {
     if (!initialized_) Initialize();
     SplitTouched(&root_, 0, Extended(q));
-    if (!Read(q, predicate, count_only, &sink, &this->Stats())) {
+    if (!Read(q, predicate, count_only, sink, &this->Stats())) {
       this->AbortDeclinedRead();
     }
   }
 
-  /// The shared-lock attempt: `Read` for box queries, declining kNN.
-  bool TryExecuteShared(const Query<D>& query, Sink& sink) override {
-    return this->RunBoxQuery(
-        query, sink,
-        [this](const Box<D>& q, RangePredicate predicate, bool count_only,
-               Sink& s) {
-          return Read(q, predicate, count_only, &s, &this->Stats());
-        });
+  /// The shared-lock attempt of a box query (every stream-join and
+  /// nested-loop-join probe too): `Read`.
+  bool TryReadBox(const Box<D>& q, RangePredicate predicate, bool count_only,
+                  Sink& sink) override {
+    return Read(q, predicate, count_only, sink, &this->Stats());
   }
 
   void ExecuteKNearest(const Point<D>& pt, std::size_t k,
@@ -157,17 +139,15 @@ class MosaicIndex final : public SpatialIndex<D> {
   /// The one read of a box query: plans the leaves the extended box
   /// touches (`PlanLeaves`), then scans them into one emitter. Declines
   /// (false, nothing counted or emitted) when the index is uninitialized or
-  /// a touched leaf would still split. With a null `sink` it only decides,
-  /// recording nothing.
+  /// a touched leaf would still split.
   bool Read(const Box<D>& q, RangePredicate predicate, bool count_only,
-            Sink* sink, QueryStats* st) const {
+            Sink& sink, QueryStats* st) const {
     if (!initialized_) return false;
     std::vector<const Node*> leaves;
     std::uint64_t visited = 0;
     if (!PlanLeaves(root_, 0, Extended(q), &leaves, &visited)) return false;
-    if (sink == nullptr) return true;
     st->partitions_visited += visited;
-    MatchEmitter emit(count_only, sink);
+    MatchEmitter emit(count_only, &sink);
     for (const Node* leaf : leaves) {
       st->objects_tested += leaf->objects.size();
       for (const ObjectId id : leaf->objects) {

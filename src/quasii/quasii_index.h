@@ -86,7 +86,7 @@ namespace quasii {
 ///  - joins against another QUASII index descend both slice hierarchies in
 ///    lockstep, cracking each side at the other's slice bounds before
 ///    walking the overlapping slice pairs — so both indexes converge from
-///    join traffic alone (see `JoinVisit`).
+///    join traffic alone (see `JoinRefine`).
 ///
 /// Mutations are handled incrementally, in the spirit of the paper's
 /// query-driven refinement:
@@ -118,13 +118,16 @@ namespace quasii {
 /// refine pre-pass cracks the slices the query touches. Then one `const`
 /// read (`Read`) descends every class without changing anything,
 /// collecting its leaf scans, and runs those scans. The shared-lock
-/// attempt runs that same read first; it declines at the first slice the
-/// query would refine — or at once when a pending tail or a compaction is
-/// due — having counted and emitted nothing. A converged read scans under
-/// the shared lock with any number of peers, writing only thread-local
-/// scratch and the caller's stats shard; a declined one (a warm-up query)
-/// runs again under the exclusive lock, where it cracks. kNN always takes
-/// the exclusive lock.
+/// attempt (`TryReadBox`, also every stream-join probe) runs that same
+/// read first; it declines at the first slice the query would refine — or
+/// at once when a pending tail or a compaction is due — having counted and
+/// emitted nothing. A converged read scans under the shared lock with any
+/// number of peers, writing only thread-local scratch and the caller's
+/// stats shard; a declined one (a warm-up query) runs again under the
+/// exclusive lock, where it cracks. A join with a QUASII partner splits
+/// the same way: a refine pre-pass over both sides (`JoinRefine`), then
+/// one `const` join read (`JoinRead`), which is also the join's shared
+/// attempt. kNN always takes the exclusive lock.
 template <int D>
 class QuasiiIndex final : public SpatialIndex<D> {
  public:
@@ -358,33 +361,18 @@ class QuasiiIndex final : public SpatialIndex<D> {
     return CheckFoldStack(why);
   }
 
-  /// A query is converged — safe to execute concurrently under the shared
-  /// lock — when nothing about its execution can reorganize. For a box
-  /// query that is its `Read` not declining, run here with nothing
-  /// recorded; reads and the server never ask, and joins and stream joins
-  /// do. kNN stays conservative: its expanding ring probes regions the
-  /// triggering query never names. A join touches the whole structure and
-  /// cracks wherever the partner has slice bounds, so it needs the array
-  /// `ReadyToRead` and a read-only descent of every class without bounds
-  /// at the join's thresholds (`JoinThresholds`): only full convergence
-  /// guarantees a join is a pure read of this side. Those are the finest
-  /// any descent uses, so the same check covers the `ExecuteBox` probes of
-  /// a stream join or of a join with a partner of another index type.
-  bool ConvergedFor(const Query<D>& query) const override {
-    if (query.type() == QueryType::kKNearest) return false;
-    if (query.type() != QueryType::kJoin) {
-      const Box<D> box = DescentBox(query);
-      if (box.IsEmpty()) return ReadyToRead();
-      return Read(box, RangePredicate::kIntersects, false, nullptr, nullptr);
+  /// Whether box query `query` would run under the shared lock: its `Read`
+  /// with nothing recorded (false for kNN and joins). Nothing in the
+  /// library asks; it is kept only because `qbench/local.h` times it for
+  /// `quasii.descent_us`, and goes when that timer moves to the read path.
+  bool ConvergedFor(const Query<D>& query) const {
+    if (query.type() == QueryType::kKNearest ||
+        query.type() == QueryType::kJoin) {
+      return false;
     }
-    if (!ReadyToRead()) return false;
-    for (const ExtentClass& c : classes_) {
-      if (!ReadDescent(c.root, Box<D>::Infinite(), JoinThresholds(c), 0u,
-                       nullptr)) {
-        return false;
-      }
-    }
-    return true;
+    const Box<D> box = DescentBox(query);
+    if (box.IsEmpty()) return ReadyToRead();
+    return Read(box, RangePredicate::kIntersects, false, nullptr, nullptr);
   }
 
  protected:
@@ -430,14 +418,11 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
   }
 
-  /// The shared-lock attempt: `Read` for box queries, declining kNN.
-  bool TryExecuteShared(const Query<D>& query, Sink& sink) override {
-    return this->RunBoxQuery(
-        query, sink,
-        [this](const Box<D>& q, RangePredicate predicate, bool count_only,
-               Sink& s) {
-          return Read(q, predicate, count_only, &s, &this->Stats());
-        });
+  /// The shared-lock attempt of a box query (every stream-join and
+  /// nested-loop-join probe too): `Read`.
+  bool TryReadBox(const Box<D>& q, RangePredicate predicate, bool count_only,
+                  Sink& sink) override {
+    return Read(q, predicate, count_only, &sink, &this->Stats());
   }
 
   /// Expanding-ring kNN: range probes of doubling radius run through the
@@ -450,18 +435,17 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
   /// The crack-driven join (the two-set extension of the paper's
-  /// query-driven refinement): when the partner is a QUASII index too, both
-  /// slice hierarchies are descended in lockstep and each side is cracked
-  /// at the other side's slice bounds before the overlapping slice pairs
-  /// are walked — the join itself is the workload that converges both
-  /// structures, and a repeated join runs crack-free over the slices the
-  /// first one carved. Any other partner falls back to the base class's
-  /// index-nested-loop (whose probes still crack this side). The descent
-  /// runs once per pair of extent classes (one from each side), with the
-  /// pair's summed half extents. Self-joins descend the one set of
-  /// hierarchies against itself, visiting each unordered class pair once
-  /// (`c <= c'`); pair canonicalization (unordered-once, no diagonal)
-  /// lives in the emitter's flush.
+  /// query-driven refinement): when the partner is a QUASII index too, a
+  /// refine pre-pass descends both slice hierarchies in lockstep and
+  /// cracks each side at the other side's slice bounds (`JoinRefine`) —
+  /// the join itself is the workload that converges both structures — and
+  /// then the join read (`JoinRead`) walks the overlapping slice pairs and
+  /// scans the leaf pairs. A repeated join's pre-pass finds nothing to
+  /// crack, and its shared attempt runs the same read. Any other partner
+  /// falls back to the base class's index-nested-loop (whose probes still
+  /// crack this side). Both walks run once per pair of extent classes
+  /// (`ForEachClassPair`); pair canonicalization (unordered-once, no
+  /// diagonal) lives in the emitter's flush.
   void ExecuteJoin(SpatialIndex<D>& other_base, JoinEmitter& emit) override {
     auto* other = dynamic_cast<QuasiiIndex<D>*>(&other_base);
     if (other == nullptr) {
@@ -470,20 +454,26 @@ class QuasiiIndex final : public SpatialIndex<D> {
     }
     PrepareArray();
     if (other != this) other->PrepareArray();
-    if (array_.empty() || other->array_.empty()) return;
-    for (std::size_t a = 0; a < classes_.size(); ++a) {
-      ExtentClass& mine = classes_[a];
-      for (std::size_t b = other == this ? a : 0; b < other->classes_.size();
-           ++b) {
-        ExtentClass& theirs = other->classes_[b];
-        JoinClassPair pair{{}, JoinThresholds(mine),
-                           other->JoinThresholds(theirs)};
-        for (int d = 0; d < D; ++d) {
-          pair.h[d] = mine.half_extent[d] + theirs.half_extent[d];
-        }
-        JoinVisit(other, pair, &mine.root, &theirs.root, emit);
-      }
+    if (!array_.empty() && !other->array_.empty()) {
+      ForEachClassPair(this, other,
+                       [this, other](const JoinClassPair& pair,
+                                     std::vector<Slice>& mine,
+                                     std::vector<Slice>& theirs) {
+                         JoinRefine(other, pair, &mine, &theirs);
+                         return true;
+                       });
     }
+    if (!JoinRead(*other, emit, &this->Stats())) this->AbortDeclinedRead();
+  }
+
+  /// The join's shared-lock attempt: `JoinRead` with a QUASII partner, the
+  /// base class's probe-by-probe nested loop with any other.
+  bool TryJoinShared(SpatialIndex<D>& other_base, JoinEmitter& emit) override {
+    const auto* other = dynamic_cast<const QuasiiIndex<D>*>(&other_base);
+    if (other == nullptr) {
+      return SpatialIndex<D>::TryJoinShared(other_base, emit);
+    }
+    return JoinRead(*other, emit, &this->Stats());
   }
 
  private:
@@ -1466,117 +1456,212 @@ class QuasiiIndex final : public SpatialIndex<D> {
   /// Materializes a non-leaf slice's single open child (the lazy first
   /// level-(d+1) slice covering the whole range) if none exists yet. Only
   /// reorganizing (exclusive-lock) executions ever create one — the
-  /// read-only descent (`ReadDescent`) declines at a childless non-leaf.
+  /// read-only walks (`ReadDescent`, `JoinWalk`) decline at a childless
+  /// non-leaf.
   void EnsureChild(Slice* s) {
     if (!s->children.empty()) return;
     s->children.push_back(OpenSlice(s->level + 1, s->begin, s->end));
   }
 
-  /// The value intervals of one level's live slices — the crack targets the
-  /// join partner refines against. Skips empty slices and the parked-dead
-  /// ones (`lo == hi == +inf`).
-  static std::vector<std::pair<Scalar, Scalar>> SliceIntervals(
-      const std::vector<Slice>& slices) {
+  /// The centre-key interval `[lo, hi)` a join partner's rows must fall in
+  /// to meet the rows of slice `s`, for a class pair with summed half
+  /// extents `h`: `s`'s value range widened by `h` on both sides, its upper
+  /// end rounded outward like `ExtendedBox`. The one expression behind the
+  /// join's refine step and both of its walks (`JoinMeets`).
+  static std::pair<Scalar, Scalar> JoinReach(const Slice& s, Scalar h) {
+    return {s.lo - h,
+            std::nextafter(s.hi + h, std::numeric_limits<Scalar>::infinity())};
+  }
+
+  /// Whether the join walks slice pair `(sa, sb)`: each one meets the
+  /// other's `JoinReach` (`Visit`'s `outside` test, negated). Each side
+  /// was refined against a reach at least as wide (its partner's
+  /// pre-refinement slice), so a walked slice is one the refine step
+  /// touched. False for empty slices and the parked dead ones
+  /// (`lo == hi == +inf`).
+  static bool JoinMeets(const Slice& sa, const Slice& sb, Scalar h) {
+    const auto meets = [h](const Slice& s, const Slice& partner) {
+      const auto [lo, hi] = JoinReach(partner, h);
+      return s.size() != 0 && s.lo < hi && s.hi > lo;
+    };
+    return meets(sa, sb) && meets(sb, sa);
+  }
+
+  /// The `JoinReach` of each of one level's live slices — the crack
+  /// targets the join partner refines against. Skips empty slices and the
+  /// parked-dead ones.
+  static std::vector<std::pair<Scalar, Scalar>> SliceReaches(
+      const std::vector<Slice>& slices, Scalar h) {
     std::vector<std::pair<Scalar, Scalar>> out;
     out.reserve(slices.size());
     for (const Slice& s : slices) {
       if (s.size() == 0 || s.lo >= s.hi) continue;
-      out.emplace_back(s.lo, s.hi);
+      out.push_back(JoinReach(s, h));
     }
     return out;
   }
 
   /// The crack half of the join descent: refines this index's level list
-  /// against the interval `[lo, hi)` — a partner slice's value range,
-  /// pre-extended by the combined half extents — through `Visit` with no
-  /// query box, so it cracks and median-splits exactly like a query
-  /// descent but processes nothing. Must be called on the index that owns
-  /// `slices` (it uses that index's array, scratch, and stats shard);
-  /// `threshold` is the join thresholds of the extent class the slices
-  /// belong to (`JoinThresholds`).
-  void RefineForJoin(std::vector<Slice>* slices, Scalar lo, Scalar hi,
+  /// against a partner slice's reach `[iv.first, iv.second)` through
+  /// `Visit` with no query box, so it cracks and median-splits exactly
+  /// like a query descent but processes nothing. Must be called on the
+  /// index that owns `slices` (it uses that index's array, scratch, and
+  /// stats shard); `threshold` is the join thresholds of the extent class
+  /// the slices belong to (`JoinThresholds`).
+  void RefineForJoin(std::vector<Slice>* slices,
+                     const std::pair<Scalar, Scalar>& iv,
                      const Thresholds& threshold) {
     const int d = slices->front().level;
     Box<D> ext = Box<D>::Infinite();
-    ext.lo[d] = lo;
-    ext.hi[d] = hi;
+    ext.lo[d] = iv.first;
+    ext.hi[d] = iv.second;
     Visit(slices, threshold, ext, /*descend=*/false);
   }
 
-  /// One level of the lockstep join descent over two slice lists (of this
+  /// Calls `fn(pair, mine, theirs)` with the root slice lists of every
+  /// pair of extent classes a join of `self` with `other` descends: one
+  /// class from each side, each unordered pair once on a self-join
+  /// (`c <= c'`). `pair` holds the two classes' summed half extents and
+  /// each side's `JoinThresholds`. Stops at, and returns, the first false.
+  template <typename Index, typename Fn>
+  static bool ForEachClassPair(Index* self, Index* other, Fn&& fn) {
+    for (std::size_t a = 0; a < self->classes_.size(); ++a) {
+      for (std::size_t b = other == self ? a : 0; b < other->classes_.size();
+           ++b) {
+        auto& mine = self->classes_[a];
+        auto& theirs = other->classes_[b];
+        JoinClassPair pair{{}, self->JoinThresholds(mine),
+                           other->JoinThresholds(theirs)};
+        for (int d = 0; d < D; ++d) {
+          pair.h[d] = mine.half_extent[d] + theirs.half_extent[d];
+        }
+        if (!fn(pair, mine.root, theirs.root)) return false;
+      }
+    }
+    return true;
+  }
+
+  /// The join's refine pre-pass over one level's slice lists (of this
   /// index and `other`; for a self-join both may be the *same* list).
-  /// First each side is cracked against a pre-refinement snapshot of the
-  /// other side's slice intervals — the snapshot keeps the cross-refinement
-  /// from chasing the partner's freshly carved slices, and makes the
-  /// self-join refine once instead of twice. Then every overlapping slice
-  /// pair is walked once: inner pairs descend into their child lists, leaf
-  /// pairs are scanned where the walk finds them (`LeafJoinScan`). Two
-  /// slices can hold intersecting objects only when their value intervals
-  /// come within the class pair's summed half extents `h` of each other — and
-  /// `sa.hi > sb.lo - h && sb.hi > sa.lo - h` is false for the parked dead
-  /// slices (`lo == hi == +inf`), so they are skipped for free. On a
-  /// self-join over one list the inner walk starts at `j = i`: the pair
-  /// (slice_i, slice_j) already covers both orientations after the
-  /// emitter's normalization, so `j < i` would only produce duplicates.
-  void JoinVisit(QuasiiIndex<D>* other, const JoinClassPair& pair,
-                 std::vector<Slice>* mine, std::vector<Slice>* theirs,
-                 JoinEmitter& emit) {
+  /// First each side is cracked against the reaches of a pre-refinement
+  /// snapshot of the other side's slices — the snapshot keeps the
+  /// cross-refinement from chasing the partner's freshly carved slices,
+  /// and makes the self-join refine once instead of twice. Then, above the
+  /// leaf level, every slice pair the read walks (`JoinMeets`) gets its
+  /// first children (`EnsureChild`) and is descended into, so the read
+  /// (`JoinWalk`) finds every slice it walks refined.
+  void JoinRefine(QuasiiIndex<D>* other, const JoinClassPair& pair,
+                  std::vector<Slice>* mine, std::vector<Slice>* theirs) {
     if (mine->empty() || theirs->empty()) return;
     const int d = mine->front().level;
     const Scalar h = pair.h[d];
     const bool same_list = (mine == theirs);
-    const std::vector<std::pair<Scalar, Scalar>> their_iv =
-        SliceIntervals(*theirs);
-    if (!same_list) {
-      const std::vector<std::pair<Scalar, Scalar>> my_iv =
-          SliceIntervals(*mine);
-      for (const auto& iv : their_iv) {
-        RefineForJoin(mine, iv.first - h, iv.second + h, pair.mine);
-      }
-      for (const auto& iv : my_iv) {
-        other->RefineForJoin(theirs, iv.first - h, iv.second + h,
-                             pair.theirs);
-      }
-    } else {
-      for (const auto& iv : their_iv) {
-        RefineForJoin(mine, iv.first - h, iv.second + h, pair.mine);
-      }
+    std::vector<std::pair<Scalar, Scalar>> my_reach;
+    if (!same_list) my_reach = SliceReaches(*mine, h);
+    for (const auto& iv : SliceReaches(*theirs, h)) {
+      RefineForJoin(mine, iv, pair.mine);
     }
+    for (const auto& iv : my_reach) {
+      other->RefineForJoin(theirs, iv, pair.theirs);
+    }
+    if (d == D - 1) return;
     for (std::size_t i = 0; i < mine->size(); ++i) {
       Slice& sa = (*mine)[i];
-      if (sa.size() == 0) continue;
       for (std::size_t j = same_list ? i : 0; j < theirs->size(); ++j) {
         Slice& sb = (*theirs)[j];
-        if (sb.size() == 0) continue;
-        if (!(sa.hi > sb.lo - h && sb.hi > sa.lo - h)) continue;
-        ++this->Stats().partitions_visited;
+        if (!JoinMeets(sa, sb, h)) continue;
+        EnsureChild(&sa);
+        other->EnsureChild(&sb);
+        JoinRefine(other, pair, &sa.children, &sb.children);
+      }
+    }
+  }
+
+  /// What a join read's walk gathers: the walked slice pairs it counts and
+  /// the leaf pairs it will scan, held until the walk of every class pair
+  /// has completed.
+  struct JoinPlan {
+    std::uint64_t partitions_visited = 0;
+    std::vector<std::pair<const Slice*, const Slice*>> leaves;
+  };
+
+  /// The one read of a join with QUASII partner `other`: walks every class
+  /// pair's slices (`JoinWalk`) and plans the leaf pairs, then scans them
+  /// in walk order into `emit` (`LeafJoinScan`), adding the counters to
+  /// `st`. Declines (false, nothing counted or emitted) when either array
+  /// is not `ReadyToRead`, or at the first walked slice the refine pre-pass
+  /// would change.
+  bool JoinRead(const QuasiiIndex<D>& other, JoinEmitter& emit,
+                QueryStats* st) const {
+    if (!ReadyToRead() || !other.ReadyToRead()) return false;
+    if (array_.empty() || other.array_.empty()) return true;
+    JoinPlan plan;
+    if (!ForEachClassPair(this, &other,
+                          [&plan](const JoinClassPair& pair,
+                                  const std::vector<Slice>& mine,
+                                  const std::vector<Slice>& theirs) {
+                            return JoinWalk(pair, mine, theirs, &plan);
+                          })) {
+      return false;
+    }
+    st->partitions_visited += plan.partitions_visited;
+    for (const auto& [sa, sb] : plan.leaves) {
+      LeafJoinScan(other, *sa, *sb, &emit, st);
+    }
+    return true;
+  }
+
+  /// The read's walk of one level's slice lists, in the pre-pass's order
+  /// (`JoinRefine`): every slice pair that `JoinMeets` counts as visited,
+  /// a leaf pair is planned, and an inner pair's child lists are walked.
+  /// False at the first walked slice the pre-pass would change: one that
+  /// `NeedsRefinement` at its side's join threshold, or a non-leaf without
+  /// children. On a self-join over one list the inner walk starts at
+  /// `j = i`: the pair (slice_i, slice_j) already covers both orientations
+  /// after the emitter's normalization, so `j < i` would only produce
+  /// duplicates.
+  static bool JoinWalk(const JoinClassPair& pair,
+                       const std::vector<Slice>& mine,
+                       const std::vector<Slice>& theirs, JoinPlan* plan) {
+    if (mine.empty() || theirs.empty()) return true;
+    const int d = mine.front().level;
+    const std::size_t level = static_cast<std::size_t>(d);
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      const Slice& sa = mine[i];
+      for (std::size_t j = &mine == &theirs ? i : 0; j < theirs.size(); ++j) {
+        const Slice& sb = theirs[j];
+        if (!JoinMeets(sa, sb, pair.h[d])) continue;
+        if (NeedsRefinement(sa, pair.mine[level]) ||
+            NeedsRefinement(sb, pair.theirs[level])) {
+          return false;
+        }
+        ++plan->partitions_visited;
         if (d == D - 1) {
-          LeafJoinScan(other, sa, sb, &emit);
-        } else {
-          EnsureChild(&sa);
-          other->EnsureChild(&sb);
-          JoinVisit(other, pair, &sa.children, &sb.children, emit);
+          plan->leaves.emplace_back(&sa, &sb);
+        } else if (sa.children.empty() || sb.children.empty() ||
+                   !JoinWalk(pair, sa.children, sb.children, plan)) {
+          return false;
         }
       }
     }
+    return true;
   }
 
   /// Scans one leaf-slice pair on the calling thread: each live row of this
   /// side's slice streams through the partner slice's bound columns
   /// (`StreamScan` is the exact box-intersection filter and skips the
-  /// partner's tombstones itself), and every match goes to `emit`. A pure
-  /// read: at the leaf level `RefineForJoin` has already run.
-  void LeafJoinScan(QuasiiIndex<D>* other, const Slice& sa, const Slice& sb,
-                    JoinEmitter* emit) {
-    QueryStats& st = this->Stats();
+  /// partner's tombstones itself), and every match goes to `emit`.
+  void LeafJoinScan(const QuasiiIndex<D>& other, const Slice& sa,
+                    const Slice& sb, JoinEmitter* emit,
+                    QueryStats* st) const {
     PairListSink sink(emit);
     MatchEmitter me(/*count_only=*/false, &sink);
     for (std::size_t r = sa.begin; r < sa.end; ++r) {
       if (!array_.live(r)) continue;
       sink.set_left(array_.id(r));
-      st.objects_tested += sb.size();
+      st->objects_tested += sb.size();
       const Box<D> probe = array_.box(r);
-      st.bytes_scanned += other->array_.StreamScan(
+      st->bytes_scanned += other.array_.StreamScan(
           sb.begin, sb.end, probe, RangePredicate::kIntersects,
           /*covered_dims=*/0u, &me);
     }

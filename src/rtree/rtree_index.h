@@ -121,11 +121,6 @@ class RTreeIndex final : public SpatialIndex<D> {
     built_ = true;
   }
 
-  /// The packed tree is immutable at query time (mutations only touch the
-  /// overflow lists, under the exclusive lock), so any query is
-  /// concurrent-safe once built.
-  bool ConvergedFor(const Query<D>&) const override { return built_; }
-
   /// Structural accessors for tests and benchmarks.
   const std::vector<Entry<D>>& entries() const { return entries_; }
   const std::vector<std::vector<Node>>& levels() const { return levels_; }
@@ -229,6 +224,11 @@ class RTreeIndex final : public SpatialIndex<D> {
     if (overflow_.NeedsRebuild(this->store_.live_count())) Build();
   }
 
+  /// The packed tree is immutable at query time (mutations only touch the
+  /// overflow lists, under the exclusive lock), so any query is
+  /// concurrent-safe once built.
+  bool ReadOnly() const override { return built_; }
+
   void ExecuteBox(const Box<D>& q, RangePredicate predicate, bool count_only,
                   Sink& sink) override {
     if (!built_) Build();
@@ -315,6 +315,17 @@ class RTreeIndex final : public SpatialIndex<D> {
     for (const ObjectId rid : other->overflow_.pending()) {
       this->ProbeJoinLeft(other->store().box(rid), rid, &emit);
     }
+  }
+
+  /// A join with an R-Tree partner runs shared once both trees are built.
+  bool TryJoinShared(SpatialIndex<D>& other_base, JoinEmitter& emit) override {
+    auto* other = dynamic_cast<RTreeIndex<D>*>(&other_base);
+    if (other == nullptr) {
+      return SpatialIndex<D>::TryJoinShared(other_base, emit);
+    }
+    if (!built_ || !other->built_) return false;
+    ExecuteJoin(*other, emit);
+    return true;
   }
 
  private:

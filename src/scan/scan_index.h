@@ -27,13 +27,19 @@ class ScanIndex final : public SpatialIndex<D> {
 
   std::string_view name() const override { return "Scan"; }
 
-  /// Stateless queries: every execution is a pure read of the store, so
-  /// concurrent reads are always safe.
-  bool ConvergedFor(const Query<D>&) const override { return true; }
-
  protected:
   void OnInsert(ObjectId, const Box<D>&) override {}
   void OnErase(ObjectId) override {}
+
+  /// Stateless queries: every execution is a pure read of the store, so
+  /// concurrent reads are always safe.
+  bool ReadOnly() const override { return true; }
+
+  /// The join oracle reads only the two stores, so it always runs shared.
+  bool TryJoinShared(SpatialIndex<D>& other, JoinEmitter& emit) override {
+    ExecuteJoin(other, emit);
+    return true;
+  }
 
   /// The join oracle: the textbook nested loop over both live sets, every
   /// pair tested. Its canonical output (via `JoinEmitter`) is what every

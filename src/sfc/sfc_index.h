@@ -80,12 +80,12 @@ class SfcIndex final : public SpatialIndex<D> {
 
   const std::vector<ZEntry>& entries() const { return entries_; }
 
+ protected:
   /// The sorted code array is immutable at query time (mutations only touch
   /// the overflow lists, under the exclusive lock), so any query is
   /// concurrent-safe once built.
-  bool ConvergedFor(const Query<D>&) const override { return built_; }
+  bool ReadOnly() const override { return built_; }
 
- protected:
   void OnInsert(ObjectId id, const Box<D>&) override {
     if (!built_) return;  // Build() reads the store wholesale
     overflow_.AddPending(id);

@@ -67,21 +67,6 @@ class SfcrackerIndex final : public SpatialIndex<D> {
   /// query re-reads the recovered store wholesale.
   void RebuildFromStore() override { initialized_ = false; }
 
-  /// A box query is converged when its `Read` would not decline: every
-  /// Z-interval it decomposes into has both of its crack boundaries
-  /// learned. kNN stays conservative: its expanding ring probes regions the
-  /// triggering query never names — as do joins, whose nested-loop probes
-  /// crack around every partner box.
-  bool ConvergedFor(const Query<D>& query) const override {
-    if (query.type() == QueryType::kKNearest ||
-        query.type() == QueryType::kJoin) {
-      return false;
-    }
-    const Box<D> box = DescentBox(query);
-    if (box.IsEmpty()) return initialized_;
-    return Read(box, RangePredicate::kIntersects, false, nullptr, nullptr);
-  }
-
  protected:
   void OnInsert(ObjectId id, const Box<D>&) override {
     if (!initialized_) return;  // Initialize() reads the store wholesale
@@ -106,19 +91,16 @@ class SfcrackerIndex final : public SpatialIndex<D> {
         CrackAt(iv.hi + 1);
       }
     }
-    if (!Read(q, predicate, count_only, &sink, &this->Stats())) {
+    if (!Read(q, predicate, count_only, sink, &this->Stats())) {
       this->AbortDeclinedRead();
     }
   }
 
-  /// The shared-lock attempt: `Read` for box queries, declining kNN.
-  bool TryExecuteShared(const Query<D>& query, Sink& sink) override {
-    return this->RunBoxQuery(
-        query, sink,
-        [this](const Box<D>& q, RangePredicate predicate, bool count_only,
-               Sink& s) {
-          return Read(q, predicate, count_only, &s, &this->Stats());
-        });
+  /// The shared-lock attempt of a box query (every stream-join and
+  /// nested-loop-join probe too): `Read`.
+  bool TryReadBox(const Box<D>& q, RangePredicate predicate, bool count_only,
+                  Sink& sink) override {
+    return Read(q, predicate, count_only, sink, &this->Stats());
   }
 
   /// Expanding-ring kNN over the cracker's own range machinery — each probe
@@ -172,10 +154,9 @@ class SfcrackerIndex final : public SpatialIndex<D> {
   /// The one read of a box query: plans each interval's row range from the
   /// learned boundaries, then scans the ranges and the pending inserts into
   /// one emitter. Declines (false, nothing counted or emitted) when the
-  /// cracker is uninitialized or some boundary is not learned yet. With a
-  /// null `sink` it only decides, recording nothing.
+  /// cracker is uninitialized or some boundary is not learned yet.
   bool Read(const Box<D>& q, RangePredicate predicate, bool count_only,
-            Sink* sink, QueryStats* st) const {
+            Sink& sink, QueryStats* st) const {
     if (!initialized_) return false;
     const std::vector<zorder::ZInterval>& intervals = Intervals(q);
     std::vector<std::pair<std::size_t, std::size_t>> ranges;
@@ -191,9 +172,8 @@ class SfcrackerIndex final : public SpatialIndex<D> {
       }
       ranges.emplace_back(begin->second, end);
     }
-    if (sink == nullptr) return true;
     st->intervals += intervals.size();
-    MatchEmitter emit(count_only, sink);
+    MatchEmitter emit(count_only, &sink);
     for (const auto& [begin, end] : ranges) {
       ++st->partitions_visited;
       for (std::size_t k = begin; k < end; ++k) {

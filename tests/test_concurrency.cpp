@@ -1,14 +1,14 @@
 // Concurrency suite for the multi-threaded execution layer: TaskScheduler
-// groups and stats slots, BatchExecutor units, SplitMix Rng stream
-// independence, the ObjectStore mutation epoch, per-thread stats shards, the ConvergedFor shared-read
-// predicate — and the headline checks: N threads of mixed queries against
-// every roster index must agree query-for-query with a single-threaded Scan
-// oracle (both during serialized warm-up and once converged), N
-// concurrent disjoint read/write streams must leave every index in the
-// exact state a sequential replay produces, and QUASII reads whose
-// shared-lock attempts decline beside a writer must stay correct. Built for
-// TSan: the concurrent sections are the CI ThreadSanitize job's race
-// detector fodder.
+// groups and stats slots, SplitMix Rng stream independence, the
+// ObjectStore mutation epoch, per-thread stats shards, QUASII's box-query
+// `ConvergedFor`, reruns that crack nothing — and the headline checks: N
+// threads of mixed queries against every roster index must agree
+// query-for-query with a single-threaded Scan oracle (both during
+// serialized warm-up and once converged), N concurrent disjoint read/write
+// streams must leave every index in the exact state a sequential replay
+// produces, and QUASII reads whose shared-lock attempts decline beside a
+// writer must stay correct. Built for TSan: the concurrent sections are the
+// CI ThreadSanitize job's race detector fodder.
 
 #include <algorithm>
 #include <atomic>
@@ -18,14 +18,12 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/workload.h"
 #include "common/dataset.h"
-#include "common/executor.h"
 #include "common/object_store.h"
 #include "common/query.h"
 #include "common/rng.h"
@@ -44,8 +42,6 @@
 
 namespace {
 
-using quasii::BatchExecutor;
-using quasii::BatchResult;
 using quasii::Box;
 using quasii::Box3;
 using quasii::ConjunctiveQuery;
@@ -61,6 +57,7 @@ using quasii::KNearestQuery;
 using quasii::MosaicIndex;
 using quasii::ObjectId;
 using quasii::ObjectStore;
+using quasii::ParallelFor;
 using quasii::PointQuery;
 using quasii::Query;
 using quasii::Query3;
@@ -117,6 +114,26 @@ Dataset<D> RandomDataset(Rng* rng, const Box<D>& universe, std::size_t n) {
     data.push_back(RandomBox(rng, universe, 0.03));
   }
   return data;
+}
+
+/// One query's answer: its ids (none for a count) and its match count.
+struct Answer {
+  std::vector<ObjectId> ids;
+  std::uint64_t count = 0;
+};
+
+Answer RunQuery(SpatialIndex<3>* index, const Query3& q) {
+  Answer r;
+  if (q.type() == quasii::QueryType::kCount) {
+    CountSink sink;
+    index->Execute(q, sink);
+    r.count = sink.count();
+  } else {
+    VectorSink sink(&r.ids);
+    index->Execute(q, sink);
+    r.count = r.ids.size();
+  }
+  return r;
 }
 
 /// Every roster index class, thresholds small enough that structures refine
@@ -294,12 +311,15 @@ void TestStatsMergeAcrossConcurrentThreads() {
     queries.push_back(RangeQuery<3>(RandomBox<3>(&rng, universe, 0.2)));
   }
   TaskScheduler scheduler(kThreads - 1);
-  BatchExecutor<3> executor(&scheduler);
-  executor.Run(&scan, std::span<const Query3>(queries));
+  ParallelFor(&scheduler, 0, queries.size(), 1,
+              [&](std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) {
+                  RunQuery(&scan, queries[i]);
+                }
+              });
   // Scan tests every live object per query; the counts land in per-thread
   // shards and must merge to the exact total.
   CHECK_EQ(scan.stats().objects_tested, queries.size() * n);
-  CHECK(!executor.store_mutated());
   scan.ResetStats();
   CHECK_EQ(scan.stats().objects_tested, 0u);
 }
@@ -337,8 +357,8 @@ std::vector<Query3> MakeMixedQueries(Rng* rng, const Box3& universe,
   return queries;
 }
 
-void CheckBatchAgainstOracle(const std::vector<BatchResult>& got,
-                             const std::vector<BatchResult>& oracle,
+void CheckBatchAgainstOracle(const std::vector<Answer>& got,
+                             const std::vector<Answer>& oracle,
                              const std::vector<Query3>& queries,
                              const std::string& name) {
   CHECK_EQ(got.size(), oracle.size());
@@ -372,23 +392,11 @@ void TestConcurrentQueriesMatchScanOracle() {
   // Sequential oracle: a fresh Scan, one thread.
   ScanIndex<3> scan(data);
   scan.Build();
-  std::vector<BatchResult> oracle;
-  for (const Query3& q : queries) {
-    BatchResult r;
-    if (q.type() == quasii::QueryType::kCount) {
-      CountSink sink;
-      scan.Execute(q, sink);
-      r.count = sink.count();
-    } else {
-      VectorSink sink(&r.ids);
-      scan.Execute(q, sink);
-      r.count = r.ids.size();
-    }
-    oracle.push_back(std::move(r));
-  }
+  std::vector<Answer> oracle;
+  for (const Query3& q : queries) oracle.push_back(RunQuery(&scan, q));
 
   TaskScheduler scheduler(kThreads - 1);
-  BatchExecutor<3> executor(&scheduler);
+  const std::size_t chunk = (queries.size() + kThreads - 1) / kThreads;
   auto roster = MakeRoster(data, universe);
   for (auto& index : roster) {
     index->Build();
@@ -396,30 +404,40 @@ void TestConcurrentQueriesMatchScanOracle() {
     // Cold pass: adaptive indexes crack under the exclusive lock while the
     // batch runs. Warm pass: the same queries again, now largely on the
     // shared (concurrent) path. Both must agree with the oracle.
-    CheckBatchAgainstOracle(
-        executor.Run(index.get(), std::span<const Query3>(queries)), oracle,
-        queries, name + " (cold)");
-    CheckBatchAgainstOracle(
-        executor.Run(index.get(), std::span<const Query3>(queries)), oracle,
-        queries, name + " (warm)");
-    CHECK(!executor.store_mutated());
+    for (const char* pass : {" (cold)", " (warm)"}) {
+      std::vector<Answer> got(queries.size());
+      ParallelFor(&scheduler, 0, queries.size(), chunk,
+                  [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i) {
+                      got[i] = RunQuery(index.get(), queries[i]);
+                    }
+                  });
+      CheckBatchAgainstOracle(got, oracle, queries, name + pass);
+    }
   }
 }
 
-void TestBatchExecutorDeterministicAcrossPoolSizes() {
+void TestBatchesDeterministicAcrossPoolSizes() {
   Rng rng(19);
   const Box3 universe = MakeUniverse<3>();
   const Dataset3 data = RandomDataset<3>(&rng, universe, 1200);
   const std::vector<Query3> queries = MakeMixedQueries(&rng, universe, 90);
-  std::vector<std::vector<BatchResult>> runs;
+  std::vector<std::vector<Answer>> runs;
   for (const int threads : {1, 3, kThreads}) {
     QuasiiIndex<3>::Params p;
     p.leaf_threshold = 128;
     QuasiiIndex<3> index(data, p);
     index.Build();
     TaskScheduler scheduler(threads - 1);
-    BatchExecutor<3> executor(&scheduler);
-    runs.push_back(executor.Run(&index, std::span<const Query3>(queries)));
+    std::vector<Answer>& got = runs.emplace_back(queries.size());
+    ParallelFor(&scheduler, 0, queries.size(),
+                (queries.size() + static_cast<std::size_t>(threads) - 1) /
+                    static_cast<std::size_t>(threads),
+                [&](std::size_t begin, std::size_t end) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    got[i] = RunQuery(&index, queries[i]);
+                  }
+                });
   }
   for (std::size_t r = 1; r < runs.size(); ++r) {
     CHECK_EQ(runs[r].size(), runs[0].size());
@@ -1062,48 +1080,39 @@ void TestQuasiiDeclinedReadsBesideMutations() {
   quasii::SetIntraQueryThreads(prev);
 }
 
-void TestStaticIndexesConvergeOnceBuilt() {
+/// What the shared-lock attempt relies on, for every roster index: a
+/// range, a point and a kNN query answer like Scan, and running them again
+/// adds no `cracks` or `objects_moved` — the static indexes never
+/// reorganize once built, and the adaptive ones have refined what the
+/// queries touch.
+void TestRerunsMatchScanAndCrackNothing() {
   Rng rng(41);
   const Box3 universe = MakeUniverse<3>();
   const Dataset3 data = RandomDataset<3>(&rng, universe, 300);
-  const Query3 q = RangeQuery<3>(RandomBox<3>(&rng, universe, 0.2));
-
+  const Box3 box = RandomBox<3>(&rng, universe, 0.2);
+  const std::vector<Query3> queries = {RangeQuery<3>(box),
+                                       PointQuery<3>(box.Center()),
+                                       KNearestQuery<3>(universe.Center(), 4)};
   ScanIndex<3> scan(data);
-  CHECK(scan.ConvergedFor(q));  // stateless: safe even before Build
-
-  RTreeIndex<3> rtree(data);
-  CHECK(!rtree.ConvergedFor(q));
-  rtree.Build();
-  CHECK(rtree.ConvergedFor(q));
-  CHECK(rtree.ConvergedFor(KNearestQuery<3>(universe.Center(), 4)));
-
-  GridIndex<3>::Params ext;
-  ext.partitions_per_dim = 10;
-  ext.assignment = GridAssignment::kQueryExtension;
-  GridIndex<3> grid(data, universe, ext);
-  grid.Build();
-  CHECK(grid.ConvergedFor(q));
-
-  // Replication mode shares per-query dedup stamps: always serialized.
-  GridIndex<3>::Params rep = ext;
-  rep.assignment = GridAssignment::kReplication;
-  GridIndex<3> grid_rep(data, universe, rep);
-  grid_rep.Build();
-  CHECK(!grid_rep.ConvergedFor(q));
-
-  SfcIndex<3> sfc(data, universe);
-  sfc.Build();
-  CHECK(sfc.ConvergedFor(q));
-
-  // SFCracker: converged exactly when the query's interval boundaries are
-  // all learned.
-  SfcrackerIndex<3> cracker(data, universe);
-  cracker.Build();
-  CHECK(!cracker.ConvergedFor(q));
-  std::vector<ObjectId> ids;
-  VectorSink sink(&ids);
-  cracker.Execute(q, sink);
-  CHECK(cracker.ConvergedFor(q));
+  for (auto& index : MakeRoster(data, universe)) {
+    index->Build();
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto before = index->stats();
+      for (const Query3& q : queries) {
+        Answer got = RunQuery(index.get(), q);
+        Answer want = RunQuery(&scan, q);
+        if (q.type() != quasii::QueryType::kKNearest) {
+          std::sort(got.ids.begin(), got.ids.end());
+          std::sort(want.ids.begin(), want.ids.end());
+        }
+        CHECK(got.ids == want.ids);
+      }
+      if (pass == 1) {
+        CHECK_EQ(index->stats().cracks, before.cracks);
+        CHECK_EQ(index->stats().objects_moved, before.objects_moved);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -1116,12 +1125,12 @@ int main() {
   RUN_TEST(TestObjectStoreVersionTicksPerAcceptedMutation);
   RUN_TEST(TestStatsMergeAcrossConcurrentThreads);
   RUN_TEST(TestConcurrentQueriesMatchScanOracle);
-  RUN_TEST(TestBatchExecutorDeterministicAcrossPoolSizes);
+  RUN_TEST(TestBatchesDeterministicAcrossPoolSizes);
   RUN_TEST(TestConcurrentReadWriteStreamsReachSequentialState);
   RUN_TEST(TestQuasiiConvergedForTracksRefinementAndMutations);
   RUN_TEST(TestQuasiiSkewedExtentReadsBesideLargeInserts);
   RUN_TEST(TestQuasiiInsertFoldsBesideReaders);
   RUN_TEST(TestQuasiiDeclinedReadsBesideMutations);
-  RUN_TEST(TestStaticIndexesConvergeOnceBuilt);
+  RUN_TEST(TestRerunsMatchScanAndCrackNothing);
   return 0;
 }

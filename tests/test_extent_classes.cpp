@@ -4,10 +4,10 @@
 // the Scan oracle with `CheckInvariants` after every operation, pinned
 // counters and an id-column hash for a fixed session on a single-class
 // index, the query-aware leaf size against Scan and its own convergence
-// replay, and the counters of cracking queries against their crack-free
-// reruns (a declined shared-lock attempt must leave no counts behind) in
-// QUASII, SFCracker and Mosaic, with pinned counters and an answer hash for
-// a fixed mixed stream on the latter two.
+// replay, and the counters of cracking queries and joins against their
+// crack-free reruns (a declined shared-lock attempt must leave no counts
+// behind) in QUASII, SFCracker and Mosaic, with pinned counters and an
+// answer hash for a fixed mixed stream on the latter two.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -595,6 +595,17 @@ void TestLeafSizeFollowsQuery() {
   CHECK_EQ(restored.stats().objects_moved, 0u);
 }
 
+/// The counters a declined shared-lock attempt could leak: a cracking run
+/// and its crack-free rerun must report the same.
+void CheckSameReadCounters(const quasii::QueryStats& first,
+                           const quasii::QueryStats& rerun) {
+  CHECK_EQ(rerun.cracks, 0u);
+  CHECK_EQ(first.partitions_visited, rerun.partitions_visited);
+  CHECK_EQ(first.objects_tested, rerun.objects_tested);
+  CHECK_EQ(first.bytes_scanned, rerun.bytes_scanned);
+  CHECK_EQ(first.intervals, rerun.intervals);
+}
+
 /// Runs the clustered range, count and point queries `boxes` on `index`
 /// and returns how many cracked. Every query that cracks ran under the
 /// exclusive lock once its shared attempt had declined; its rerun right
@@ -617,14 +628,84 @@ std::size_t CheckCrackingRunsMatchReruns(SpatialIndex<3>& index,
     const quasii::QueryStats first = run(q);
     if (first.cracks == 0) continue;
     ++cracking;
-    const quasii::QueryStats rerun = run(q);
-    CHECK_EQ(rerun.cracks, 0u);
-    CHECK_EQ(first.partitions_visited, rerun.partitions_visited);
-    CHECK_EQ(first.objects_tested, rerun.objects_tested);
-    CHECK_EQ(first.bytes_scanned, rerun.bytes_scanned);
-    CHECK_EQ(first.intervals, rerun.intervals);
+    CheckSameReadCounters(first, run(q));
   }
   return cracking;
+}
+
+/// Runs `join` on `index` twice: the first run must crack (its shared
+/// attempt declined and it ran exclusive), and both must emit `want` and
+/// report the same read counters (`CheckSameReadCounters`).
+void CheckJoinRunMatchesRerun(SpatialIndex<3>& index,
+                              const quasii::Query3& join,
+                              const std::vector<IdPair>& want) {
+  quasii::QueryStats delta[2];
+  for (quasii::QueryStats& d : delta) {
+    const quasii::QueryStats before = index.stats();
+    std::vector<IdPair> pairs;
+    VectorPairSink sink(&pairs);
+    index.Execute(join, sink);
+    CHECK(pairs == want);
+    d = index.stats() - before;
+  }
+  CHECK_GT(delta[0].cracks, 0u);
+  CheckSameReadCounters(delta[0], delta[1]);
+}
+
+/// Declined joins leave no counts behind either. Box queries warm part of
+/// each adaptive index; then a stream join whose early probes are those
+/// warmed boxes and whose last probe is cold runs on QUASII, SFCracker and
+/// Mosaic, and a QUASII⋈QUASII join runs on the warmed QUASII. Each shared
+/// attempt declines (the stream join after its warm probes have counted
+/// and emitted), so each first run goes exclusive and cracks; its read
+/// counters must equal those of its crack-free rerun, and its pairs
+/// Scan's.
+void TestDeclinedJoinsLeakNoCounts() {
+  const Dataset3 data = PaperData(1 << 14);
+  const Box3 u = DataBounds(data);
+  quasii::datagen::ClusteredQueryParams cp;
+  cp.queries_per_cluster = 8;
+  cp.seed = 37;
+  std::vector<Box3> stream =
+      quasii::datagen::MakeClusteredQueries(u, data, cp);
+  const std::size_t warm = stream.size();
+  Box3 cold;  // a 1e-2-volume box at the far corner of the data
+  for (int d = 0; d < 3; ++d) {
+    cold.lo[d] = u.hi[d] - 0.22f * (u.hi[d] - u.lo[d]);
+    cold.hi[d] = u.hi[d];
+  }
+  stream.push_back(cold);
+  const quasii::Query3 stream_join = JoinQuery<3>(stream);
+  ScanIndex<3> scan(data);
+  std::vector<IdPair> want;
+  VectorPairSink want_sink(&want);
+  scan.Execute(stream_join, want_sink);
+
+  QuasiiIndex<3> index(data);
+  SfcrackerIndex<3> cracker(data, u);
+  MosaicIndex<3>::Params mp;
+  mp.leaf_capacity = 64;
+  MosaicIndex<3> mosaic(data, u, mp);
+  const std::vector<SpatialIndex<3>*> adaptive = {&index, &cracker, &mosaic};
+  for (SpatialIndex<3>* a : adaptive) {
+    for (std::size_t i = 0; i < warm; ++i) Answer(*a, RangeQuery<3>(stream[i]));
+  }
+  for (std::size_t i = 0; i < warm; ++i) {
+    CHECK(index.ConvergedFor(RangeQuery<3>(stream[i])));
+  }
+  CHECK(!index.ConvergedFor(RangeQuery<3>(cold)));
+  for (SpatialIndex<3>* a : adaptive) {
+    CheckJoinRunMatchesRerun(*a, stream_join, want);
+  }
+
+  const Dataset3 other_data = HomogeneousData(1 << 12);
+  QuasiiIndex<3> other(other_data);
+  ScanIndex<3> other_scan(other_data);
+  std::vector<IdPair> join_want;
+  VectorPairSink join_sink(&join_want);
+  scan.Execute(JoinQuery<3>(other_scan), join_sink);
+  CHECK_GT(join_want.size(), 0u);
+  CheckJoinRunMatchesRerun(index, JoinQuery<3>(other), join_want);
 }
 
 /// A declined shared-lock attempt leaves no counts behind, in each adaptive
@@ -755,5 +836,6 @@ int main() {
   RUN_TEST(TestPaperDataTwoClassesParallel);
   RUN_TEST(TestLeafSizeFollowsQuery);
   RUN_TEST(TestDeclinedReadsLeakNoCounts);
+  RUN_TEST(TestDeclinedJoinsLeakNoCounts);
   return 0;
 }

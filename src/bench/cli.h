@@ -1,6 +1,7 @@
 #ifndef QUASII_BENCH_CLI_H_
 #define QUASII_BENCH_CLI_H_
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -9,7 +10,7 @@
 
 namespace quasii::bench::cli {
 
-/// Strict numeric flag parsing shared by the bench and microbench drivers.
+/// Strict flag parsing shared by the bench driver, the server and the client.
 /// Every parser consumes the ENTIRE value or fails — `--n=123abc`,
 /// `--queries=`, and `--selectivity=nan` are diagnostics and a nonzero
 /// exit, never a silent fallback to atoi()'s prefix (or zero).
@@ -52,19 +53,19 @@ inline bool ParseDouble(const std::string& s, double* out) {
   return true;
 }
 
-inline std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> parts;
+/// Splits a comma list into `*parts`. False when any item is empty (`a,,b`,
+/// a trailing comma, or an empty list): a stray comma is a diagnostic, not
+/// a shorter list.
+inline bool SplitCommas(const std::string& s, std::vector<std::string>* parts) {
+  parts->clear();
   std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < s.size()) parts.push_back(s.substr(start));
-      break;
-    }
-    if (comma > start) parts.push_back(s.substr(start, comma - start));
+  while (true) {
+    const std::size_t comma = std::min(s.find(',', start), s.size());
+    if (comma == start) return false;
+    parts->push_back(s.substr(start, comma - start));
+    if (comma == s.size()) return true;
     start = comma + 1;
   }
-  return parts;
 }
 
 /// Splits one `--key=value` argument. `--recover`-style boolean flags have

@@ -144,14 +144,17 @@ void ParseArgOrDie(const std::string& arg, ClientConfig* config) {
     config->knn_k = static_cast<std::size_t>(u);
   } else if (flag.key == "targets") {
     if (!flag.has_value) Die(arg, "expected a comma-separated index list");
+    std::vector<std::string> parts;
+    if (!cli::SplitCommas(flag.value, &parts)) {
+      Die(arg, "expected a comma list of target indices");
+    }
     config->targets.clear();
-    for (const std::string& part : cli::SplitCommas(flag.value)) {
+    for (const std::string& part : parts) {
       if (!cli::ParseU64(part, &u) || u > 255) {
         Die(arg, "expected target indices in [0, 255]");
       }
       config->targets.push_back(static_cast<std::uint8_t>(u));
     }
-    if (config->targets.empty()) Die(arg, "expected at least one target");
   } else if (flag.key == "agree") {
     if (flag.has_value) Die(arg, "takes no value");
     config->agree = true;

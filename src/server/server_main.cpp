@@ -93,8 +93,12 @@ void ParseArgOrDie(const std::string& arg, ServerConfig* config) {
     }
     config->seed = u;
   } else if (flag.key == "indexes") {
-    if (!flag.has_value) Die(arg, "expected a comma-separated name list");
-    config->indexes = cli::SplitCommas(flag.value);
+    std::string why;
+    if (!flag.has_value ||
+        !quasii::bench::ParseIndexList(flag.value, &config->indexes, &why)) {
+      Die(arg, why.empty() ? "expected a comma-separated name list"
+                           : why.c_str());
+    }
   } else if (flag.key == "max-inflight") {
     if (!flag.has_value || !cli::ParseU64(flag.value, &u) || u == 0) {
       Die(arg, "expected a positive integer");
@@ -162,24 +166,14 @@ int main(int argc, char** argv) {
   std::vector<quasii::Box3> unused_queries;
   quasii::bench::MakeBenchInputs(bench_config, &data, &universe,
                                  &unused_queries);
-  auto roster_owned = quasii::bench::MakeIndexRoster(data, universe);
+  auto roster_owned =
+      quasii::bench::MakeIndexRoster(data, universe, config.indexes);
 
   std::vector<SpatialIndex<3>*> roster;
   std::vector<std::string> roster_names;
   for (auto& index : roster_owned) {
-    if (!config.indexes.empty()) {
-      bool wanted = false;
-      for (const std::string& name : config.indexes) {
-        if (name == index->name()) wanted = true;
-      }
-      if (!wanted) continue;
-    }
     roster.push_back(index.get());
     roster_names.emplace_back(index->name());
-  }
-  if (roster.empty()) {
-    std::fprintf(stderr, "quasii_server: --indexes matched nothing\n");
-    return 2;
   }
 
   QueryServer<3>::Options options;

@@ -1,6 +1,6 @@
 // Benchmark driver tests: the emitted report must be syntactically valid
-// JSON and contain a result entry per index with per-query latencies and
-// cumulative stats.
+// JSON and contain a result entry per index with latency percentiles and
+// cumulative stats, and a matrix report must be its single runs in a row.
 
 #include <unistd.h>
 
@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -131,6 +133,11 @@ class JsonValidator {
   std::size_t pos_ = 0;
 };
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 std::size_t CountOccurrences(const std::string& haystack,
                              const std::string& needle) {
   std::size_t count = 0;
@@ -157,13 +164,14 @@ void TestReportIsValidJson() {
   BenchConfig config;
   config.n = 3000;
   config.queries = 25;
-  const std::string report = RunBenchmark(config);
+  const std::string report = RunBenchmark({config});
   CHECK(JsonValidator(report).Valid());
   // One result object per roster index, each with latencies and stats.
   CHECK_EQ(CountOccurrences(report, "\"index\":"), 7u);
   CHECK(report.find("\"QUASII\"") != std::string::npos);
   CHECK(report.find("\"Scan\"") != std::string::npos);
-  CHECK_EQ(CountOccurrences(report, "\"latencies_ms\":"), 7u);
+  CHECK_EQ(CountOccurrences(report, "\"latencies_ms\":"), 0u);
+  CHECK_EQ(CountOccurrences(report, "\"p99_ms\":"), 7u);
   CHECK_EQ(CountOccurrences(report, "\"cumulative_stats\":"), 7u);
   // The per-type breakdown: one object per index, all six op-type sections.
   CHECK_EQ(CountOccurrences(report, "\"per_type\":"), 7u);
@@ -182,7 +190,7 @@ void TestIndexFilterAndWorkloads() {
   config.dataset = "neuro";
   config.workload = "clustered";
   config.indexes = {"QUASII", "Scan"};
-  const std::string report = RunBenchmark(config);
+  const std::string report = RunBenchmark({config});
   CHECK(JsonValidator(report).Valid());
   CHECK_EQ(CountOccurrences(report, "\"index\":"), 2u);
   CHECK(report.find("\"R-Tree\"") == std::string::npos);
@@ -192,19 +200,18 @@ void TestIndexFilterAndWorkloads() {
   CHECK(report.find("\"queries\":13") != std::string::npos);
 }
 
-/// All `result_objects` values of a report, in emission order: per index
-/// one total followed by the six per-op-type sections' values.
-std::vector<std::string> ExtractResultObjects(const std::string& report) {
+/// Every value of `key` in a report, in emission order, as raw text: a
+/// number, or an object without nested objects (a stats block).
+std::vector<std::string> ExtractValues(const std::string& report,
+                                       const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
   std::vector<std::string> values;
   std::size_t pos = 0;
-  while ((pos = report.find("\"result_objects\":", pos)) !=
-         std::string::npos) {
-    pos += std::string("\"result_objects\":").size();
-    std::size_t end = pos;
-    while (end < report.size() &&
-           std::isdigit(static_cast<unsigned char>(report[end]))) {
-      ++end;
-    }
+  while ((pos = report.find(needle, pos)) != std::string::npos) {
+    pos += needle.size();
+    const std::size_t end = report[pos] == '{'
+                                ? report.find('}', pos) + 1
+                                : report.find_first_of(",}]", pos);
     values.push_back(report.substr(pos, end - pos));
     pos = end;
   }
@@ -212,12 +219,14 @@ std::vector<std::string> ExtractResultObjects(const std::string& report) {
 }
 
 /// Every roster index sees the same queries, so its result counts — the
-/// total and every per-type section — must agree with every other index's:
-/// the bench-level restatement of the equivalence suite.
+/// total, every per-type section and the post-workload pass — must agree
+/// with every other index's: the bench-level restatement of the
+/// equivalence suite.
 void CheckResultCountsAgree(const std::string& report, std::size_t indexes) {
-  const std::vector<std::string> values = ExtractResultObjects(report);
-  // Per index: one total + one value per op-type section.
-  const std::size_t per_index = 1 + quasii::bench::kNumOpTypes;
+  const std::vector<std::string> values =
+      ExtractValues(report, "result_objects");
+  // Per index: one total, one value per op-type section, one post-workload.
+  const std::size_t per_index = 1 + quasii::bench::kNumOpTypes + 1;
   CHECK_EQ(values.size(), indexes * per_index);
   for (std::size_t i = 0; i < values.size(); ++i) {
     CHECK_EQ(values[i], values[i % per_index]);
@@ -228,7 +237,7 @@ void TestRosterResultCountsAgree() {
   BenchConfig config;
   config.n = 4000;
   config.queries = 30;
-  const std::string report = RunBenchmark(config);
+  const std::string report = RunBenchmark({config});
   CHECK(JsonValidator(report).Valid());
   CheckResultCountsAgree(report, 7);
 }
@@ -242,7 +251,7 @@ void TestMixedWorkloadReport() {
   config.queries = 40;
   config.mix = quasii::bench::DefaultMixedWorkloadMix();
   config.knn_k = 5;
-  const std::string report = RunBenchmark(config);
+  const std::string report = RunBenchmark({config});
   CHECK(JsonValidator(report).Valid());
   CheckResultCountsAgree(report, 7);
   // The mix is recorded in the config block, and at this size the
@@ -265,7 +274,7 @@ void TestReadWriteWorkloadReport() {
   config.queries = 60;
   config.mix = quasii::bench::DefaultReadWriteMix();
   config.knn_k = 5;
-  const std::string report = RunBenchmark(config);
+  const std::string report = RunBenchmark({config});
   CHECK(JsonValidator(report).Valid());
   CheckResultCountsAgree(report, 7);
   CHECK(report.find("\"insert\":0.15") != std::string::npos);
@@ -275,22 +284,32 @@ void TestReadWriteWorkloadReport() {
 }
 
 void TestTailLatencyReport() {
-  // Schema v8: every index section carries a p50/p90/p99 summary, and a
-  // threaded mixed read/write run additionally carries one per thread —
-  // the per-client tail-latency metric of the serving work.
+  // Every index section carries a p50/p90/p99 summary, and a threaded mixed
+  // read/write run additionally carries one per thread — the per-client
+  // tail-latency metric of the serving work. The raw per-op latencies are
+  // not reported.
   BenchConfig config;
   config.n = 2000;
   config.queries = 48;
   config.threads = 4;
   config.indexes = {"QUASII"};
   config.mix = quasii::bench::DefaultReadWriteMix();
-  const std::string report = RunBenchmark(config);
+  const std::string report = RunBenchmark({config});
   CHECK(JsonValidator(report).Valid());
   CHECK_EQ(CountOccurrences(report, "\"per_thread\":"), 1u);
   // One index-level summary plus one per thread.
   CHECK_EQ(CountOccurrences(report, "\"p99_ms\":"), 1u + 4u);
   CHECK_EQ(CountOccurrences(report, "\"p50_ms\":"), 1u + 4u);
   CHECK_EQ(CountOccurrences(report, "\"p90_ms\":"), 1u + 4u);
+  CHECK_EQ(CountOccurrences(report, "\"latencies_ms\":"), 0u);
+  const std::vector<std::string> p50 = ExtractValues(report, "p50_ms");
+  const std::vector<std::string> p90 = ExtractValues(report, "p90_ms");
+  const std::vector<std::string> p99 = ExtractValues(report, "p99_ms");
+  for (std::size_t i = 0; i < p50.size(); ++i) {
+    CHECK_GT(std::stod(p50[i]), 0.0);
+    CHECK_LE(std::stod(p50[i]), std::stod(p90[i]));
+    CHECK_LE(std::stod(p90[i]), std::stod(p99[i]));
+  }
 
   // The percentile helper itself: exact order statistics on a known sample.
   std::vector<double> sample = {4.0, 1.0, 3.0, 2.0, 5.0};
@@ -388,11 +407,30 @@ void TestCliParsers() {
   CHECK(!cli::ParseDouble("nan", &d));
   CHECK(!cli::ParseDouble("inf", &d));
 
-  const auto parts = cli::SplitCommas("a,,b,c,");
+  std::vector<std::string> parts;
+  CHECK(cli::SplitCommas("a,b,c", &parts));
   CHECK_EQ(parts.size(), 3u);
   CHECK_EQ(parts[0], "a");
   CHECK_EQ(parts[2], "c");
-  CHECK(cli::SplitCommas("").empty());
+  CHECK(cli::SplitCommas("uniform", &parts));
+  CHECK_EQ(parts.size(), 1u);
+  // An empty item anywhere is an error, never a shorter list.
+  for (const char* bad : {"", ",", "a,,b", "a,b,", ",a"}) {
+    CHECK(!cli::SplitCommas(bad, &parts));
+  }
+
+  // The roster selector of the bench driver and the server.
+  std::vector<std::string> names;
+  std::string why;
+  CHECK(quasii::bench::ParseIndexList("Scan,QUASII", &names, &why));
+  CHECK_EQ(names.size(), 2u);
+  CHECK_EQ(names[1], "QUASII");
+  for (const char* bad : {"Quasii", "Scan,Typo", "Scan,,QUASII", ""}) {
+    why.clear();
+    CHECK(!quasii::bench::ParseIndexList(bad, &names, &why));
+    CHECK(why.find("R-Tree") != std::string::npos);
+  }
+  CHECK_EQ(names.size(), 2u);  // a rejected list leaves the old one
 
   cli::FlagArg f = cli::SplitFlag("--knn-k=10");
   CHECK(f.is_flag);
@@ -412,8 +450,10 @@ void TestCliParsers() {
   CHECK(!f.is_flag);
 }
 
-/// A durability-enabled run emits the v6 durability section, and a
-/// recover-from-WAL run starts from the logged mutation history.
+/// A durability-enabled run emits the durability section, a second run on
+/// the same log without `recover` is refused (its fresh LSN history would
+/// make the log unrecoverable), and a recover-from-WAL run starts from the
+/// logged mutation history.
 void TestDurableBenchReport() {
   char dir_tmpl[] = "/tmp/quasii_bench_wal_XXXXXX";
   const char* dir = ::mkdtemp(dir_tmpl);
@@ -430,7 +470,7 @@ void TestDurableBenchReport() {
   config.durability.fsync = quasii::persist::FsyncPolicy::kNone;
 
   std::string error;
-  const std::string report = RunBenchmark(config, &error);
+  const std::string report = RunBenchmark({config}, &error);
   CHECK_EQ(error, "");
   CHECK(JsonValidator(report).Valid());
   // CHECK_EQ on the extracted value so a schema bump failure prints the
@@ -441,14 +481,21 @@ void TestDurableBenchReport() {
   const std::size_t schema_begin = schema_at + schema_key.size();
   const std::string found_schema =
       report.substr(schema_begin, report.find('"', schema_begin) - schema_begin);
-  CHECK_EQ(found_schema, "quasii-bench-v9");
+  CHECK_EQ(found_schema, "quasii-bench-v10");
   CHECK(report.find("\"durability\":") != std::string::npos);
   CHECK(report.find("\"wal_records\":") != std::string::npos);
   CHECK(report.find("\"snapshots_written\":") != std::string::npos);
 
-  // Second run: recover from the first run's WAL + snapshot, then rerun.
+  // A second plain run must not touch the log.
+  const std::string wal_before = ReadFile(wal);
+  CHECK_GT(wal_before.size(), 0u);
+  CHECK_EQ(RunBenchmark({config}, &error), "");
+  CHECK(error.find("--recover") != std::string::npos);
+  CHECK(ReadFile(wal) == wal_before);
+
+  // Recover from the first run's WAL + snapshot, then rerun.
   config.durability.recover = true;
-  const std::string report2 = RunBenchmark(config, &error);
+  const std::string report2 = RunBenchmark({config}, &error);
   CHECK_EQ(error, "");
   CHECK(JsonValidator(report2).Valid());
   CHECK(report2.find("\"recovery\":") != std::string::npos);
@@ -457,6 +504,35 @@ void TestDurableBenchReport() {
   std::remove(wal.c_str());
   std::remove((wal + ".snapshot").c_str());
   ::rmdir(dir);
+}
+
+/// A matrix report is its single-config runs in a row: every config's
+/// counters, result counts and post-workload checksums equal those of the
+/// config run alone.
+void TestMatrixIsLoopOfSingleRuns() {
+  BenchConfig uniform;
+  uniform.n = 3000;
+  uniform.queries = 60;
+  uniform.indexes = {"Scan", "QUASII"};
+  BenchConfig readwrite = uniform;
+  readwrite.workload = "readwrite";
+  readwrite.mix = quasii::bench::DefaultReadWriteMix();
+  const std::string matrix = RunBenchmark({uniform, readwrite});
+  CHECK(JsonValidator(matrix).Valid());
+  CHECK_EQ(CountOccurrences(matrix, "\"workload\":"), 2u);
+  // The converged-QUASII extras ride on the pure-range uniform config only.
+  CHECK_EQ(CountOccurrences(matrix, "\"scaling\":"), 1u);
+  const std::string singles[] = {RunBenchmark({uniform}),
+                                 RunBenchmark({readwrite})};
+  for (const char* key : {"cumulative_stats", "result_objects", "checksum"}) {
+    std::vector<std::string> expected;
+    for (const std::string& single : singles) {
+      const std::vector<std::string> v = ExtractValues(single, key);
+      expected.insert(expected.end(), v.begin(), v.end());
+    }
+    CHECK_GT(expected.size(), 0u);
+    CHECK(ExtractValues(matrix, key) == expected);
+  }
 }
 
 /// `MakeBenchInputs` must never pad the workload with default-constructed
@@ -491,6 +567,7 @@ int main() {
   RUN_TEST(TestParseWorkloadMix);
   RUN_TEST(TestCliParsers);
   RUN_TEST(TestDurableBenchReport);
+  RUN_TEST(TestMatrixIsLoopOfSingleRuns);
   RUN_TEST(TestBenchInputsEmitNoEmptyQueries);
   return 0;
 }

@@ -148,8 +148,10 @@ WorkloadLogContents<D> ReadWorkloadLog(const std::string& path) {
     return out;
   }
   out.exists = true;
+  if (raw.empty()) return out;
   if (raw.size() < 16) {
-    out.error = persist::PersistError::kSnapshotTruncated;
+    // Crash while writing the header itself, as in `ReadWal`: no records.
+    out.truncated_tail = true;
     return out;
   }
   ByteReader hr(raw.data(), raw.size());

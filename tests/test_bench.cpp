@@ -535,6 +535,33 @@ void TestMatrixIsLoopOfSingleRuns() {
   }
 }
 
+/// A join config's run leaves each index's counters where the report puts
+/// them: the converged time comes from the rounds already timed, so no join
+/// runs after `cumulative_stats` is captured.
+void TestJoinRunEndsAtItsReportedStats() {
+  BenchConfig config;
+  config.n = 1500;
+  config.workload = "join";
+  quasii::Dataset3 data;
+  quasii::Box3 universe;
+  std::vector<quasii::Box3> boxes;
+  quasii::bench::MakeBenchInputs(config, &data, &universe, &boxes);
+  const std::vector<quasii::bench::Op3> rounds(
+      quasii::bench::kJoinRounds, quasii::bench::Op3::MakeStreamJoin({}));
+  for (const auto& index : quasii::bench::MakeIndexRoster(
+           data, universe, {"Scan", "SFCracker", "QUASII"})) {
+    const quasii::bench::IndexRun run =
+        quasii::bench::RunIndex(index.get(), rounds, /*self_join=*/true);
+    const quasii::QueryStats now = index->stats();
+    CHECK_EQ(now.objects_tested, run.cumulative.objects_tested);
+    CHECK_EQ(now.partitions_visited, run.cumulative.partitions_visited);
+    CHECK_EQ(now.cracks, run.cumulative.cracks);
+    CHECK_EQ(now.objects_moved, run.cumulative.objects_moved);
+    CHECK_EQ(now.bytes_scanned, run.cumulative.bytes_scanned);
+    CHECK_EQ(run.steady_tail_mean_ms, run.latencies_ms.back());
+  }
+}
+
 /// `MakeBenchInputs` must never pad the workload with default-constructed
 /// (empty) query boxes: the clustered generator's rounded-up output is
 /// clamped down to the requested count, never blindly resized up.
@@ -568,6 +595,7 @@ int main() {
   RUN_TEST(TestCliParsers);
   RUN_TEST(TestDurableBenchReport);
   RUN_TEST(TestMatrixIsLoopOfSingleRuns);
+  RUN_TEST(TestJoinRunEndsAtItsReportedStats);
   RUN_TEST(TestBenchInputsEmitNoEmptyQueries);
   return 0;
 }

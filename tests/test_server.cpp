@@ -730,6 +730,20 @@ void TestWorkloadLogRoundTrip() {
   }
   CHECK(ReadWorkloadLog<3>(path).error ==
         quasii::persist::PersistError::kBadMagic);
+
+  // A crash inside `Open` leaves an empty file or a partial header. As with
+  // the WAL, that reads as an empty log, not as an error.
+  for (const std::size_t size : {std::size_t{0}, std::size_t{7}}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(raw.data(), static_cast<std::streamsize>(size));
+    }
+    auto residue = ReadWorkloadLog<3>(path);
+    CHECK(residue.exists);
+    CHECK(residue.error == quasii::persist::PersistError::kNone);
+    CHECK_EQ(residue.truncated_tail, size > 0);
+    CHECK(residue.records.empty());
+  }
   std::remove(path.c_str());
 }
 
